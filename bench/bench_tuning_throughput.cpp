@@ -1,20 +1,10 @@
-// Tuning-throughput benchmark: the evaluation-pipeline overhaul measured
-// against the frozen pre-overhaul code paths (bench/legacy_tuner.hpp,
-// bench/legacy_interpreter.hpp).
-//
-// Two sections, both on the Fig. 7 workload family (the paper's
+// Tuning-throughput benchmark: the evaluation pipeline's throughput,
+// section by section, on the Fig. 7 workload family (the paper's
 // pruning-funnel GEMM chain plus attention/GEMM neighbours):
 //
-//   * tuner:        wall-clock of a fixed-generation-budget tuning run,
-//                   legacy serial loop vs the batched pipeline, plus
-//                   candidates/second (estimates + measurements per wall
-//                   second).  Generation count is pinned so both tuners do
-//                   the same algorithmic work and the ratio is a pure
-//                   throughput ratio.
 //   * interpreter:  blocks/second and GFLOP/s of the functional
-//                   interpreter over a spread of schedules, legacy
-//                   per-block-allocating executor vs the arena-backed
-//                   micro-kernel.
+//                   interpreter over a spread of schedules — the
+//                   denominator of the jit and isolation sections.
 //   * backends:     the simulator and interpreter MeasureBackends side by
 //                   side on the same schedules — predicted/observed
 //                   kernel time, measure() call cost, and the rank
@@ -46,7 +36,7 @@
 //                   reports the RSS growth over the flood.
 //
 // Emits the paper-style table + CSV (common.hpp) and writes
-// BENCH_tuning_throughput.json (stable schema v6, see
+// BENCH_tuning_throughput.json (stable schema v8, see
 // docs/performance.md) so future PRs can track the trajectory.
 #include <algorithm>
 #include <chrono>
@@ -64,8 +54,6 @@
 #include "exec/interpreter.hpp"
 #include "exec/jit.hpp"
 #include "gpu/spec.hpp"
-#include "legacy_interpreter.hpp"
-#include "legacy_tuner.hpp"
 #include "measure/backend.hpp"
 #include "search/tuner.hpp"
 #include "support/stats.hpp"
@@ -94,23 +82,12 @@ double geomean(const std::vector<double>& v) {
   return std::exp(lg / static_cast<double>(v.size()));
 }
 
-struct TunerRow {
-  std::string name;
-  double legacy_wall_s = 0.0;
-  double new_wall_s = 0.0;
-  double legacy_cands_per_s = 0.0;
-  double new_cands_per_s = 0.0;
-  bool same_best = false;
-};
-
 struct InterpRow {
   std::string name;
   std::string tiles;
   std::int64_t blocks = 0;
-  double legacy_blocks_per_s = 0.0;
-  double new_blocks_per_s = 0.0;
-  double legacy_gflops = 0.0;
-  double new_gflops = 0.0;
+  double blocks_per_s = 0.0;
+  double gflops = 0.0;
   double flops = 0.0;  ///< executed FLOPs per run (jit section reuses it)
 };
 
@@ -166,49 +143,6 @@ BackendRow bench_backend(const ChainSpec& chain, const SearchSpace& space,
   return row;
 }
 
-TunerRow bench_tuner(const ChainSpec& chain, const GpuSpec& gpu) {
-  PruneOptions prune;
-  prune.smem_limit_bytes = gpu.smem_per_block;
-  const SearchSpace space(chain, SpaceOptions{}, prune);
-
-  // Pinned generation budget: epsilon 0 disables early convergence inside
-  // the budget, so legacy and new run the same number of generations and
-  // wall-clock compares throughput, not stopping luck.
-  TunerOptions opts;
-  opts.epsilon = 0.0;
-  opts.min_generations = 16;
-  opts.max_generations = 16;
-
-  constexpr int kRepeats = 7;
-  std::vector<double> legacy_wall;
-  std::vector<double> new_wall;
-  TunedResult rl;
-  TunedResult rn;
-  for (int r = 0; r < kRepeats; ++r) {
-    const auto t0 = clk::now();
-    bench::legacy::LegacyTuner lt(space, gpu, opts);
-    rl = lt.run();
-    const auto t1 = clk::now();
-    Tuner nt(space, gpu, opts);
-    rn = nt.run();
-    const auto t2 = clk::now();
-    legacy_wall.push_back(secs(t0, t1));
-    new_wall.push_back(secs(t1, t2));
-  }
-
-  TunerRow row;
-  row.name = chain.name();
-  row.legacy_wall_s = best_of(legacy_wall);
-  row.new_wall_s = best_of(new_wall);
-  row.legacy_cands_per_s =
-      (rl.stats.estimates + rl.stats.measurements) / row.legacy_wall_s;
-  row.new_cands_per_s =
-      (rn.stats.estimates + rn.stats.measurements) / row.new_wall_s;
-  row.same_best = rl.ok && rn.ok && rl.best.expr_id == rn.best.expr_id &&
-                  rl.best.tiles == rn.best.tiles;
-  return row;
-}
-
 InterpRow bench_interp(const ChainSpec& chain, const SearchSpace& space,
                        std::size_t cand_index) {
   const auto& cands = space.candidates();
@@ -226,20 +160,14 @@ InterpRow bench_interp(const ChainSpec& chain, const SearchSpace& space,
     w.push_back(std::move(t));
   }
 
-  const InterpreterOptions opt;
   constexpr int kRepeats = 7;
-  std::vector<double> legacy_t;
-  std::vector<double> new_t;
+  std::vector<double> times;
   ExecutionCounters counters;
   const Interpreter interp(s);
   for (int r = 0; r < kRepeats; ++r) {
     const auto t0 = clk::now();
-    bench::legacy::run(s, opt, a, w, out);
-    const auto t1 = clk::now();
     counters = interp.run(a, w, out);
-    const auto t2 = clk::now();
-    legacy_t.push_back(secs(t0, t1));
-    new_t.push_back(secs(t1, t2));
+    times.push_back(secs(t0, clk::now()));
   }
 
   InterpRow row;
@@ -248,13 +176,10 @@ InterpRow bench_interp(const ChainSpec& chain, const SearchSpace& space,
     row.tiles += (row.tiles.empty() ? "" : "x") + std::to_string(t);
   }
   row.blocks = s.num_blocks();
-  const double lm = best_of(legacy_t);
-  const double nm = best_of(new_t);
-  row.legacy_blocks_per_s = static_cast<double>(row.blocks) / lm;
-  row.new_blocks_per_s = static_cast<double>(row.blocks) / nm;
+  const double best = best_of(times);
+  row.blocks_per_s = static_cast<double>(row.blocks) / best;
   row.flops = counters.flops + counters.epilogue_flops;
-  row.legacy_gflops = row.flops / lm / 1e9;
-  row.new_gflops = row.flops / nm / 1e9;
+  row.gflops = row.flops / best / 1e9;
   return row;
 }
 
@@ -267,7 +192,7 @@ JitRow bench_jit(const ChainSpec& chain, const Schedule& s,
   row.name = interp_row.name;
   row.tiles = interp_row.tiles;
   row.blocks = interp_row.blocks;
-  row.interp_gflops = interp_row.new_gflops;
+  row.interp_gflops = interp_row.gflops;
 
   const JitKernel kernel(s, "bench");
   if (!kernel.ok()) {
@@ -574,33 +499,6 @@ AdmissionResult bench_admission(const GpuSpec& gpu) {
 int run() {
   const GpuSpec gpu = a100();
 
-  // ---- tuner throughput -----------------------------------------------------
-  // The Fig. 7 funnel chain itself plus a GEMM and an attention neighbour
-  // from the paper's workload tables.
-  const std::vector<ChainSpec> tuner_chains = {
-      ChainSpec::gemm_chain("fig7", 1, 1024, 1024, 512, 512),
-      ChainSpec::gemm_chain("fig7-g4", 1, 512, 512, 256, 256),
-      ChainSpec::attention("fig7-s4", 12, 256, 256, 64, 64),
-  };
-  std::vector<TunerRow> tuner_rows;
-  for (const auto& c : tuner_chains) tuner_rows.push_back(bench_tuner(c, gpu));
-
-  Table tuner_table("Tuning throughput — legacy serial loop vs batched pipeline");
-  tuner_table.set_header({"workload", "legacy wall (ms)", "new wall (ms)",
-                          "speedup", "legacy cand/s", "new cand/s",
-                          "same best"});
-  std::vector<double> tuner_speedups;
-  for (const auto& r : tuner_rows) {
-    tuner_speedups.push_back(r.legacy_wall_s / r.new_wall_s);
-    tuner_table.add_row({r.name, Table::num(r.legacy_wall_s * 1e3, 2),
-                         Table::num(r.new_wall_s * 1e3, 2),
-                         mcf::bench::speedup(r.legacy_wall_s, r.new_wall_s),
-                         Table::num(r.legacy_cands_per_s, 0),
-                         Table::num(r.new_cands_per_s, 0),
-                         r.same_best ? "yes" : "no"});
-  }
-  const double tuner_geo = geomean(tuner_speedups);
-
   // ---- interpreter throughput -----------------------------------------------
   // Scaled-down Fig. 7 shapes: full-size chains take seconds per run in a
   // functional interpreter; the mini variants keep tile structure
@@ -626,21 +524,13 @@ int run() {
     }
   }
 
-  Table interp_table(
-      "Interpreter throughput — per-block allocations vs arena micro-kernel");
-  interp_table.set_header({"workload", "tiles", "blocks", "legacy blk/s",
-                           "new blk/s", "speedup", "new GFLOP/s"});
-  std::vector<double> interp_speedups;
+  Table interp_table("Interpreter throughput — arena micro-kernel");
+  interp_table.set_header({"workload", "tiles", "blocks", "blk/s", "GFLOP/s"});
   for (const auto& r : interp_rows) {
-    interp_speedups.push_back(r.new_blocks_per_s / r.legacy_blocks_per_s);
-    interp_table.add_row(
-        {r.name, r.tiles, std::to_string(r.blocks),
-         Table::num(r.legacy_blocks_per_s, 0), Table::num(r.new_blocks_per_s, 0),
-         mcf::bench::speedup(1.0 / r.legacy_blocks_per_s,
-                             1.0 / r.new_blocks_per_s),
-         Table::num(r.new_gflops, 1)});
+    interp_table.add_row({r.name, r.tiles, std::to_string(r.blocks),
+                          Table::num(r.blocks_per_s, 0),
+                          Table::num(r.gflops, 1)});
   }
-  const double interp_geo = geomean(interp_speedups);
 
   // ---- measure backends side by side ----------------------------------------
   // The same schedules through the pluggable measurement subsystem: the
@@ -851,7 +741,6 @@ int run() {
                      Table::num(adm.rss_before_kib / 1024.0, 1) + " / " +
                          Table::num(adm.rss_after_kib / 1024.0, 1)});
 
-  if (!mcf::bench::emit(tuner_table, "tuning_throughput_tuner")) return 1;
   if (!mcf::bench::emit(interp_table, "tuning_throughput_interp")) return 1;
   if (!mcf::bench::emit(backend_table, "tuning_throughput_backends")) return 1;
   if (toolchain.ok() &&
@@ -867,8 +756,6 @@ int run() {
     return 1;
   }
   if (!mcf::bench::emit(adm_table, "tuning_throughput_admission")) return 1;
-  std::printf("tuner geomean speedup: %.2fx\ninterpreter geomean speedup: %.2fx\n",
-              tuner_geo, interp_geo);
   std::printf("sim/interp backend rank correlation: %.3f\n", backend_rank_corr);
   if (toolchain.ok()) {
     std::printf("jit vs interpreter geomean: %.2fx (%.1f GFLOP/s geomean, "
@@ -906,38 +793,17 @@ int run() {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"tuning_throughput\",\n");
-  std::fprintf(f, "  \"schema_version\": 7,\n");
+  std::fprintf(f, "  \"schema_version\": 8,\n");
   std::fprintf(f, "  \"threads\": %u,\n", ThreadPool::global().size());
-  std::fprintf(f, "  \"tuner\": {\n");
-  std::fprintf(f, "    \"geomean_speedup\": %.4f,\n", tuner_geo);
-  std::fprintf(f, "    \"workloads\": [\n");
-  for (std::size_t i = 0; i < tuner_rows.size(); ++i) {
-    const auto& r = tuner_rows[i];
-    std::fprintf(f,
-                 "      {\"name\": \"%s\", \"legacy_wall_s\": %.6g, "
-                 "\"new_wall_s\": %.6g, \"speedup\": %.4f, "
-                 "\"legacy_cands_per_s\": %.6g, \"new_cands_per_s\": %.6g, "
-                 "\"same_best\": %s}%s\n",
-                 r.name.c_str(), r.legacy_wall_s, r.new_wall_s,
-                 r.legacy_wall_s / r.new_wall_s, r.legacy_cands_per_s,
-                 r.new_cands_per_s, r.same_best ? "true" : "false",
-                 i + 1 < tuner_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n  },\n");
   std::fprintf(f, "  \"interpreter\": {\n");
-  std::fprintf(f, "    \"geomean_speedup\": %.4f,\n", interp_geo);
   std::fprintf(f, "    \"workloads\": [\n");
   for (std::size_t i = 0; i < interp_rows.size(); ++i) {
     const auto& r = interp_rows[i];
     std::fprintf(f,
                  "      {\"name\": \"%s\", \"tiles\": \"%s\", \"blocks\": %lld, "
-                 "\"legacy_blocks_per_s\": %.6g, \"new_blocks_per_s\": %.6g, "
-                 "\"speedup\": %.4f, \"legacy_gflops\": %.4f, "
-                 "\"new_gflops\": %.4f}%s\n",
+                 "\"blocks_per_s\": %.6g, \"gflops\": %.4f}%s\n",
                  r.name.c_str(), r.tiles.c_str(),
-                 static_cast<long long>(r.blocks), r.legacy_blocks_per_s,
-                 r.new_blocks_per_s, r.new_blocks_per_s / r.legacy_blocks_per_s,
-                 r.legacy_gflops, r.new_gflops,
+                 static_cast<long long>(r.blocks), r.blocks_per_s, r.gflops,
                  i + 1 < interp_rows.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n  },\n");
@@ -1068,15 +934,6 @@ int run() {
   std::fclose(f);
   std::printf("[json written to BENCH_tuning_throughput.json]\n");
 
-  // Regression gate: the overhaul's acceptance thresholds.
-  if (tuner_geo < 2.0) {
-    std::fprintf(stderr, "FAIL: tuner speedup %.2fx < 2x\n", tuner_geo);
-    return 1;
-  }
-  if (interp_geo < 3.0) {
-    std::fprintf(stderr, "FAIL: interpreter speedup %.2fx < 3x\n", interp_geo);
-    return 1;
-  }
   // The JIT acceptance gate: compiled kernels must beat the interpreter
   // >= 3x (geomean GFLOP/s) on the fig7-mini family.
   if (toolchain.ok() && jit_geo < 3.0) {
@@ -1186,7 +1043,7 @@ int run() {
                  "evict\n");
     return 1;
   }
-  std::printf("PASS: tuner >= 2x, interpreter >= 3x%s%s, admission bounded "
+  std::printf("PASS: verifier clean%s%s, admission bounded "
               "(queue %zu<=%zu, memo %zu<=%zu, %d shed)\n",
               toolchain.ok() ? ", jit >= 3x interpreter, modules bounded"
                              : " (jit skipped)",

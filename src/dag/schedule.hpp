@@ -4,7 +4,8 @@
 // The Schedule is the single source of truth shared by
 //   * dag/hoist.cpp    — DAG-based memory-statement motion,
 //   * dag/volume.cpp   — static traffic / FLOP / shared-memory analysis,
-//   * exec/interpreter — functional execution with dynamic counters,
+//   * exec/lower       — the lowered kernel that the interpreter executes,
+//                        the C++ emitter prints and the verifier checks,
 //   * model/analytical — the paper's performance model (eqs 2-5).
 #pragma once
 

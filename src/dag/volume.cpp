@@ -6,20 +6,6 @@
 
 namespace mcf {
 
-namespace {
-
-/// FLOPs charged per element for fused epilogues (exp/max/sum for online
-/// softmax; compare/select for relu).  Constants shared with the
-/// analytical model so estimate and "hardware" agree on definitions.
-constexpr double kSoftmaxFlopsPerElem = 8.0;
-constexpr double kReluFlopsPerElem = 1.0;
-constexpr double kGeluFlopsPerElem = 8.0;  // tanh approximation
-/// Rescale cost per output element per streaming step (online softmax
-/// running-max correction of the consumer accumulator).
-constexpr double kRescaleFlopsPerElem = 4.0;
-
-}  // namespace
-
 VolumeReport analyze_volume(const Schedule& s, const VolumeOptions& options) {
   MCF_CHECK(s.valid()) << "cannot analyze an invalid schedule";
   const ChainSpec& chain = s.chain();
@@ -56,11 +42,7 @@ VolumeReport analyze_volume(const Schedule& s, const VolumeOptions& options) {
         const double red_ext =
             static_cast<double>(s.extents()[static_cast<std::size_t>(red)]);
         const double epi_trips = v.trips_per_block / std::max(1.0, red_ext);
-        const double per_elem = (epi == Epilogue::OnlineSoftmax)
-                                    ? kSoftmaxFlopsPerElem
-                                    : (epi == Epilogue::Gelu ? kGeluFlopsPerElem
-                                                             : kReluFlopsPerElem);
-        rep.epilogue_flops += epi_trips * per_elem *
+        rep.epilogue_flops += epi_trips * epilogue_flops_per_elem(epi) *
                               static_cast<double>(v.tile_m) *
                               static_cast<double>(v.tile_col);
       }

@@ -11,6 +11,24 @@
 
 namespace mcf {
 
+/// FLOPs charged per output element by a fused epilogue: exp/max/sum for
+/// online softmax, compare/select for ReLU, the tanh approximation for
+/// GeLU.  The static analysis and the interpreter's dynamic counters both
+/// charge these, so estimate and "hardware" agree on definitions.
+[[nodiscard]] constexpr double epilogue_flops_per_elem(Epilogue e) noexcept {
+  switch (e) {
+    case Epilogue::None: return 0.0;
+    case Epilogue::Relu: return 1.0;
+    case Epilogue::Gelu: return 8.0;
+    case Epilogue::OnlineSoftmax: return 8.0;
+  }
+  return 0.0;
+}
+
+/// Online-softmax rescale of the consumer accumulator (the running-max
+/// correction), per output element per streaming step.
+inline constexpr double kRescaleFlopsPerElem = 4.0;
+
 struct VolumeOptions {
   /// Global-memory element size used for traffic/footprints (fp16 on the
   /// modelled hardware; functional execution is fp32 but counts elements

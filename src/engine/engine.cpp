@@ -8,6 +8,7 @@
 #include "exec/sandbox.hpp"
 #include "graph/partitioner.hpp"
 #include "measure/backend.hpp"
+#include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 
@@ -165,34 +166,6 @@ bool GraphFusionReport::all_ok() const noexcept {
     if (!c.result || !c.result->ok()) return false;
   }
   return true;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          out += ' ';  // other control chars never appear in our strings
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
 }
 
 std::string GraphFusionReport::to_json() const {

@@ -307,10 +307,6 @@ struct GraphFusionReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars) for
-/// report emitters — to_json and the CLI's --json output share it.
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 class FusionEngine {
  public:
   explicit FusionEngine(GpuSpec gpu, FusionEngineOptions options = {});

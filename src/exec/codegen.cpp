@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "exec/lower.hpp"
 #include "search/tuning_cache.hpp"
 #include "support/logging.hpp"
 
@@ -109,36 +110,20 @@ std::string emit_kernel_source(const Schedule& s, const GpuSpec& gpu) {
 
 // ---- C++ lowering -----------------------------------------------------------
 //
-// The emitted function mirrors exec/interpreter.cpp statement for
-// statement, with every extent, tile size and arena offset folded to a
+// The emitted function prints exec/lower's LoweredKernel statement for
+// statement — the same kernel the interpreter executes and the verifier
+// checks — with every extent, tile size and arena offset folded to a
 // literal.  Loop index variables are i<loop-id>; hoisted stores iterate
 // covered loops through shadow variables q<loop-id>.
 
 namespace {
 
-/// Epilogue constants — mirror exec/interpreter.cpp / dag/volume.cpp.
 constexpr double kSqrt2OverPi = 0.7978845608028654;
 
 class CppEmitter {
  public:
   CppEmitter(const Schedule& s, std::string symbol)
-      : s_(s), chain_(s.chain()), symbol_(std::move(symbol)) {
-    const int nt = chain_.num_tensors();
-    buf_offset_.resize(static_cast<std::size_t>(nt) + 1, 0);
-    for (int t = 0; t < nt; ++t) {
-      const std::int64_t elems =
-          s_.tile_elems(t) * s_.resident_tiles()[static_cast<std::size_t>(t)];
-      buf_offset_[static_cast<std::size_t>(t) + 1] =
-          buf_offset_[static_cast<std::size_t>(t)] + elems;
-    }
-    stat_offset_.resize(static_cast<std::size_t>(chain_.num_ops()), -1);
-    for (int op = 0; op < chain_.num_ops(); ++op) {
-      if (chain_.epilogue(op) == Epilogue::OnlineSoftmax) {
-        stat_offset_[static_cast<std::size_t>(op)] = stat_floats_;
-        stat_floats_ += 2 * s_.tiles()[0];
-      }
-    }
-  }
+      : k_(lower(s)), chain_(s.chain()), symbol_(std::move(symbol)) {}
 
   [[nodiscard]] std::string emit() {
     os_ << "extern \"C\" void " << symbol_
@@ -151,38 +136,35 @@ class CppEmitter {
     // every candidate schedule of the chain — so directives survive the
     // kernel cache's per-schedule digests.
     os_ << "  mcf_maybe_fault(\"" << chain_cache_key(chain_) << "\", gout, "
-        << chain_.batch() * chain_.m() * chain_.inner().back() << ", 0);\n";
+        << k_.out_elems << ", 0);\n";
     os_ << "  float* const arena = scratch;\n";
-    if (stat_floats_ > 0) {
-      os_ << "  float* const stats = scratch + " << buf_offset_.back() << ";\n";
+    if (k_.arena.stat_floats > 0) {
+      os_ << "  float* const stats = scratch + " << k_.arena.arena_floats
+          << ";\n";
     }
     os_ << "  for (i64 blk = block_begin; blk < block_end; ++blk) {\n";
     for (int l = 0; l < chain_.num_loops(); ++l) {
       os_ << "    i64 i" << l << " = 0; (void)i" << l << ";\n";
     }
-    // blockIdx decode: innermost-first mixed radix over block loops,
-    // batch outermost (exec/interpreter.cpp decode_block).
     os_ << "    i64 rem = blk;\n";
-    const auto& bl = s_.block_loops();
-    for (auto it = bl.rbegin(); it != bl.rend(); ++it) {
-      const std::int64_t e = s_.extents()[static_cast<std::size_t>(*it)];
-      os_ << "    i" << *it << " = rem % " << e << "; rem /= " << e << ";\n";
+    for (const int l : k_.decode) {
+      os_ << "    i" << l << " = rem % " << k_.extent(l) << "; rem /= "
+          << k_.extent(l) << ";\n";
     }
     os_ << "    const i64 b = rem;\n";
     // Online-softmax running stats reset once per block.
-    const std::int64_t tm = s_.tiles()[0];
-    for (int op = 0; op < chain_.num_ops(); ++op) {
-      const std::int64_t off = stat_offset_[static_cast<std::size_t>(op)];
+    const std::int64_t tm = k_.arena.stat_rows;
+    for (const std::int64_t off : k_.arena.stat) {
       if (off < 0) continue;
       os_ << "    for (i64 r = 0; r < " << tm << "; ++r) { stats[" << off
           << " + r] = -INFINITY; stats[" << off + tm << " + r] = 0.0f; }\n";
     }
-    emit_node(s_.root(), 2);
+    emit_node(0, 2);
     os_ << "  }\n";
     // Exit-phase seam: output corruption (garbage mode) must land AFTER
     // the kernel body so no block's stores can paper over it.
     os_ << "  mcf_maybe_fault(\"" << chain_cache_key(chain_) << "\", gout, "
-        << chain_.batch() * chain_.m() * chain_.inner().back() << ", 1);\n";
+        << k_.out_elems << ", 1);\n";
     os_ << "}\n";
     return os_.str();
   }
@@ -201,42 +183,53 @@ class CppEmitter {
 
   /// Index variable of loop `l`: the covered-loop shadow inside a hoisted
   /// store, the block/tree variable otherwise.
-  [[nodiscard]] std::string idx_var(int l,
-                                    const std::vector<int>& covered) const {
+  [[nodiscard]] static std::string idx_var(int l,
+                                           const InlineVec<int, 6>& covered) {
     const bool is_covered =
         std::find(covered.begin(), covered.end(), l) != covered.end();
     return (is_covered ? "q" : "i") + std::to_string(l);
   }
 
-  /// Arena offset of tensor `t`'s current tile: static base + the
-  /// resident-loop mixed radix (exec/interpreter.cpp slot_offset).
-  [[nodiscard]] std::string buf_expr(int t,
-                                     const std::vector<int>& covered) const {
+  /// ArenaRef::offset as C++: region base + the resident-loop mixed radix.
+  [[nodiscard]] static std::string buf_expr(const ArenaRef& r,
+                                            const InlineVec<int, 6>& covered) {
     std::string slot;
-    for (const int l : s_.resident_loops(t)) {
-      const std::int64_t e = s_.extents()[static_cast<std::size_t>(l)];
-      slot = slot.empty() ? idx_var(l, covered)
-                          : "(" + slot + ")*" + std::to_string(e) + " + " +
-                                idx_var(l, covered);
+    for (std::size_t j = 0; j < r.loops.size(); ++j) {
+      slot = slot.empty() ? idx_var(r.loops[j], covered)
+                          : "(" + slot + ")*" + std::to_string(r.radix[j]) +
+                                " + " + idx_var(r.loops[j], covered);
     }
-    std::string out = std::to_string(buf_offset_[static_cast<std::size_t>(t)]);
+    std::string out = std::to_string(r.lo);
     if (!slot.empty()) {
-      out += " + (" + slot + ")*" + std::to_string(s_.tile_elems(t));
+      out += " + (" + slot + ")*" + std::to_string(r.tile_elems);
     }
     return out;
   }
 
+  /// Clamp::valid as C++, with the tile start held in variable `start`.
+  [[nodiscard]] static std::string clamp_expr(const Clamp& c,
+                                              const char* start) {
+    std::ostringstream os;
+    os << c.dim << " - " << start << " < " << c.tile << " ? " << c.dim
+       << " - " << start << " : " << c.tile;
+    return os.str();
+  }
+
   void emit_node(int node, int depth) {
-    const auto& n = s_.node(node);
-    if (n.is_stmt) {
-      emit_stmt(n.stmt, depth);
+    const LoweredNode& n = k_.nodes[static_cast<std::size_t>(node)];
+    if (n.stmt >= 0) {
+      const LoweredStmt& st = k_.stmts[static_cast<std::size_t>(n.stmt)];
+      switch (st.kind) {
+        case StmtKind::Load: emit_load(st, depth); break;
+        case StmtKind::Compute: emit_compute(st, depth); break;
+        case StmtKind::Store: emit_store(st, depth); break;
+      }
       return;
     }
     int next = depth;
     if (n.loop >= 0) {
-      const std::int64_t e = s_.extents()[static_cast<std::size_t>(n.loop)];
       os_ << ind(depth) << "for (i" << n.loop << " = 0; i" << n.loop << " < "
-          << e << "; ++i" << n.loop << ") {\n";
+          << k_.extent(n.loop) << "; ++i" << n.loop << ") {\n";
       next = depth + 1;
     }
     for (const int c : n.children) emit_node(c, next);
@@ -246,62 +239,33 @@ class CppEmitter {
     }
   }
 
-  void emit_stmt(const Statement& stmt, int depth) {
-    switch (stmt.kind) {
-      case StmtKind::Load:
-        emit_load(stmt, depth);
-        break;
-      case StmtKind::Compute:
-        emit_compute(stmt, depth);
-        break;
-      case StmtKind::Store:
-        emit_store(stmt, depth);
-        break;
-    }
-  }
-
-  /// Tile copy between global memory and the arena, fringe handling
+  /// Tile copy from global memory into the arena, fringe handling
   /// included.  When the tile divides the dimension exactly the fringe
   /// vanishes at emit time and the copy is a straight full-tile loop.
-  void emit_load(const Statement& stmt, int depth) {
-    const int t = stmt.tensor;
-    const auto& info = chain_.tensor(t);
-    const int lr = info.loops[0];
-    const int lc = info.loops[1];
-    const std::int64_t tr = s_.tiles()[static_cast<std::size_t>(lr)];
-    const std::int64_t tc = s_.tiles()[static_cast<std::size_t>(lc)];
-    const std::int64_t rows = chain_.loop_dim(lr);
-    const std::int64_t cols = chain_.loop_dim(lc);
+  void emit_load(const LoweredStmt& st, int depth) {
+    const GlobalTile& g = st.global;
+    const std::int64_t tr = g.row.tile;
+    const std::int64_t tc = g.col.tile;
     const std::string in = ind(depth);
-    const std::vector<int> none;
 
-    os_ << in << "{ // load " << info.name << "\n";
-    os_ << in << "  float* __restrict dst = arena + " << buf_expr(t, none)
-        << ";\n";
-    if (t == 0) {
-      os_ << in << "  const float* __restrict src = ga + b*"
-          << rows * cols << ";\n";
-    } else {
-      MCF_CHECK(info.kind == TensorKind::Weight) << "load of non-input tensor";
-      os_ << in << "  const float* __restrict src = gw[" << info.consumer_op
-          << "] + b*" << rows * cols << ";\n";
-    }
-    os_ << in << "  const i64 r0 = i" << lr << "*" << tr << ", c0 = i" << lc
-        << "*" << tc << ";\n";
-    const bool exact = rows % tr == 0 && cols % tc == 0;
-    if (exact) {
+    os_ << in << "{ // load " << chain_.tensor(st.tensor).name << "\n";
+    os_ << in << "  float* __restrict dst = arena + "
+        << buf_expr(st.tile, st.covered) << ";\n";
+    os_ << in << "  const float* __restrict src = " << g.name() << " + b*"
+        << g.slice << ";\n";
+    os_ << in << "  const i64 r0 = i" << g.row.loop << "*" << tr << ", c0 = i"
+        << g.col.loop << "*" << tc << ";\n";
+    if (g.exact) {
       os_ << in << "  for (i64 r = 0; r < " << tr << "; ++r) {\n";
-      os_ << in << "    memcpy(dst + r*" << tc << ", src + (r0 + r)*" << cols
-          << " + c0, " << tc << "*sizeof(float));\n";
+      os_ << in << "    memcpy(dst + r*" << tc << ", src + (r0 + r)*"
+          << g.col.dim << " + c0, " << tc << "*sizeof(float));\n";
       os_ << in << "  }\n";
     } else {
-      os_ << in << "  const i64 fr = " << rows << " - r0 < " << tr << " ? "
-          << rows << " - r0 : " << tr << ";\n";
-      os_ << in << "  const i64 fc = " << cols << " - c0 < " << tc << " ? "
-          << cols << " - c0 : " << tc << ";\n";
+      os_ << in << "  const i64 fr = " << clamp_expr(g.row, "r0") << ";\n";
+      os_ << in << "  const i64 fc = " << clamp_expr(g.col, "c0") << ";\n";
       os_ << in << "  for (i64 r = 0; r < fr; ++r) {\n";
-      os_ << in << "    const float* __restrict sp = src + (r0 + r)*" << cols
-          << " + c0;\n";
+      os_ << in << "    const float* __restrict sp = src + (r0 + r)*"
+          << g.col.dim << " + c0;\n";
       os_ << in << "    float* __restrict dp = dst + r*" << tc << ";\n";
       os_ << in << "    for (i64 c = 0; c < fc; ++c) dp[c] = sp[c];\n";
       os_ << in << "    for (i64 c = fc; c < " << tc << "; ++c) dp[c] = 0.0f;\n";
@@ -314,30 +278,18 @@ class CppEmitter {
     os_ << in << "}\n";
   }
 
-  void emit_compute(const Statement& stmt, int depth) {
-    const int op = stmt.op;
-    const int t_in = chain_.op_input_tensor(op);
-    const int t_w = chain_.op_weight_tensor(op);
-    const int t_out = chain_.op_output_tensor(op);
-    const int red = chain_.reduction_loop(op);
-    const int col = chain_.out_col_loop(op);
-    const std::int64_t tm = s_.tiles()[0];
-    const std::int64_t trd = s_.tiles()[static_cast<std::size_t>(red)];
-    const std::int64_t tcl = s_.tiles()[static_cast<std::size_t>(col)];
-    const std::int64_t red_ext = s_.extents()[static_cast<std::size_t>(red)];
+  void emit_compute(const LoweredStmt& st, int depth) {
     const std::string in = ind(depth);
-    const std::vector<int> none;
-
-    os_ << in << "{ // compute op " << op << "\n";
-    os_ << in << "  float* __restrict o = arena + " << buf_expr(t_out, none)
+    os_ << in << "{ // compute op " << st.op << "\n";
+    os_ << in << "  float* __restrict o = arena + " << buf_expr(st.out, st.covered)
         << ";\n";
-    os_ << in << "  const float* __restrict x = arena + " << buf_expr(t_in, none)
-        << ";\n";
-    os_ << in << "  const float* __restrict w = arena + " << buf_expr(t_w, none)
-        << ";\n";
+    os_ << in << "  const float* __restrict x = arena + "
+        << buf_expr(st.in, st.covered) << ";\n";
+    os_ << in << "  const float* __restrict w = arena + "
+        << buf_expr(st.w, st.covered) << ";\n";
     // Fresh accumulation tile: zero when the reduction restarts.
-    os_ << in << "  if (i" << red << " == 0) { for (i64 z = 0; z < "
-        << tm * tcl << "; ++z) o[z] = 0.0f; }\n";
+    os_ << in << "  if (i" << st.red << " == 0) { for (i64 z = 0; z < "
+        << st.out.tile_elems << "; ++z) o[z] = 0.0f; }\n";
     // Register-blocked micro-kernel: 4x64 accumulator blocks live in
     // vector registers across the whole reduction, so each output element
     // is loaded/stored once per tile instead of once per reduction step,
@@ -345,11 +297,11 @@ class CppEmitter {
     // literal, so the compiler fully unrolls the blocks — this plus
     // `-march=native` is where the JIT buys its edge over the
     // generically-built interpreter.
-    emit_compute_chunks(tm, tcl, trd, depth + 1);
+    emit_compute_chunks(st.tm, st.tcl, st.trd, depth + 1);
     // Producer-completion hook: epilogue when the reduction finishes.
-    if (chain_.epilogue(op) != Epilogue::None) {
-      os_ << in << "  if (i" << red << " == " << red_ext - 1 << ") {\n";
-      emit_epilogue(op, tm, tcl, col, depth + 2);
+    if (st.epilogue != Epilogue::None) {
+      os_ << in << "  if (i" << st.red << " == " << st.red_ext - 1 << ") {\n";
+      emit_epilogue(st, depth + 2);
       os_ << in << "  }\n";
     }
     os_ << in << "}\n";
@@ -436,20 +388,18 @@ class CppEmitter {
   }
 
   /// Emitted inside the compute scope: `o` is the op's accumulator tile.
-  void emit_epilogue(int op, std::int64_t tm, std::int64_t tcl, int col,
-                     int depth) {
+  void emit_epilogue(const LoweredStmt& st, int depth) {
     const std::string in = ind(depth);
-    const Epilogue epi = chain_.epilogue(op);
-    if (epi == Epilogue::Relu) {
-      os_ << in << "for (i64 z = 0; z < " << tm * tcl
+    if (st.epilogue == Epilogue::Relu) {
+      os_ << in << "for (i64 z = 0; z < " << st.out.tile_elems
           << "; ++z) o[z] = o[z] > 0.0f ? o[z] : 0.0f;\n";
       return;
     }
-    if (epi == Epilogue::Gelu) {
+    if (st.epilogue == Epilogue::Gelu) {
       // tanh(t) = 1 - 2/(e^(2t) + 1): inlines through mcf_expf so the
       // loop vectorises (a libm tanhf call would block it).
       os_ << in << "#pragma omp simd\n";
-      os_ << in << "for (i64 z = 0; z < " << tm * tcl << "; ++z) {\n";
+      os_ << in << "for (i64 z = 0; z < " << st.out.tile_elems << "; ++z) {\n";
       os_ << in << "  const float v = o[z];\n";
       os_ << in << "  const float t = " << flit(static_cast<float>(kSqrt2OverPi))
           << " * (v + " << flit(0.044715f) << " * v * v * v);\n";
@@ -459,32 +409,20 @@ class CppEmitter {
       return;
     }
     // Online softmax over the streamed `col` dimension, with the
-    // consumer-accumulator rescale (exec/interpreter.cpp apply_epilogue).
-    MCF_CHECK(epi == Epilogue::OnlineSoftmax) << "unknown epilogue";
-    MCF_CHECK(op + 1 < chain_.num_ops())
-        << "online softmax requires a consumer operator";
-    const std::int64_t soff = stat_offset_[static_cast<std::size_t>(op)];
-    const std::int64_t valid_cols = chain_.loop_dim(col);
-    const int t_cons = chain_.op_output_tensor(op + 1);
-    const std::int64_t cons_floats =
-        buf_offset_[static_cast<std::size_t>(t_cons) + 1] -
-        buf_offset_[static_cast<std::size_t>(t_cons)];
-    const std::int64_t cons_cols =
-        s_.tiles()[static_cast<std::size_t>(chain_.out_col_loop(op + 1))];
-    const std::int64_t cons_rows_total = cons_floats / cons_cols;
-
-    os_ << in << "const i64 c0 = i" << col << "*" << tcl << ";\n";
-    os_ << in << "float* __restrict rmax = stats + " << soff << ";\n";
-    os_ << in << "float* __restrict rsum = stats + " << soff + tm << ";\n";
-    os_ << in << "float* __restrict cons = arena + "
-        << buf_offset_[static_cast<std::size_t>(t_cons)] << ";\n";
+    // consumer-accumulator rescale.
+    const std::int64_t tm = st.tm;
+    const std::int64_t tcl = st.tcl;
+    os_ << in << "const i64 c0 = i" << st.col << "*" << tcl << ";\n";
+    os_ << in << "float* __restrict rmax = stats + " << st.stat << ";\n";
+    os_ << in << "float* __restrict rsum = stats + " << st.rsum << ";\n";
+    os_ << in << "float* __restrict cons = arena + " << k_.arena.lo(st.cons)
+        << ";\n";
     os_ << in << "for (i64 i = 0; i < " << tm << "; ++i) {\n";
     os_ << in << "  float* __restrict row = o + i*" << tcl << ";\n";
     os_ << in << "  #pragma omp simd\n";
     os_ << in << "  for (i64 c = 0; c < " << tcl << "; ++c) {\n";
-    os_ << in << "    if (c0 + c >= " << valid_cols
-        << ") row[c] = -INFINITY; else row[c] *= "
-        << flit(chain_.softmax_scale()) << ";\n";
+    os_ << in << "    if (c0 + c >= " << st.valid_cols
+        << ") row[c] = -INFINITY; else row[c] *= " << flit(st.scale) << ";\n";
     os_ << in << "  }\n";
     os_ << in << "  float tmax = -INFINITY;\n";
     os_ << in << "  #pragma omp simd reduction(max:tmax)\n";
@@ -502,73 +440,59 @@ class CppEmitter {
         << "mcf_expf(rmax[i] - nmax);\n";
     os_ << in << "  rsum[i] = rsum[i]*corr + sum;\n";
     os_ << in << "  rmax[i] = nmax;\n";
-    os_ << in << "  for (i64 tr = i; tr < " << cons_rows_total << "; tr += "
-        << tm << ") {\n";
-    os_ << in << "    float* __restrict cr = cons + tr*" << cons_cols << ";\n";
+    os_ << in << "  for (i64 tr = i; tr < " << st.cons_rows << "; tr += " << tm
+        << ") {\n";
+    os_ << in << "    float* __restrict cr = cons + tr*" << st.cons_cols
+        << ";\n";
     os_ << in << "    #pragma omp simd\n";
-    os_ << in << "    for (i64 c = 0; c < " << cons_cols
+    os_ << in << "    for (i64 c = 0; c < " << st.cons_cols
         << "; ++c) cr[c] *= corr;\n";
     os_ << in << "  }\n";
     os_ << in << "}\n";
   }
 
-  void emit_store(const Statement& stmt, int depth) {
-    const int t = stmt.tensor;
-    const auto& info = chain_.tensor(t);
-    MCF_CHECK(info.kind == TensorKind::Output) << "store of non-output tensor";
-    const int lr = info.loops[0];
-    const int lc = info.loops[1];
-    const std::int64_t tr = s_.tiles()[static_cast<std::size_t>(lr)];
-    const std::int64_t tc = s_.tiles()[static_cast<std::size_t>(lc)];
-    const std::int64_t rows = chain_.loop_dim(lr);
-    const std::int64_t cols = chain_.loop_dim(lc);
-    // Deferred softmax normalisation (the FlashAttention final divide).
-    const int producer = info.producer_op;
-    const bool normalize =
-        producer > 0 && chain_.epilogue(producer - 1) == Epilogue::OnlineSoftmax;
+  void emit_store(const LoweredStmt& st, int depth) {
+    const GlobalTile& g = st.global;
+    const std::int64_t tr = g.row.tile;
+    const std::int64_t tc = g.col.tile;
     const std::string in = ind(depth);
-    const std::vector<int> covered(stmt.covered_loops.begin(),
-                                   stmt.covered_loops.end());
 
-    os_ << in << "{ // store " << info.name << "\n";
-    if (normalize) {
-      const std::int64_t soff =
-          stat_offset_[static_cast<std::size_t>(producer - 1)] + s_.tiles()[0];
-      os_ << in << "  const float* __restrict rsum = stats + " << soff << ";\n";
+    os_ << in << "{ // store " << chain_.tensor(st.tensor).name << "\n";
+    if (st.rsum >= 0) {
+      // Deferred softmax normalisation (the FlashAttention final divide).
+      os_ << in << "  const float* __restrict rsum = stats + " << st.rsum
+          << ";\n";
     }
     // Hoisted stores write every resident tile: one emitted loop per
     // covered loop, shadow indices q<l>.
     int extra = 0;
-    for (const int l : covered) {
-      const std::int64_t e = s_.extents()[static_cast<std::size_t>(l)];
+    for (const int l : st.covered) {
       os_ << ind(depth + 1 + extra) << "for (i64 q" << l << " = 0; q" << l
-          << " < " << e << "; ++q" << l << ") {\n";
+          << " < " << k_.extent(l) << "; ++q" << l << ") {\n";
       ++extra;
     }
     const std::string bn = ind(depth + 1 + extra);
     os_ << bn << "const float* __restrict src = arena + "
-        << buf_expr(t, covered) << ";\n";
-    os_ << bn << "const i64 r0 = " << idx_var(lr, covered) << "*" << tr
-        << ", c0 = " << idx_var(lc, covered) << "*" << tc << ";\n";
-    const bool exact = rows % tr == 0 && cols % tc == 0;
-    if (!exact) {
-      os_ << bn << "const i64 fr = " << rows << " - r0 < " << tr << " ? "
-          << rows << " - r0 : " << tr << ";\n";
-      os_ << bn << "const i64 fc = " << cols << " - c0 < " << tc << " ? "
-          << cols << " - c0 : " << tc << ";\n";
+        << buf_expr(st.tile, st.covered) << ";\n";
+    os_ << bn << "const i64 r0 = " << idx_var(g.row.loop, st.covered) << "*"
+        << tr << ", c0 = " << idx_var(g.col.loop, st.covered) << "*" << tc
+        << ";\n";
+    if (!g.exact) {
+      os_ << bn << "const i64 fr = " << clamp_expr(g.row, "r0") << ";\n";
+      os_ << bn << "const i64 fc = " << clamp_expr(g.col, "c0") << ";\n";
     }
-    const std::string fr = exact ? std::to_string(tr) : "fr";
-    const std::string fc = exact ? std::to_string(tc) : "fc";
+    const std::string fr = g.exact ? std::to_string(tr) : "fr";
+    const std::string fc = g.exact ? std::to_string(tc) : "fc";
     os_ << bn << "for (i64 r = 0; r < " << fr << "; ++r) {\n";
     os_ << bn << "  const float* __restrict sp = src + r*" << tc << ";\n";
-    os_ << bn << "  float* __restrict dp = gout + b*" << rows * cols
-        << " + (r0 + r)*" << cols << " + c0;\n";
-    if (normalize) {
+    os_ << bn << "  float* __restrict dp = " << g.name() << " + b*" << g.slice
+        << " + (r0 + r)*" << g.col.dim << " + c0;\n";
+    if (st.rsum >= 0) {
       os_ << bn << "  const float inv = 1.0f / (rsum[r] < 1e-30f ? 1e-30f : "
           << "rsum[r]);\n";
       os_ << bn << "  for (i64 c = 0; c < " << fc
           << "; ++c) dp[c] = sp[c] * inv;\n";
-    } else if (exact) {
+    } else if (g.exact) {
       os_ << bn << "  memcpy(dp, sp, " << tc << "*sizeof(float));\n";
     } else {
       os_ << bn << "  for (i64 c = 0; c < " << fc << "; ++c) dp[c] = sp[c];\n";
@@ -578,12 +502,9 @@ class CppEmitter {
     os_ << in << "}\n";
   }
 
-  const Schedule& s_;
+  const LoweredKernel k_;
   const ChainSpec& chain_;
   std::string symbol_;
-  std::vector<std::int64_t> buf_offset_;
-  std::vector<std::int64_t> stat_offset_;
-  std::int64_t stat_floats_ = 0;
   std::int64_t tcl_ = 0;  ///< current compute's out-col tile (block emitter)
   std::int64_t trd_ = 0;  ///< current compute's reduction tile (block emitter)
   std::ostringstream os_;
@@ -687,22 +608,10 @@ std::string cpp_kernel_prelude() {
 }
 
 std::int64_t cpp_kernel_scratch_floats(const Schedule& s) {
-  const ChainSpec& chain = s.chain();
-  std::int64_t arena = 0;
-  for (int t = 0; t < chain.num_tensors(); ++t) {
-    arena += s.tile_elems(t) * s.resident_tiles()[static_cast<std::size_t>(t)];
-  }
-  std::int64_t stats = 0;
-  for (int op = 0; op < chain.num_ops(); ++op) {
-    if (chain.epilogue(op) == Epilogue::OnlineSoftmax) stats += 2 * s.tiles()[0];
-  }
-  return arena + stats;
+  return plan_arena(s).scratch_floats;
 }
 
 CppKernelSource emit_cpp_kernel(const Schedule& s, const std::string& symbol) {
-  MCF_CHECK(s.valid()) << "cannot lower an invalid schedule";
-  MCF_CHECK(s.consume_complete())
-      << "schedule reads partial tiles (Rule-2 violation); refusing to lower";
   CppKernelSource out;
   out.symbol = symbol;
   out.code = CppEmitter(s, symbol).emit();

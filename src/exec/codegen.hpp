@@ -13,7 +13,8 @@
 //     exec/jit compiles these into shared objects and runs them — the
 //     CPU-host analogue of the paper's Triton -> PTX path.
 //
-// The C++ lowering mirrors exec/interpreter statement for statement
+// The C++ lowering prints exec/lower's LoweredKernel — the kernel the
+// interpreter executes and the verifier checks — statement for statement
 // (loads stage tiles through a scratch arena with zero-filled fringes,
 // computes are tile GEMM-accumulates, online-softmax epilogues keep
 // running row stats and rescale the consumer accumulator, stores defer
@@ -59,9 +60,9 @@ struct CppKernelSource {
 /// typedefs); a TU is prelude + N emit_cpp_kernel bodies.
 [[nodiscard]] std::string cpp_kernel_prelude();
 
-/// Scratch floats one kernel invocation needs: the tile arena (all
-/// tensors at schedule-fixed offsets) plus the online-softmax row stats.
-/// Matches the arena layout the emitted code indexes into.
+/// Scratch floats one kernel invocation needs: exec/lower's arena plan
+/// (every tile region plus the online-softmax row stats), the layout the
+/// emitted code indexes into.  Allocation-free: the jit calls it per run.
 [[nodiscard]] std::int64_t cpp_kernel_scratch_floats(const Schedule& s);
 
 }  // namespace mcf

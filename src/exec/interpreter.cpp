@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "dag/volume.hpp"
 #include "support/logging.hpp"
 #include "support/thread_pool.hpp"
 
@@ -11,50 +12,23 @@ namespace mcf {
 
 namespace {
 
-// Epilogue FLOP accounting constants — must mirror dag/volume.cpp.
-constexpr double kSoftmaxFlopsPerElem = 8.0;
-constexpr double kReluFlopsPerElem = 1.0;
-constexpr double kGeluFlopsPerElem = 8.0;
-constexpr double kRescaleFlopsPerElem = 4.0;
-
 /// Reusable per-worker-slot execution state.  One Scratch lives per thread
 /// pool slot for the whole kernel run: blocks executing on the same slot
 /// reuse its allocations, so the steady-state hot path performs no heap
-/// allocation at all.  All tile buffers share one flat arena; the
-/// online-softmax running stats live in a second small arena.
+/// allocation at all.  `scratch` has the jit kernel's layout (exec/lower
+/// ArenaPlan): every tile region, then the online-softmax running stats.
 struct alignas(64) Scratch {
   std::int64_t batch = 0;
   std::vector<std::int64_t> idx;   // current tile index per loop
-  std::vector<float> arena;        // all tensors: resident*tile floats each
-  std::vector<float> stats;        // run_max ++ run_sum per softmax op
+  std::vector<float> scratch;
   ExecutionCounters* acc = nullptr;  // counter sink of the current block
 };
 
 class BlockExecutor {
  public:
-  BlockExecutor(const Schedule& s, const InterpreterOptions& opt,
+  BlockExecutor(const LoweredKernel& k, const InterpreterOptions& opt,
                 const Tensor& a, std::span<const Tensor> weights, Tensor& out)
-      : s_(s), chain_(s.chain()), opt_(opt), a_(a), weights_(weights), out_(out) {
-    // Arena layout: one contiguous float span per tensor, offsets fixed by
-    // the schedule (tile size x resident tile count).
-    buf_offset_.resize(static_cast<std::size_t>(chain_.num_tensors()) + 1, 0);
-    for (int t = 0; t < chain_.num_tensors(); ++t) {
-      const std::int64_t elems =
-          s_.tile_elems(t) * s_.resident_tiles()[static_cast<std::size_t>(t)];
-      buf_offset_[static_cast<std::size_t>(t) + 1] =
-          buf_offset_[static_cast<std::size_t>(t)] + elems;
-    }
-    // Stats layout: [run_max(tm), run_sum(tm)] per online-softmax op.
-    stat_offset_.resize(static_cast<std::size_t>(chain_.num_ops()), -1);
-    std::int64_t stat_floats = 0;
-    for (int op = 0; op < chain_.num_ops(); ++op) {
-      if (chain_.epilogue(op) == Epilogue::OnlineSoftmax) {
-        stat_offset_[static_cast<std::size_t>(op)] = stat_floats;
-        stat_floats += 2 * s_.tiles()[0];
-      }
-    }
-    stat_floats_ = stat_floats;
-  }
+      : k_(k), chain_(*k.chain), opt_(opt), a_(a), weights_(weights), out_(out) {}
 
   /// Executes one simulated thread block on the given slot scratch,
   /// folding dynamic counters into `counters`.
@@ -63,7 +37,7 @@ class BlockExecutor {
     st.acc = &counters;
     prepare(st);
     decode_block(block_id, st);
-    exec_node(s_.root(), st);
+    exec_node(0, st);
   }
 
  private:
@@ -72,77 +46,59 @@ class BlockExecutor {
   /// softmax running stats.  The tile arena needs no blanket zeroing:
   /// loads overwrite their full tile (padded fringe included) before any
   /// read, and accumulator tiles are zeroed when their reduction restarts
-  /// — consume-completeness (checked at construction) guarantees no other
+  /// — consume-completeness (checked by lower()) guarantees no other
   /// read-before-write exists.
   void prepare(Scratch& st) const {
-    const std::int64_t arena_floats = buf_offset_.back();
-    if (static_cast<std::int64_t>(st.arena.size()) != arena_floats) {
-      st.arena.assign(static_cast<std::size_t>(arena_floats), 0.0f);
-      st.stats.resize(static_cast<std::size_t>(stat_floats_));
+    const auto floats = static_cast<std::size_t>(k_.arena.scratch_floats);
+    if (st.scratch.size() != floats) {
+      st.scratch.assign(floats, 0.0f);
       st.idx.resize(static_cast<std::size_t>(chain_.num_loops()));
     }
-    const std::int64_t tm = s_.tiles()[0];
-    for (int op = 0; op < chain_.num_ops(); ++op) {
-      const std::int64_t off = stat_offset_[static_cast<std::size_t>(op)];
+    const std::int64_t tm = k_.arena.stat_rows;
+    for (const std::int64_t off : k_.arena.stat) {
       if (off < 0) continue;
-      std::fill_n(st.stats.begin() + off, tm,
-                  -std::numeric_limits<float>::infinity());
-      std::fill_n(st.stats.begin() + off + tm, tm, 0.0f);
+      float* stat = stats(st) + off;
+      std::fill_n(stat, tm, -std::numeric_limits<float>::infinity());
+      std::fill_n(stat + tm, tm, 0.0f);
     }
   }
 
-  [[nodiscard]] float* buf(int t, Scratch& st) const {
-    return st.arena.data() + buf_offset_[static_cast<std::size_t>(t)];
+  [[nodiscard]] float* stats(Scratch& st) const {
+    return st.scratch.data() + k_.arena.arena_floats;
   }
-  [[nodiscard]] float* run_max(int op, Scratch& st) const {
-    return st.stats.data() + stat_offset_[static_cast<std::size_t>(op)];
-  }
-  [[nodiscard]] float* run_sum(int op, Scratch& st) const {
-    return st.stats.data() + stat_offset_[static_cast<std::size_t>(op)] +
-           s_.tiles()[0];
+  [[nodiscard]] static float* tile(const ArenaRef& r, Scratch& st,
+                                   const std::vector<std::int64_t>& idx) {
+    return st.scratch.data() + r.offset<std::int64_t>(idx);
   }
 
   void decode_block(std::int64_t block_id, Scratch& st) const {
     std::fill(st.idx.begin(), st.idx.end(), 0);
     std::int64_t rem = block_id;
-    // Innermost-first mixed radix over block loops, batch outermost.
-    const auto& bl = s_.block_loops();
-    for (auto it = bl.rbegin(); it != bl.rend(); ++it) {
-      const std::int64_t e = s_.extents()[static_cast<std::size_t>(*it)];
-      st.idx[static_cast<std::size_t>(*it)] = rem % e;
-      rem /= e;
+    for (const int l : k_.decode) {
+      st.idx[static_cast<std::size_t>(l)] = rem % k_.extent(l);
+      rem /= k_.extent(l);
     }
     st.batch = rem;
     MCF_CHECK(st.batch < chain_.batch()) << "block id out of range";
   }
 
-  /// Buffer slot offset for tensor t under the current indices (override
-  /// lets stores iterate covered-loop combinations).
-  std::int64_t slot_offset(int t, const Scratch& st,
-                           const std::vector<std::int64_t>* override_idx) const {
-    const auto& loops = s_.resident_loops(t);
-    std::int64_t slot = 0;
-    for (const int l : loops) {
-      const std::int64_t e = s_.extents()[static_cast<std::size_t>(l)];
-      const std::int64_t v =
-          override_idx ? (*override_idx)[static_cast<std::size_t>(l)]
-                       : st.idx[static_cast<std::size_t>(l)];
-      slot = slot * e + v;
-    }
-    return slot * s_.tile_elems(t);
-  }
-
   void exec_node(int node, Scratch& st) const {
-    const auto& n = s_.node(node);
-    if (n.is_stmt) {
-      exec_stmt(n.stmt, st);
+    const LoweredNode& n = k_.nodes[static_cast<std::size_t>(node)];
+    if (n.stmt >= 0) {
+      const LoweredStmt& stmt = k_.stmts[static_cast<std::size_t>(n.stmt)];
+      st.acc->stmt_trips += 1.0;
+      switch (stmt.kind) {
+        case StmtKind::Load: exec_load(stmt, st); break;
+        case StmtKind::Compute: exec_compute(stmt, st); break;
+        case StmtKind::Store: exec_store(stmt, st); break;
+      }
       return;
     }
     if (n.loop < 0) {
       for (const int c : n.children) exec_node(c, st);
       return;
     }
-    const std::int64_t e = s_.extents()[static_cast<std::size_t>(n.loop)];
+    const std::int64_t e = k_.extent(n.loop);
     for (std::int64_t i = 0; i < e; ++i) {
       st.idx[static_cast<std::size_t>(n.loop)] = i;
       for (const int c : n.children) exec_node(c, st);
@@ -150,45 +106,20 @@ class BlockExecutor {
     st.idx[static_cast<std::size_t>(n.loop)] = 0;
   }
 
-  void exec_stmt(const Statement& stmt, Scratch& st) const {
-    st.acc->stmt_trips += 1.0;
-    switch (stmt.kind) {
-      case StmtKind::Load:
-        exec_load(stmt, st);
-        break;
-      case StmtKind::Compute:
-        exec_compute(stmt, st);
-        break;
-      case StmtKind::Store:
-        exec_store(stmt, st);
-        break;
-    }
-  }
-
-  /// The global source for a loadable tensor.
-  const Tensor& global_source(int t) const {
-    if (t == 0) return a_;
-    const auto& info = chain_.tensor(t);
-    MCF_CHECK(info.kind == TensorKind::Weight) << "load of non-input tensor";
-    return weights_[static_cast<std::size_t>(info.consumer_op)];
-  }
-
-  void exec_load(const Statement& stmt, Scratch& st) const {
-    const int t = stmt.tensor;
-    const auto& info = chain_.tensor(t);
-    const Tensor& src = global_source(t);
-    const int lr = info.loops[0];
-    const int lc = info.loops[1];
-    const std::int64_t tr = s_.tiles()[static_cast<std::size_t>(lr)];
-    const std::int64_t tc = s_.tiles()[static_cast<std::size_t>(lc)];
-    const std::int64_t r0 = st.idx[static_cast<std::size_t>(lr)] * tr;
-    const std::int64_t c0 = st.idx[static_cast<std::size_t>(lc)] * tc;
-    const std::int64_t rows = chain_.loop_dim(lr);
-    const std::int64_t cols = chain_.loop_dim(lc);
+  void exec_load(const LoweredStmt& stmt, Scratch& st) const {
+    const GlobalTile& g = stmt.global;
+    const Tensor& src = g.buf == GlobalBuf::Input
+                            ? a_
+                            : weights_[static_cast<std::size_t>(g.weight)];
+    const std::int64_t tr = g.row.tile;
+    const std::int64_t tc = g.col.tile;
+    const std::int64_t r0 = g.row.start<std::int64_t>(st.idx);
+    const std::int64_t c0 = g.col.start<std::int64_t>(st.idx);
+    const std::int64_t cols = g.col.dim;
     const auto slice = src.batch_slice(st.batch);
-    float* dst = buf(t, st) + slot_offset(t, st, nullptr);
-    const std::int64_t full_rows = std::min(tr, rows - r0);
-    const std::int64_t full_cols = std::min(tc, cols - c0);
+    float* dst = tile(stmt.tile, st, st.idx);
+    const std::int64_t full_rows = g.row.valid<std::int64_t>(st.idx);
+    const std::int64_t full_cols = g.col.valid<std::int64_t>(st.idx);
     for (std::int64_t r = 0; r < full_rows; ++r) {
       // Contiguous interior copy; the padded fringe zero-fills.
       const float* srow = slice.data() + (r0 + r) * cols + c0;
@@ -200,38 +131,29 @@ class BlockExecutor {
       std::fill_n(dst + r * tc, tc, 0.0f);
     }
     st.acc->load_bytes +=
-        static_cast<double>(s_.tile_elems(t)) * opt_.dtype_bytes;
+        static_cast<double>(stmt.tile.tile_elems) * opt_.dtype_bytes;
   }
 
-  void exec_compute(const Statement& stmt, Scratch& st) const {
-    const int op = stmt.op;
-    const int t_in = chain_.op_input_tensor(op);
-    const int t_w = chain_.op_weight_tensor(op);
-    const int t_out = chain_.op_output_tensor(op);
-    const int red = chain_.reduction_loop(op);
-    const int col = chain_.out_col_loop(op);
-    const std::int64_t tm = s_.tiles()[0];
-    const std::int64_t trd = s_.tiles()[static_cast<std::size_t>(red)];
-    const std::int64_t tcl = s_.tiles()[static_cast<std::size_t>(col)];
-
-    float* out = buf(t_out, st) + slot_offset(t_out, st, nullptr);
-    const float* in = buf(t_in, st) + slot_offset(t_in, st, nullptr);
-    const float* w = buf(t_w, st) + slot_offset(t_w, st, nullptr);
+  void exec_compute(const LoweredStmt& stmt, Scratch& st) const {
+    const std::int64_t tm = stmt.tm;
+    const std::int64_t trd = stmt.trd;
+    const std::int64_t tcl = stmt.tcl;
+    float* out = tile(stmt.out, st, st.idx);
+    const float* in = tile(stmt.in, st, st.idx);
+    const float* w = tile(stmt.w, st, st.idx);
 
     // Fresh accumulation tile: zero when the reduction restarts.
-    if (st.idx[static_cast<std::size_t>(red)] == 0) {
-      std::fill(out, out + tm * tcl, 0.0f);
-    }
+    const std::int64_t red_i = st.idx[static_cast<std::size_t>(stmt.red)];
+    if (red_i == 0) std::fill_n(out, stmt.out.tile_elems, 0.0f);
     // Consumer-side online-softmax rescale happens at the producer hook
     // (see below); here we only accumulate.
     //
     // Register-blocked contiguous FMA micro-kernel: four reduction rows
     // per pass, so every accumulator-row load/store amortises four FMAs
-    // and the inner loop is branch-free and vectorisable.  The per-element
-    // zero-skip branch of the old scalar loop defeated vectorisation.
-    // The arena layout guarantees the in/weight/out tensors occupy
-    // disjoint spans, so the pointers can be declared non-aliasing — this
-    // is what lets the compiler vectorise the inner loop.
+    // and the inner loop is branch-free and vectorisable.  The arena
+    // plan gives the in/weight/out tensors disjoint regions, so the
+    // pointers can be declared non-aliasing — this is what lets the
+    // compiler vectorise the inner loop.
     const std::int64_t r4 = trd & ~std::int64_t{3};
     for (std::int64_t i = 0; i < tm; ++i) {
       const float* __restrict arow = &in[i * trd];
@@ -259,70 +181,51 @@ class BlockExecutor {
       }
     }
     st.acc->flops += 2.0 * static_cast<double>(tm) * trd * tcl;
-    if (op > 0 && chain_.epilogue(op - 1) == Epilogue::OnlineSoftmax) {
+    if (stmt.op > 0 &&
+        chain_.epilogue(stmt.op - 1) == Epilogue::OnlineSoftmax) {
       st.acc->epilogue_flops +=
           kRescaleFlopsPerElem * static_cast<double>(tm) * tcl;
     }
 
     // Producer-completion hook: epilogue fires when the reduction finishes.
-    const std::int64_t red_ext = s_.extents()[static_cast<std::size_t>(red)];
-    if (st.idx[static_cast<std::size_t>(red)] == red_ext - 1 &&
-        chain_.epilogue(op) != Epilogue::None) {
-      apply_epilogue(op, st);
+    if (red_i == stmt.red_ext - 1 && stmt.epilogue != Epilogue::None) {
+      apply_epilogue(stmt, out, st);
+      st.acc->epilogue_flops += epilogue_flops_per_elem(stmt.epilogue) *
+                                static_cast<double>(tm) * tcl;
     }
   }
 
-  void apply_epilogue(int op, Scratch& st) const {
-    const int t_out = chain_.op_output_tensor(op);
-    const int col = chain_.out_col_loop(op);
-    const std::int64_t tm = s_.tiles()[0];
-    const std::int64_t tcl = s_.tiles()[static_cast<std::size_t>(col)];
-    float* x = buf(t_out, st) + slot_offset(t_out, st, nullptr);
-    const Epilogue epi = chain_.epilogue(op);
-
-    if (epi == Epilogue::Relu) {
+  void apply_epilogue(const LoweredStmt& stmt, float* x, Scratch& st) const {
+    const std::int64_t tm = stmt.tm;
+    const std::int64_t tcl = stmt.tcl;
+    if (stmt.epilogue == Epilogue::Relu) {
       for (std::int64_t i = 0; i < tm * tcl; ++i) x[i] = std::max(0.0f, x[i]);
-      st.acc->epilogue_flops +=
-          kReluFlopsPerElem * static_cast<double>(tm) * tcl;
       return;
     }
-    if (epi == Epilogue::Gelu) {
+    if (stmt.epilogue == Epilogue::Gelu) {
       constexpr float kSqrt2OverPi = 0.7978845608028654f;
       for (std::int64_t i = 0; i < tm * tcl; ++i) {
         const float v = x[i];
         const float t = kSqrt2OverPi * (v + 0.044715f * v * v * v);
         x[i] = 0.5f * v * (1.0f + std::tanh(t));
       }
-      st.acc->epilogue_flops +=
-          kGeluFlopsPerElem * static_cast<double>(tm) * tcl;
       return;
     }
 
     // Online softmax over the streamed `col` dimension.
-    MCF_CHECK(epi == Epilogue::OnlineSoftmax) << "unknown epilogue";
-    MCF_CHECK(op + 1 < chain_.num_ops())
-        << "online softmax requires a consumer operator";
-    const float scale = chain_.softmax_scale();
-    const std::int64_t c0 = st.idx[static_cast<std::size_t>(col)] * tcl;
-    const std::int64_t valid_cols = chain_.loop_dim(col);
-    float* rmax = run_max(op, st);
-    float* rsum = run_sum(op, st);
-
+    const float scale = stmt.scale;
+    const std::int64_t c0 = st.idx[static_cast<std::size_t>(stmt.col)] * tcl;
+    float* rmax = stats(st) + stmt.stat;
+    float* rsum = stats(st) + stmt.rsum;
     // The consumer accumulator to rescale (all resident slots).
-    const int t_cons = chain_.op_output_tensor(op + 1);
-    float* cons = buf(t_cons, st);
-    const std::int64_t cons_floats =
-        buf_offset_[static_cast<std::size_t>(t_cons) + 1] -
-        buf_offset_[static_cast<std::size_t>(t_cons)];
-    const std::int64_t cons_cols =
-        s_.tiles()[static_cast<std::size_t>(chain_.out_col_loop(op + 1))];
-    const std::int64_t cons_rows_total = cons_floats / cons_cols;
+    float* cons = st.scratch.data() + k_.arena.lo(stmt.cons);
+    const std::int64_t cons_cols = stmt.cons_cols;
 
     for (std::int64_t i = 0; i < tm; ++i) {
       float* row = &x[i * tcl];
       // Mask padded columns so they vanish from the distribution.
       for (std::int64_t c = 0; c < tcl; ++c) {
-        if (c0 + c >= valid_cols) row[c] = -std::numeric_limits<float>::infinity();
+        if (c0 + c >= stmt.valid_cols) row[c] = -std::numeric_limits<float>::infinity();
         else row[c] *= scale;
       }
       float tile_max = -std::numeric_limits<float>::infinity();
@@ -343,54 +246,42 @@ class BlockExecutor {
       rsum[i] = rsum[i] * corr + sum;
       rmax[i] = new_max;
       // Rescale row i of every resident consumer tile.
-      for (std::int64_t tile_row = i; tile_row < cons_rows_total; tile_row += tm) {
+      for (std::int64_t tile_row = i; tile_row < stmt.cons_rows; tile_row += tm) {
         float* crow = &cons[tile_row * cons_cols];
         for (std::int64_t c = 0; c < cons_cols; ++c) crow[c] *= corr;
       }
     }
-    st.acc->epilogue_flops +=
-        kSoftmaxFlopsPerElem * static_cast<double>(tm) * tcl;
   }
 
-  void exec_store(const Statement& stmt, Scratch& st) const {
-    const int t = stmt.tensor;
-    const auto& info = chain_.tensor(t);
-    MCF_CHECK(info.kind == TensorKind::Output) << "store of non-output tensor";
-    const int lr = info.loops[0];
-    const int lc = info.loops[1];
-    const std::int64_t tr = s_.tiles()[static_cast<std::size_t>(lr)];
-    const std::int64_t tc = s_.tiles()[static_cast<std::size_t>(lc)];
-    const std::int64_t rows = chain_.loop_dim(lr);
-    const std::int64_t cols = chain_.loop_dim(lc);
+  void exec_store(const LoweredStmt& stmt, Scratch& st) const {
+    const GlobalTile& g = stmt.global;
+    const std::int64_t tc = g.col.tile;
+    const std::int64_t cols = g.col.dim;
     auto slice = out_.batch_slice(st.batch);
-
     // Division by the softmax running sum is deferred to the store (the
     // interpreter's analogue of the FlashAttention final normalisation).
-    const int producer = info.producer_op;
-    const bool normalize =
-        producer > 0 && chain_.epilogue(producer - 1) == Epilogue::OnlineSoftmax;
-    const float* rsum = normalize ? run_sum(producer - 1, st) : nullptr;
+    const float* rsum = stmt.rsum >= 0 ? stats(st) + stmt.rsum : nullptr;
 
     // Iterate all combinations of covered loops (hoisted stores write every
     // resident tile); other loops use the current indices.
     std::vector<std::int64_t> combo_idx = st.idx;
-    const auto& covered = stmt.covered_loops;
+    const auto& covered = stmt.covered;
     std::vector<std::int64_t> counter(covered.size(), 0);
     double tiles_written = 0.0;
     for (;;) {
       for (std::size_t j = 0; j < covered.size(); ++j) {
         combo_idx[static_cast<std::size_t>(covered[j])] = counter[j];
       }
-      const float* src = buf(t, st) + slot_offset(t, st, &combo_idx);
-      const std::int64_t r0 = combo_idx[static_cast<std::size_t>(lr)] * tr;
-      const std::int64_t c0 = combo_idx[static_cast<std::size_t>(lc)] * tc;
+      const float* src = tile(stmt.tile, st, combo_idx);
+      const std::int64_t r0 = g.row.start<std::int64_t>(combo_idx);
+      const std::int64_t c0 = g.col.start<std::int64_t>(combo_idx);
       // Contiguous interior rows; the clipped fringe never enters the loop.
-      const std::int64_t full_rows = std::min(tr, rows - r0);
-      const std::int64_t full_cols = std::min(tc, cols - c0);
+      const std::int64_t full_rows = g.row.valid<std::int64_t>(combo_idx);
+      const std::int64_t full_cols = g.col.valid<std::int64_t>(combo_idx);
       for (std::int64_t r = 0; r < full_rows; ++r) {
         const float* srow = src + r * tc;
         float* drow = slice.data() + (r0 + r) * cols + c0;
-        if (normalize) {
+        if (rsum != nullptr) {
           const float inv = 1.0f / std::max(rsum[r], 1e-30f);
           for (std::int64_t c = 0; c < full_cols; ++c) drow[c] = srow[c] * inv;
         } else {
@@ -402,41 +293,33 @@ class BlockExecutor {
       std::size_t j = 0;
       for (; j < covered.size(); ++j) {
         counter[j] += 1;
-        if (counter[j] <
-            s_.extents()[static_cast<std::size_t>(covered[j])]) break;
+        if (counter[j] < k_.extent(covered[j])) break;
         counter[j] = 0;
       }
       if (j == covered.size()) break;
     }
     st.acc->store_bytes += tiles_written *
-                               static_cast<double>(s_.tile_elems(t)) *
+                               static_cast<double>(stmt.tile.tile_elems) *
                                opt_.dtype_bytes;
   }
 
-  const Schedule& s_;
+  const LoweredKernel& k_;
   const ChainSpec& chain_;
   const InterpreterOptions& opt_;
   const Tensor& a_;
   std::span<const Tensor> weights_;
   Tensor& out_;
-  std::vector<std::int64_t> buf_offset_;   // per tensor, prefix sums
-  std::vector<std::int64_t> stat_offset_;  // per op, -1 when no softmax
-  std::int64_t stat_floats_ = 0;
 };
 
 }  // namespace
 
 Interpreter::Interpreter(const Schedule& schedule, InterpreterOptions options)
-    : s_(schedule), opt_(options) {
-  MCF_CHECK(s_.valid()) << "cannot interpret an invalid schedule";
-  MCF_CHECK(s_.consume_complete())
-      << "schedule reads partial tiles (Rule-2 violation); refusing to run";
-}
+    : k_(lower(schedule)), opt_(options) {}
 
 ExecutionCounters Interpreter::run(const Tensor& a,
                                    std::span<const Tensor> weights,
                                    Tensor& out) const {
-  const ChainSpec& chain = s_.chain();
+  const ChainSpec& chain = *k_.chain;
   MCF_CHECK(static_cast<int>(weights.size()) == chain.num_ops())
       << "need one weight tensor per op";
   MCF_CHECK(a.shape().rank() == 3 && out.shape().rank() == 3)
@@ -449,8 +332,8 @@ ExecutionCounters Interpreter::run(const Tensor& a,
             out.shape()[2] == chain.inner().back())
       << "output shape mismatch";
 
-  const std::int64_t n_blocks = s_.num_blocks();
-  const BlockExecutor exec(s_, opt_, a, weights, out);
+  const std::int64_t n_blocks = k_.n_blocks;
+  const BlockExecutor exec(k_, opt_, a, weights, out);
   // One reusable scratch per worker slot, counters accumulated per slot
   // by parallel_for_reduce and folded once at the end — no mutex on the
   // block hot path.  The counters are exact integer-valued doubles (tile

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dag/schedule.hpp"
+#include "exec/lower.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mcf {
@@ -37,9 +38,10 @@ struct InterpreterOptions {
   bool parallel = true;
 };
 
-/// Executes fused-chain schedules.  The schedule must be valid and
-/// consume-complete (Rule-2-violating schedules read unfinished tiles and
-/// are rejected).
+/// Executes fused-chain schedules through their exec/lower LoweredKernel
+/// (the kernel the jit compiles and the verifier checks).  The schedule
+/// must be valid and consume-complete (Rule-2-violating schedules read
+/// unfinished tiles and are rejected).
 class Interpreter {
  public:
   explicit Interpreter(const Schedule& schedule,
@@ -53,7 +55,7 @@ class Interpreter {
                         Tensor& out) const;
 
  private:
-  const Schedule& s_;
+  LoweredKernel k_;
   InterpreterOptions opt_;
 };
 

@@ -20,6 +20,7 @@
 
 #include "exec/codegen.hpp"
 #include "measure/backend.hpp"
+#include "support/atomic_file.hpp"
 #include "support/env.hpp"
 #include "support/logging.hpp"
 #include "support/lru_map.hpp"
@@ -425,15 +426,11 @@ struct CommandResult {
     (void)reg.fns.insert(p.key, std::move(rk));
     reg.sync_evictions_locked();
     // Per-kernel index entry: key -> (shared object, symbol), so any
-    // later process resolves this kernel without recompiling.  Written
-    // via tmp+rename for the same cross-process atomicity.
-    const fs::path idx_path = dir / (hex64(p.key) + ".idx");
-    const fs::path idx_tmp = dir / (hex64(p.key) + ".idx.tmp." + unique);
-    {
-      std::ofstream idx(idx_tmp);
-      idx << tu_name << ".so " << p.symbol << "\n";
-    }
-    fs::rename(idx_tmp, idx_path, ec);
+    // later process resolves this kernel without recompiling.  Published
+    // atomically for the same cross-process consistency; a failed write
+    // only costs a later recompile.
+    (void)write_file_atomic((dir / (hex64(p.key) + ".idx")).string(),
+                            tu_name + ".so " + p.symbol + "\n");
   }
   return {};
 }

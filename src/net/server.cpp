@@ -15,6 +15,7 @@
 
 #include "net/protocol.hpp"
 #include "support/framing.hpp"
+#include "support/json.hpp"
 #include "support/logging.hpp"
 
 namespace mcf {

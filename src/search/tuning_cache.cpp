@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "support/atomic_file.hpp"
 #include "support/logging.hpp"
 
 namespace mcf {
@@ -82,8 +83,7 @@ bool TuningCache::load(const std::string& path) {
 }
 
 bool TuningCache::save(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
+  std::ostringstream f;
   // max_digits10: times round-trip bit-exactly through the text format
   // (the golden round-trip test pins this).
   f << std::setprecision(std::numeric_limits<double>::max_digits10);
@@ -98,7 +98,8 @@ bool TuningCache::save(const std::string& path) const {
     }
     f << " " << entry.time_s << "\n";
   }
-  return static_cast<bool>(f);
+  // tmp + rename: a crash mid-save leaves the previous cache intact.
+  return write_file_atomic(path, f.str());
 }
 
 void TuningCache::put(const ChainSpec& chain, const GpuSpec& gpu,

@@ -36,7 +36,8 @@ class TuningCache {
   /// Loads records from `path`; returns false when the file is absent or
   /// malformed lines were skipped.
   bool load(const std::string& path);
-  /// Writes all records to `path`.
+  /// Writes all records to `path` atomically (tmp + rename): a crash
+  /// mid-save leaves the previous file intact.
   [[nodiscard]] bool save(const std::string& path) const;
 
   void put(const ChainSpec& chain, const GpuSpec& gpu, CachedSchedule entry);

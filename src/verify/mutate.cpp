@@ -4,64 +4,34 @@
 #include <set>
 
 #include "dag/schedule_internal.hpp"
+#include "exec/lower.hpp"
 #include "support/rng.hpp"
-#include "verify/verify.hpp"
 
 namespace mcf {
 namespace verify {
 
 namespace {
 
-/// True when the emitted index variable of loop `l` ranges over the full
-/// extent at this statement: block loop / tree ancestor (active_mask) or
-/// a hoisted store's covered shadow.
-[[nodiscard]] bool ranges(const StmtContext& ctx, int l) {
-  if (ctx.active_mask & (1u << static_cast<unsigned>(l))) return true;
-  if (ctx.stmt->kind == StmtKind::Store) {
-    for (const int cl : ctx.stmt->covered_loops) {
-      if (cl == l) return true;
-    }
-  }
-  return false;
-}
-
-/// Tensors the statement addresses through the arena (codegen buf_expr).
-[[nodiscard]] std::vector<int> arena_tensors(const ChainSpec& chain,
-                                             const Statement& st) {
-  switch (st.kind) {
-    case StmtKind::Load:
-    case StmtKind::Store:
-      return {st.tensor};
-    case StmtKind::Compute:
-      return {chain.op_input_tensor(st.op), chain.op_weight_tensor(st.op),
-              chain.op_output_tensor(st.op)};
-  }
-  return {};
-}
-
-/// Max arena slot the verifier's corners reach for tensor `t` at `ctx`,
-/// given (possibly perturbed) per-loop extents: the mixed radix over
-/// resident_loops(t) with each ranging loop at extent-1 and pinned loops
-/// at 0.  The slot overrun guarantee needs every resident loop ranging.
+/// True when the verifier's corners provably address a slot of `r` past
+/// its region at `st`: the mixed radix over the resident loops, each at
+/// extent-1 (`bumped_loop` one further), reaches region slots - `shrink`.
+/// Needs every resident loop ranging.
 [[nodiscard]] bool slot_overrun_guaranteed(const Schedule& s,
-                                           const StmtContext& ctx, int t,
-                                           int bumped_loop) {
-  const auto& rl = s.resident_loops(t);
-  if (rl.empty()) return false;
+                                           const LoweredStmt& st,
+                                           const ArenaRef& r, int bumped_loop,
+                                           std::int64_t shrink) {
+  if (r.loops.empty()) return false;
   bool has_bumped = false;
   std::int64_t prod = 1;
-  for (const int l : rl) {
-    if (!ranges(ctx, l)) return false;
-    std::int64_t e = s.extents()[static_cast<std::size_t>(l)];
-    if (l == bumped_loop) {
-      e += 1;
-      has_bumped = true;
-    }
-    prod *= e;
+  for (std::size_t j = 0; j < r.loops.size(); ++j) {
+    if (!st.ranges(r.loops[j])) return false;
+    const bool bump = r.loops[j] == bumped_loop;
+    has_bumped |= bump;
+    prod *= r.radix[j] + (bump ? 1 : 0);
   }
   if (bumped_loop >= 0 && !has_bumped) return false;
-  // Max slot = prod - 1; region holds resident_tiles()[t] slots.
-  return prod - 1 >= s.resident_tiles()[static_cast<std::size_t>(t)];
+  return prod - 1 >=
+         s.resident_tiles()[static_cast<std::size_t>(r.tensor)] - shrink;
 }
 
 struct Candidate {
@@ -76,7 +46,7 @@ std::vector<Mutant> mutation_corpus(const Schedule& s, std::uint64_t seed,
   std::vector<Mutant> out;
   if (!s.valid() || !s.consume_complete()) return out;
   const ChainSpec& chain = s.chain();
-  const std::vector<StmtContext> ctxs = statement_contexts(s);
+  const LoweredKernel k = lower(s);
   const int L = chain.num_loops();
 
   // --- class 1: off-by-one loop extent (extents[l] += 1) --------------------
@@ -93,39 +63,32 @@ std::vector<Mutant> mutation_corpus(const Schedule& s, std::uint64_t seed,
   for (int l = 0; l < L; ++l) {
     bool applicable = false;
     std::string why;
-    for (const StmtContext& ctx : ctxs) {
-      for (const int t : arena_tensors(chain, *ctx.stmt)) {
-        if (slot_overrun_guaranteed(s, ctx, t, l)) {
+    for (const LoweredStmt& st : k.stmts) {
+      for (const ArenaRef* r : st.arena_refs()) {
+        if (slot_overrun_guaranteed(s, st, *r, l, 0)) {
           applicable = true;
-          why = "arena slot of " + chain.tensor(t).name +
+          why = "arena slot of " + chain.tensor(r->tensor).name +
                 " overruns its residency region";
         }
       }
-      if (ctx.stmt->kind == StmtKind::Compute) continue;
-      const int t = ctx.stmt->tensor;
-      const auto& info = chain.tensor(t);
-      const int lr = info.loops[0];
-      const int lc = info.loops[1];
-      if (l != lr && l != lc) continue;
-      if (!ranges(ctx, l)) continue;
-      const std::int64_t td = s.tiles()[static_cast<std::size_t>(l)];
-      const std::int64_t dim = chain.loop_dim(l);
+      if (st.kind == StmtKind::Compute) continue;
+      const auto& info = chain.tensor(st.tensor);
+      const GlobalTile& g = st.global;
+      if (l != g.row.loop && l != g.col.loop) continue;
+      if (!st.ranges(l)) continue;
+      const Clamp& dim = l == g.row.loop ? g.row : g.col;
       const std::int64_t e = s.extents()[static_cast<std::size_t>(l)];
-      const std::int64_t rows = chain.loop_dim(lr);
-      const std::int64_t cols = chain.loop_dim(lc);
-      const bool exact =
-          rows % s.tiles()[static_cast<std::size_t>(lr)] == 0 &&
-          cols % s.tiles()[static_cast<std::size_t>(lc)] == 0;
-      if (ctx.stmt->kind == StmtKind::Load) {
-        if (exact && e * td >= dim) {
+      if (st.kind == StmtKind::Load) {
+        if (g.exact && e * dim.tile >= dim.dim) {
           applicable = true;
           why = "load " + info.name + " tile copy runs past the slice";
-        } else if (!exact && dim % td != 0 && e * td > dim) {
+        } else if (!g.exact && dim.dim % dim.tile != 0 &&
+                   e * dim.tile > dim.dim) {
           applicable = true;
           why = "load " + info.name +
                 " fringe clamp goes negative (writes below the tile)";
         }
-      } else if (exact && e * td >= dim) {  // Store
+      } else if (g.exact && e * dim.tile >= dim.dim) {  // Store
         applicable = true;
         why = "store " + info.name + " full-tile write runs past the slice";
       }
@@ -150,23 +113,9 @@ std::vector<Mutant> mutation_corpus(const Schedule& s, std::uint64_t seed,
   for (int t = 0; t < chain.num_tensors(); ++t) {
     if (s.resident_tiles()[static_cast<std::size_t>(t)] <= 1) continue;
     bool applicable = false;
-    for (const StmtContext& ctx : ctxs) {
-      const auto at = arena_tensors(chain, *ctx.stmt);
-      if (std::find(at.begin(), at.end(), t) == at.end()) continue;
-      const auto& rl = s.resident_loops(t);
-      if (rl.empty()) continue;
-      std::int64_t prod = 1;
-      bool all = true;
-      for (const int l : rl) {
-        if (!ranges(ctx, l)) { all = false; break; }
-        prod *= s.extents()[static_cast<std::size_t>(l)];
-      }
-      // Max addressed slot = prod - 1 vs the shrunk region of
-      // resident - 1 slots.
-      if (all && prod - 1 >=
-                     s.resident_tiles()[static_cast<std::size_t>(t)] - 1) {
-        applicable = true;
-        break;
+    for (const LoweredStmt& st : k.stmts) {
+      for (const ArenaRef* r : st.arena_refs()) {
+        applicable |= r->tensor == t && slot_overrun_guaranteed(s, st, *r, -1, 1);
       }
     }
     if (!applicable) continue;
@@ -188,19 +137,18 @@ std::vector<Mutant> mutation_corpus(const Schedule& s, std::uint64_t seed,
   // the loop extents still overshoot: the removed fringe clamp is what
   // kept r0/c0 in range, so the full-tile copy provably leaves the slice.
   std::set<std::pair<int, int>> fringe_done;  // (lr, lc) dedup
-  for (const StmtContext& ctx : ctxs) {
-    if (ctx.stmt->kind == StmtKind::Compute) continue;
-    const int t = ctx.stmt->tensor;
-    const auto& info = chain.tensor(t);
-    const int lr = info.loops[0];
-    const int lc = info.loops[1];
+  for (const LoweredStmt& st : k.stmts) {
+    if (st.kind == StmtKind::Compute) continue;
+    const auto& info = chain.tensor(st.tensor);
+    const int lr = st.global.row.loop;
+    const int lc = st.global.col.loop;
     const bool over_r =
-        ranges(ctx, lr) && s.extents()[static_cast<std::size_t>(lr)] >= 2;
+        st.ranges(lr) && s.extents()[static_cast<std::size_t>(lr)] >= 2;
     const bool over_c =
-        ranges(ctx, lc) && s.extents()[static_cast<std::size_t>(lc)] >= 2;
+        st.ranges(lc) && s.extents()[static_cast<std::size_t>(lc)] >= 2;
     if (!over_r && !over_c) continue;
     if (!fringe_done.insert({lr, lc}).second) continue;
-    Mutant m{"fringe-truncate(" + std::string(stmt_kind_name(ctx.stmt->kind)) +
+    Mutant m{"fringe-truncate(" + std::string(stmt_kind_name(st.kind)) +
                  " " + info.name + ")",
              "tiles[" + std::to_string(lr) + "]=" +
                  std::to_string(chain.loop_dim(lr)) + ", tiles[" +

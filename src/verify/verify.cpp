@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <set>
 #include <sstream>
 #include <utility>
+#include <vector>
 
-#include "exec/codegen.hpp"
+#include "exec/lower.hpp"
 #include "support/env.hpp"
+#include "support/json.hpp"
 
 namespace mcf {
 namespace verify {
@@ -17,50 +18,47 @@ namespace {
 
 // ---- checked 128-bit arithmetic --------------------------------------------
 //
-// Every emitted offset is evaluated in __int128 with saturation, so a
-// value that would wrap the kernel's i64 is detected instead of
-// wrapping the analysis too.  Saturation (rather than wrapping) keeps
-// the ordering usable for worst-corner selection after an overflow.
+// Every offset is evaluated in __int128 with saturation, so a value that
+// would wrap the kernel's i64 is detected instead of wrapping the
+// analysis too.  Saturation (rather than wrapping) keeps the ordering
+// usable for worst-corner selection after an overflow.  CInt converts
+// implicitly from i64 so exec/lower's descriptor templates evaluate in it.
 
 constexpr __int128 kSat = static_cast<__int128>(1) << 120;
 
 struct CInt {
   __int128 v = 0;
   bool ovf = false;
+
+  CInt() = default;
+  CInt(std::int64_t x) : v(x) {}
+  CInt(__int128 x, bool o) : v(x), ovf(o) {}
+
+  /// Saturates at +-kSat (an overflowed result arrives as +-kSat).
+  [[nodiscard]] static CInt sat(__int128 r, bool ovf) {
+    if (r > kSat || r < -kSat) return {r > 0 ? kSat : -kSat, true};
+    return {r, ovf};
+  }
+  friend CInt operator+(CInt a, CInt b) {
+    __int128 r = 0;
+    const bool o = __builtin_add_overflow(a.v, b.v, &r);
+    return sat(o ? (a.v > 0 ? kSat : -kSat) : r, a.ovf || b.ovf || o);
+  }
+  friend CInt operator-(CInt a, CInt b) {
+    __int128 r = 0;
+    const bool o = __builtin_sub_overflow(a.v, b.v, &r);
+    return sat(o ? (a.v > 0 ? kSat : -kSat) : r, a.ovf || b.ovf || o);
+  }
+  friend CInt operator*(CInt a, CInt b) {
+    __int128 r = 0;
+    const bool o = __builtin_mul_overflow(a.v, b.v, &r);
+    return sat(o ? ((a.v < 0) != (b.v < 0) ? -kSat : kSat) : r,
+               a.ovf || b.ovf || o);
+  }
+  friend CInt min(CInt a, CInt b) {
+    return {a.v < b.v ? a.v : b.v, a.ovf || b.ovf};
+  }
 };
-
-[[nodiscard]] CInt ci(std::int64_t x) { return {static_cast<__int128>(x), false}; }
-
-[[nodiscard]] CInt sat(__int128 v, bool ovf) {
-  if (v > kSat) return {kSat, true};
-  if (v < -kSat) return {-kSat, true};
-  return {v, ovf};
-}
-
-[[nodiscard]] CInt add(CInt a, CInt b) {
-  __int128 r = 0;
-  const bool o = __builtin_add_overflow(a.v, b.v, &r);
-  if (o) r = (a.v > 0) ? kSat : -kSat;
-  return sat(r, a.ovf || b.ovf || o);
-}
-
-[[nodiscard]] CInt sub(CInt a, CInt b) {
-  __int128 r = 0;
-  const bool o = __builtin_sub_overflow(a.v, b.v, &r);
-  if (o) r = (a.v > 0) ? kSat : -kSat;
-  return sat(r, a.ovf || b.ovf || o);
-}
-
-[[nodiscard]] CInt mul(CInt a, CInt b) {
-  __int128 r = 0;
-  const bool o = __builtin_mul_overflow(a.v, b.v, &r);
-  if (o) r = ((a.v < 0) != (b.v < 0)) ? -kSat : kSat;
-  return sat(r, a.ovf || b.ovf || o);
-}
-
-[[nodiscard]] CInt cmin(CInt a, CInt b) {
-  return {a.v < b.v ? a.v : b.v, a.ovf || b.ovf};
-}
 
 [[nodiscard]] bool fits_i64(CInt a) {
   return !a.ovf && a.v >= static_cast<__int128>(INT64_MIN) &&
@@ -71,33 +69,6 @@ struct CInt {
   if (a.v > static_cast<__int128>(INT64_MAX)) return INT64_MAX;
   if (a.v < static_cast<__int128>(INT64_MIN)) return INT64_MIN;
   return static_cast<std::int64_t>(a.v);
-}
-
-// ---- JSON ------------------------------------------------------------------
-//
-// Local escaper: engine.cpp's json_escape sits behind the full engine
-// header; the verifier stays dependency-light (dag + codegen only).
-
-[[nodiscard]] std::string jesc(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // ---- the analyzer ----------------------------------------------------------
@@ -114,14 +85,16 @@ class Verifier {
       return rep_;
     }
     rep_.checked = true;
-    if (!setup()) {
-      finalize();
-      return rep_;
+    k_ = lower(s_);
+    rep_.scratch_floats = k_.arena.scratch_floats;
+    rep_.n_blocks = k_.n_blocks;
+    // A size that already overflows makes every site's analysis garbage;
+    // the setup violations say why.
+    for (const std::string& what : k_.overflows) overflow_setup(what);
+    if (k_.overflows.empty()) {
+      stats_reset_sites();
+      for (const LoweredStmt& st : k_.stmts) check_stmt(st);
     }
-    stats_reset_sites();
-    active_.assign(static_cast<std::size_t>(chain_.num_loops()), 0);
-    for (const int l : s_.block_loops()) active_[static_cast<std::size_t>(l)] = 1;
-    walk(s_.root());
     finalize();
     return rep_;
   }
@@ -130,82 +103,13 @@ class Verifier {
   /// Per-corner loop index values (num_loops <= 8 by InlineVec sizing).
   using Corner = std::array<std::int64_t, 8>;
 
-  [[nodiscard]] std::int64_t ext(int l) const {
-    return s_.extents()[static_cast<std::size_t>(l)];
-  }
-  [[nodiscard]] std::int64_t tile(int l) const {
-    return s_.tiles()[static_cast<std::size_t>(l)];
-  }
-
-  /// Mirrors CppEmitter's constructor: arena spans prefix-summed per
-  /// tensor, softmax stats appended after the arena.  Returns false when
-  /// a setup-level quantity already overflows (analysis of individual
-  /// sites would be garbage; the overflow violations say why).
-  bool setup() {
-    const int nt = chain_.num_tensors();
-    buf_offset_.assign(static_cast<std::size_t>(nt) + 1, 0);
-    CInt off = ci(0);
-    bool ok = true;
-    for (int t = 0; t < nt; ++t) {
-      const CInt elems =
-          mul(ci(s_.tile_elems(t)),
-              ci(s_.resident_tiles()[static_cast<std::size_t>(t)]));
-      off = add(off, elems);
-      if (!fits_i64(off)) {
-        overflow_setup("scratch arena size (tensor " + chain_.tensor(t).name +
-                       ")", off);
-        ok = false;
-      }
-      buf_offset_[static_cast<std::size_t>(t) + 1] = clamp64(off);
-    }
-    stat_offset_.assign(static_cast<std::size_t>(chain_.num_ops()), -1);
-    CInt stats = ci(0);
-    for (int op = 0; op < chain_.num_ops(); ++op) {
-      if (chain_.epilogue(op) != Epilogue::OnlineSoftmax) continue;
-      stat_offset_[static_cast<std::size_t>(op)] = clamp64(stats);
-      stats = add(stats, mul(ci(2), ci(s_.tiles()[0])));
-    }
-    const CInt total = add(off, stats);
-    if (!fits_i64(total)) {
-      overflow_setup("scratch floats", total);
-      ok = false;
-    }
-    scratch_floats_ = clamp64(total);
-    rep_.scratch_floats = scratch_floats_;
-
-    CInt nb = ci(chain_.batch());
-    for (const int l : s_.block_loops()) nb = mul(nb, ci(ext(l)));
-    if (!fits_i64(nb)) {
-      overflow_setup("block count", nb);
-      ok = false;
-    }
-    rep_.n_blocks = clamp64(nb);
-
-    // Global allocation sizes: batch*rows*cols appears as a literal in
-    // the emitted pointer arithmetic (and in the fault-seam call), so
-    // it must itself fit — for every externally-visible tensor.
-    for (int t = 0; t < nt; ++t) {
-      const auto& info = chain_.tensor(t);
-      if (info.kind == TensorKind::Intermediate) continue;
-      const CInt slice = mul(ci(chain_.loop_dim(info.loops[0])),
-                             ci(chain_.loop_dim(info.loops[1])));
-      const CInt totalg = mul(ci(chain_.batch()), slice);
-      if (!fits_i64(totalg)) {
-        overflow_setup("tensor " + info.name + " extent (batch*rows*cols)",
-                       totalg);
-        ok = false;
-      }
-    }
-    return ok;
-  }
-
-  void overflow_setup(const std::string& what, CInt v) {
+  void overflow_setup(const std::string& what) {
     Violation viol;
     viol.kind = ViolationKind::IndexOverflow;
     viol.site = "setup";
     viol.buffer = what;
     viol.access = "size";
-    viol.offset = clamp64(v);
+    viol.offset = INT64_MAX;
     viol.lo = 0;
     viol.hi = INT64_MAX;
     viol.message = "setup: " + what + " overflows i64";
@@ -215,45 +119,21 @@ class Verifier {
   /// The per-block stats reset writes each softmax op's full stat span;
   /// checked like any site so the model stays total.
   void stats_reset_sites() {
-    const std::int64_t tm = s_.tiles()[0];
+    const std::int64_t tm = k_.arena.stat_rows;
     for (int op = 0; op < chain_.num_ops(); ++op) {
-      const std::int64_t soff = stat_offset_[static_cast<std::size_t>(op)];
+      const std::int64_t soff = k_.arena.stat[static_cast<std::size_t>(op)];
       if (soff < 0) continue;
-      Corner zero{};
       cur_site_ = "stats reset op " + std::to_string(op);
-      const CInt base = add(ci(buf_offset_.back()), ci(soff));
-      rec_scratch(stat_name(op), "write", base,
-                  add(base, ci(2 * tm - 1)), clamp64(base),
-                  clamp64(add(base, ci(2 * tm))), zero);
+      const CInt base = CInt(k_.arena.arena_floats) + soff;
+      rec_scratch(stat_name(op), "write", base, base + (2 * tm - 1),
+                  clamp64(base), clamp64(base + 2 * tm), Corner{});
     }
-  }
-
-  void walk(int idx) {
-    const auto& n = s_.node(idx);
-    if (n.is_stmt) {
-      check_stmt(n.stmt);
-      return;
-    }
-    char prev = 0;
-    if (n.loop >= 0) {
-      prev = active_[static_cast<std::size_t>(n.loop)];
-      active_[static_cast<std::size_t>(n.loop)] = 1;
-    }
-    for (const int c : n.children) walk(c);
-    if (n.loop >= 0) active_[static_cast<std::size_t>(n.loop)] = prev;
   }
 
   /// Enumerates the corners of the statement's iteration box and runs
-  /// the kind-specific evaluator at each.  Range of loop `l` at this
-  /// statement: full extent when covered (hoisted-store shadow q<l>) or
-  /// active (block loop / tree ancestor), else the variable is pinned 0.
-  void check_stmt(const Statement& st) {
-    const int L = chain_.num_loops();
-    covered_.assign(static_cast<std::size_t>(L), 0);
-    if (st.kind == StmtKind::Store) {
-      for (const int l : st.covered_loops)
-        covered_[static_cast<std::size_t>(l)] = 1;
-    }
+  /// the kind-specific evaluator at each: loop `l` spans its full extent
+  /// where the statement ranges over it, else its index is pinned 0.
+  void check_stmt(const LoweredStmt& st) {
     switch (st.kind) {
       case StmtKind::Load:
         cur_site_ = "load " + chain_.tensor(st.tensor).name;
@@ -266,15 +146,15 @@ class Verifier {
         break;
     }
     std::vector<int> free;
-    for (int l = 0; l < L; ++l) {
-      if (range_of(l) > 1) free.push_back(l);
+    for (int l = 0; l < chain_.num_loops(); ++l) {
+      if (st.ranges(l) && k_.extent(l) > 1) free.push_back(l);
     }
     const std::size_t corners = static_cast<std::size_t>(1) << free.size();
     for (std::size_t mask = 0; mask < corners; ++mask) {
       Corner c{};
       for (std::size_t i = 0; i < free.size(); ++i) {
         if (mask & (static_cast<std::size_t>(1) << i)) {
-          c[static_cast<std::size_t>(free[i])] = range_of(free[i]) - 1;
+          c[static_cast<std::size_t>(free[i])] = k_.extent(free[i]) - 1;
         }
       }
       switch (st.kind) {
@@ -285,200 +165,120 @@ class Verifier {
     }
   }
 
-  [[nodiscard]] std::int64_t range_of(int l) const {
-    if (covered_[static_cast<std::size_t>(l)] ||
-        active_[static_cast<std::size_t>(l)]) {
-      return ext(l);
-    }
-    return 1;
-  }
-
-  /// Arena offset of tensor `t`'s current slot (codegen buf_expr): the
-  /// static base plus the resident-loop mixed radix at this corner.
-  [[nodiscard]] CInt buf_base(int t, const Corner& c) const {
-    CInt slot = ci(0);
-    for (const int l : s_.resident_loops(t)) {
-      slot = add(mul(slot, ci(ext(l))), ci(c[static_cast<std::size_t>(l)]));
-    }
-    return add(ci(buf_offset_[static_cast<std::size_t>(t)]),
-               mul(slot, ci(s_.tile_elems(t))));
-  }
-
-  [[nodiscard]] std::int64_t region_lo(int t) const {
-    return buf_offset_[static_cast<std::size_t>(t)];
-  }
-  [[nodiscard]] std::int64_t region_hi(int t) const {
-    return buf_offset_[static_cast<std::size_t>(t) + 1];
-  }
   [[nodiscard]] std::string arena_name(int t) const {
     return "arena:" + chain_.tensor(t).name;
   }
   [[nodiscard]] static std::string stat_name(int op) {
     return "stats:op" + std::to_string(op);
   }
-  [[nodiscard]] std::string global_name(int t) const {
-    const auto& info = chain_.tensor(t);
-    if (info.kind == TensorKind::Input) return "ga";
-    if (info.kind == TensorKind::Weight) {
-      return "gw[" + std::to_string(info.consumer_op) + "]";
-    }
-    return "gout";
+
+  /// A full-tile access of `r` at this corner.
+  void rec_tile(const ArenaRef& r, const char* access, const Corner& c) {
+    const CInt base = r.offset<CInt>(c);
+    rec_scratch(arena_name(r.tensor), access, base, base + (r.tile_elems - 1),
+                r.lo, r.hi, c);
   }
 
-  // Mirrors codegen emit_load: dst tile copy into the arena, src slice
-  // read from global.  On the fringe path fr/fc are min-clamps that can
-  // reach (or pass) zero: a negative fc starts the row write at dp[fc],
-  // a negative fr starts the zero-fill at dst[fr*tc] — the model keeps
-  // those spans, which is exactly how extent mutants are caught.
-  void eval_load(const Statement& st, const Corner& c) {
-    const int t = st.tensor;
-    const auto& info = chain_.tensor(t);
-    const int lr = info.loops[0];
-    const int lc = info.loops[1];
-    const std::int64_t tr = tile(lr);
-    const std::int64_t tc = tile(lc);
-    const std::int64_t rows = chain_.loop_dim(lr);
-    const std::int64_t cols = chain_.loop_dim(lc);
-    const CInt base = buf_base(t, c);
-    const CInt r0 = mul(ci(c[static_cast<std::size_t>(lr)]), ci(tr));
-    const CInt c0 = mul(ci(c[static_cast<std::size_t>(lc)]), ci(tc));
-    const bool exact = rows % tr == 0 && cols % tc == 0;
-    if (exact) {
-      rec_scratch(arena_name(t), "write", base,
-                  add(base, ci(tr * tc - 1)), region_lo(t), region_hi(t), c);
-      const CInt slo = add(mul(r0, ci(cols)), c0);
-      const CInt shi =
-          add(add(mul(add(r0, ci(tr - 1)), ci(cols)), c0), ci(tc - 1));
-      rec_global(global_name(t), "read", slo, shi, rows, cols, c);
+  // The load copies its global window into the arena tile.  On the fringe
+  // path fr/fc are min-clamps that can reach (or pass) zero: a negative
+  // fc starts the row write at dp[fc], a negative fr starts the zero-fill
+  // at dst[fr*tc] — the model keeps those spans, which is exactly how
+  // extent mutants are caught.
+  void eval_load(const LoweredStmt& st, const Corner& c) {
+    const GlobalTile& g = st.global;
+    const std::int64_t tr = g.row.tile;
+    const std::int64_t tc = g.col.tile;
+    const std::int64_t cols = g.col.dim;
+    const CInt r0 = g.row.start<CInt>(c);
+    const CInt c0 = g.col.start<CInt>(c);
+    if (g.exact) {
+      rec_tile(st.tile, "write", c);
+      rec_global(g, "read", r0 * cols + c0,
+                 (r0 + (tr - 1)) * cols + c0 + (tc - 1), c);
       return;
     }
-    const CInt fr = cmin(sub(ci(rows), r0), ci(tr));
-    const CInt fc = cmin(sub(ci(cols), c0), ci(tc));
+    const ArenaRef& a = st.tile;
+    const CInt base = a.offset<CInt>(c);
+    const CInt fr = g.row.valid<CInt>(c);
+    const CInt fc = g.col.valid<CInt>(c);
     if (fr.v > 0) {
       // Interior rows r in [0, fr): dp[c] for c in [0,fc) then the
       // zero-fill [fc, tc) — the union always ends at tc-1 and starts
       // at min(fc, 0).
-      const CInt lo = add(base, cmin(fc, ci(0)));
-      const CInt hi = add(base, add(mul(sub(fr, ci(1)), ci(tc)), ci(tc - 1)));
-      rec_scratch(arena_name(t), "write", lo, hi, region_lo(t), region_hi(t),
-                  c);
+      rec_scratch(arena_name(a.tensor), "write", base + min(fc, 0),
+                  base + ((fr - 1) * tc + (tc - 1)), a.lo, a.hi, c);
       if (fc.v > 0) {
-        const CInt slo = add(mul(r0, ci(cols)), c0);
-        const CInt shi = add(add(mul(add(r0, sub(fr, ci(1))), ci(cols)), c0),
-                             sub(fc, ci(1)));
-        rec_global(global_name(t), "read", slo, shi, rows, cols, c);
+        rec_global(g, "read", r0 * cols + c0,
+                   (r0 + (fr - 1)) * cols + c0 + (fc - 1), c);
       }
     }
     if (fr.v < tr) {
       // Zero-fill rows r in [fr, tr): full-width writes, starting at
       // fr*tc — negative when fr < 0.
-      const CInt lo = add(base, mul(fr, ci(tc)));
-      const CInt hi = add(base, ci(tr * tc - 1));
-      rec_scratch(arena_name(t), "write", lo, hi, region_lo(t), region_hi(t),
-                  c);
+      rec_scratch(arena_name(a.tensor), "write", base + fr * tc,
+                  base + (a.tile_elems - 1), a.lo, a.hi, c);
     }
   }
 
-  // Mirrors codegen emit_compute: the register-blocked micro-kernel
-  // sweeps the full o/x/w tiles; the epilogue runs iff the emitted
-  // `i<red> == red_ext-1` test is reachable at this statement.
-  void eval_compute(const Statement& st, const Corner& c) {
-    const int op = st.op;
-    const int t_in = chain_.op_input_tensor(op);
-    const int t_w = chain_.op_weight_tensor(op);
-    const int t_out = chain_.op_output_tensor(op);
-    const int red = chain_.reduction_loop(op);
-    const int col = chain_.out_col_loop(op);
-    const std::int64_t tm = s_.tiles()[0];
-    const std::int64_t trd = tile(red);
-    const std::int64_t tcl = tile(col);
-    const CInt o = buf_base(t_out, c);
-    const CInt x = buf_base(t_in, c);
-    const CInt w = buf_base(t_w, c);
-    rec_scratch(arena_name(t_out), "write", o,
-                add(o, sub(mul(ci(tm), ci(tcl)), ci(1))), region_lo(t_out),
-                region_hi(t_out), c);
-    rec_scratch(arena_name(t_in), "read", x,
-                add(x, sub(mul(ci(tm), ci(trd)), ci(1))), region_lo(t_in),
-                region_hi(t_in), c);
-    rec_scratch(arena_name(t_w), "read", w,
-                add(w, sub(mul(ci(trd), ci(tcl)), ci(1))), region_lo(t_w),
-                region_hi(t_w), c);
-    if (chain_.epilogue(op) != Epilogue::OnlineSoftmax) return;
-    const bool reachable =
-        active_[static_cast<std::size_t>(red)] || ext(red) == 1;
-    if (!reachable) return;
+  // The register-blocked micro-kernel sweeps the full o/x/w tiles; the
+  // epilogue runs iff the emitted `i<red> == red_ext-1` test is reachable
+  // at this statement.
+  void eval_compute(const LoweredStmt& st, const Corner& c) {
+    rec_tile(st.out, "write", c);
+    rec_tile(st.in, "read", c);
+    rec_tile(st.w, "read", c);
+    if (st.epilogue != Epilogue::OnlineSoftmax) return;
+    if (!st.ranges(st.red) && st.red_ext != 1) return;
     // Online-softmax epilogue: running max/sum rows plus the consumer-
     // accumulator rescale.  `cons` is addressed from the tensor's region
-    // base with NO slot term (codegen emit_epilogue) — the rescale walks
-    // every resident row of the consumer tile block.
+    // base with NO slot term — the rescale walks every resident row of
+    // the consumer tile block.
     const std::string save = cur_site_;
-    cur_site_ = "softmax epilogue op " + std::to_string(op);
-    const std::int64_t soff = stat_offset_[static_cast<std::size_t>(op)];
-    const CInt sbase = add(ci(buf_offset_.back()), ci(soff));
-    rec_scratch(stat_name(op), "write", sbase, add(sbase, ci(tm - 1)),
-                clamp64(sbase), clamp64(add(sbase, ci(2 * tm))), c);
-    rec_scratch(stat_name(op), "write", add(sbase, ci(tm)),
-                add(sbase, ci(2 * tm - 1)), clamp64(sbase),
-                clamp64(add(sbase, ci(2 * tm))), c);
-    const int t_cons = chain_.op_output_tensor(op + 1);
-    const std::int64_t cons_floats = region_hi(t_cons) - region_lo(t_cons);
-    const std::int64_t cons_cols =
-        tile(chain_.out_col_loop(op + 1));
-    const std::int64_t cons_rows_total = cons_floats / cons_cols;
-    if (cons_rows_total > 0) {
-      const CInt cons = ci(region_lo(t_cons));
-      rec_scratch(arena_name(t_cons), "write", cons,
-                  add(cons, ci(cons_rows_total * cons_cols - 1)),
-                  region_lo(t_cons), region_hi(t_cons), c);
+    cur_site_ = "softmax epilogue op " + std::to_string(st.op);
+    const std::int64_t tm = st.tm;
+    const CInt rmax = CInt(k_.arena.arena_floats) + st.stat;
+    const CInt rsum = CInt(k_.arena.arena_floats) + st.rsum;
+    const std::int64_t lo = clamp64(rmax);
+    const std::int64_t hi = clamp64(rmax + 2 * tm);
+    rec_scratch(stat_name(st.op), "write", rmax, rmax + (tm - 1), lo, hi, c);
+    rec_scratch(stat_name(st.op), "write", rsum, rsum + (tm - 1), lo, hi, c);
+    if (st.cons_rows > 0) {
+      const CInt cons = k_.arena.lo(st.cons);
+      rec_scratch(arena_name(st.cons), "write", cons,
+                  cons + (st.cons_rows * st.cons_cols - 1),
+                  k_.arena.lo(st.cons), k_.arena.hi(st.cons), c);
     }
     cur_site_ = save;
   }
 
-  // Mirrors codegen emit_store: hoisted stores sweep the covered shadow
-  // loops (already folded into the corner ranges); the fringe clamps
-  // gate both the row loop and the column span, and the deferred
-  // softmax normalisation reads the producer's rsum rows.
-  void eval_store(const Statement& st, const Corner& c) {
-    const int t = st.tensor;
-    const auto& info = chain_.tensor(t);
-    const int lr = info.loops[0];
-    const int lc = info.loops[1];
-    const std::int64_t tr = tile(lr);
-    const std::int64_t tc = tile(lc);
-    const std::int64_t rows = chain_.loop_dim(lr);
-    const std::int64_t cols = chain_.loop_dim(lc);
-    const CInt base = buf_base(t, c);
-    const CInt r0 = mul(ci(c[static_cast<std::size_t>(lr)]), ci(tr));
-    const CInt c0 = mul(ci(c[static_cast<std::size_t>(lc)]), ci(tc));
-    const bool exact = rows % tr == 0 && cols % tc == 0;
-    const CInt fr = exact ? ci(tr) : cmin(sub(ci(rows), r0), ci(tr));
-    const CInt fc = exact ? ci(tc) : cmin(sub(ci(cols), c0), ci(tc));
-    const int producer = info.producer_op;
-    const bool normalize =
-        producer > 0 &&
-        chain_.epilogue(producer - 1) == Epilogue::OnlineSoftmax;
+  // Hoisted stores sweep the covered shadow loops (already folded into
+  // the corner ranges); the fringe clamps gate both the row loop and the
+  // column span, and the deferred softmax normalisation reads the
+  // producer's rsum rows.
+  void eval_store(const LoweredStmt& st, const Corner& c) {
+    const GlobalTile& g = st.global;
+    const ArenaRef& a = st.tile;
+    const std::int64_t tc = g.col.tile;
+    const std::int64_t cols = g.col.dim;
+    const CInt base = a.offset<CInt>(c);
+    const CInt r0 = g.row.start<CInt>(c);
+    const CInt c0 = g.col.start<CInt>(c);
+    const CInt fr = g.exact ? CInt(g.row.tile) : g.row.valid<CInt>(c);
+    const CInt fc = g.exact ? CInt(tc) : g.col.valid<CInt>(c);
     if (fr.v <= 0) return;  // the emitted row loop does not run
-    if (normalize) {
-      const std::int64_t soff =
-          stat_offset_[static_cast<std::size_t>(producer - 1)];
-      const CInt rsum = add(ci(buf_offset_.back()), ci(soff + s_.tiles()[0]));
-      rec_scratch(stat_name(producer - 1), "read", rsum,
-                  add(rsum, sub(fr, ci(1))), clamp64(rsum),
-                  clamp64(add(rsum, ci(s_.tiles()[0]))), c);
+    if (st.rsum >= 0) {
+      const CInt rsum = CInt(k_.arena.arena_floats) + st.rsum;
+      rec_scratch(stat_name(st.stat_op), "read", rsum, rsum + (fr - 1),
+                  clamp64(rsum), clamp64(rsum + k_.arena.stat_rows), c);
     }
     // Column span: the exact non-normalize path memcpys the full tile;
     // every other path iterates c in [0, fc) and vanishes when fc <= 0.
-    const CInt cc = (exact && !normalize) ? ci(tc) : fc;
+    const CInt cc = (g.exact && st.rsum < 0) ? CInt(tc) : fc;
     if (cc.v <= 0) return;
-    const CInt slo = base;
-    const CInt shi = add(base, add(mul(sub(fr, ci(1)), ci(tc)), sub(cc, ci(1))));
-    rec_scratch(arena_name(t), "read", slo, shi, region_lo(t), region_hi(t),
-                c);
-    const CInt glo = add(mul(r0, ci(cols)), c0);
-    const CInt ghi =
-        add(add(mul(add(r0, sub(fr, ci(1))), ci(cols)), c0), sub(cc, ci(1)));
-    rec_global(global_name(t), "write", glo, ghi, rows, cols, c);
+    rec_scratch(arena_name(a.tensor), "read", base,
+                base + ((fr - 1) * tc + (cc - 1)), a.lo, a.hi, c);
+    rec_global(g, "write", r0 * cols + c0,
+               (r0 + (fr - 1)) * cols + c0 + (cc - 1), c);
   }
 
   // ---- recording ----------------------------------------------------------
@@ -505,7 +305,7 @@ class Verifier {
 
   void flag_scratch(const std::string& buffer, const char* access, CInt off,
                     std::int64_t rlo, std::int64_t rhi, const Corner& c) {
-    const bool inside_scratch = off.v >= 0 && off.v < scratch_floats_;
+    const bool inside_scratch = off.v >= 0 && off.v < k_.arena.scratch_floats;
     flag(inside_scratch ? ViolationKind::RegionAlias
                         : ViolationKind::ScratchOverflow,
          buffer, access, off, rlo, rhi, c, 0);
@@ -514,13 +314,12 @@ class Verifier {
   /// Global access spanning slice offsets [lo, hi] (inclusive) against
   /// the per-batch slice [0, rows*cols); the allocation is
   /// batch * rows * cols, so the witness picks the worst batch index.
-  void rec_global(const std::string& buffer, const char* access, CInt lo,
-                  CInt hi, std::int64_t rows, std::int64_t cols,
+  void rec_global(const GlobalTile& g, const char* access, CInt lo, CInt hi,
                   const Corner& c) {
+    const std::string buffer = g.name();
     note_site(buffer, access);
-    const CInt slice = mul(ci(rows), ci(cols));
-    const CInt total = mul(ci(chain_.batch()), slice);
-    if (!fits_i64(lo) || !fits_i64(hi) || !fits_i64(total)) {
+    const CInt total = CInt(chain_.batch()) * g.slice;
+    if (!fits_i64(lo) || !fits_i64(hi)) {
       flag(ViolationKind::IndexOverflow, buffer, access,
            fits_i64(lo) ? hi : lo, 0, clamp64(total), c, 0);
       return;
@@ -529,10 +328,10 @@ class Verifier {
       flag(ViolationKind::GlobalOutOfBounds, buffer, access, lo, 0,
            clamp64(total), c, 0);
     }
-    if (hi.v >= slice.v) {
+    if (hi.v >= g.slice) {
       // Worst block is in the last batch slice: absolute offset
       // (batch-1)*slice + hi against the allocation bound.
-      const CInt abs = add(mul(ci(chain_.batch() - 1), slice), hi);
+      const CInt abs = CInt(chain_.batch() - 1) * g.slice + hi;
       flag(ViolationKind::GlobalOutOfBounds, buffer, access, abs, 0,
            clamp64(total), c, chain_.batch() - 1);
     }
@@ -584,13 +383,13 @@ class Verifier {
     worst_.push_back({key, excess, std::move(v)});
   }
 
-  /// Forward mixed-radix block encode (inverse of the emitted decode):
-  /// batch outermost, then the block loops in declaration order.
+  /// Block id of a witness: the inverse of the lowered block decode
+  /// (batch outermost, then the block loops outermost first).
   [[nodiscard]] std::int64_t witness_block(const Corner& c,
                                            std::int64_t batch_idx) const {
-    CInt blk = ci(batch_idx);
-    for (const int l : s_.block_loops()) {
-      blk = add(mul(blk, ci(ext(l))), ci(c[static_cast<std::size_t>(l)]));
+    CInt blk = batch_idx;
+    for (auto it = k_.decode.rbegin(); it != k_.decode.rend(); ++it) {
+      blk = blk * k_.extent(*it) + c[static_cast<std::size_t>(*it)];
     }
     return clamp64(blk);
   }
@@ -608,12 +407,8 @@ class Verifier {
 
   const Schedule& s_;
   const ChainSpec& chain_;
+  LoweredKernel k_;
   VerifyReport rep_;
-  std::vector<std::int64_t> buf_offset_;
-  std::vector<std::int64_t> stat_offset_;
-  std::int64_t scratch_floats_ = 0;
-  std::vector<char> active_;
-  std::vector<char> covered_;
   std::string cur_site_;
   std::set<std::string> sites_;
   std::vector<Kept> worst_;
@@ -634,14 +429,14 @@ const char* violation_kind_name(ViolationKind k) noexcept {
 std::string Violation::to_json() const {
   std::ostringstream os;
   os << "{\"kind\":\"" << violation_kind_name(kind) << "\",\"site\":\""
-     << jesc(site) << "\",\"buffer\":\"" << jesc(buffer) << "\",\"access\":\""
-     << jesc(access) << "\",\"block\":" << block << ",\"indices\":[";
+     << json_escape(site) << "\",\"buffer\":\"" << json_escape(buffer) << "\",\"access\":\""
+     << json_escape(access) << "\",\"block\":" << block << ",\"indices\":[";
   for (std::size_t i = 0; i < indices.size(); ++i) {
     if (i) os << ",";
     os << indices[i];
   }
   os << "],\"offset\":" << offset << ",\"lo\":" << lo << ",\"hi\":" << hi
-     << ",\"message\":\"" << jesc(message) << "\"}";
+     << ",\"message\":\"" << json_escape(message) << "\"}";
   return os.str();
 }
 
@@ -649,7 +444,7 @@ std::string VerifyReport::to_json() const {
   std::ostringstream os;
   os << "{\"checked\":" << (checked ? "true" : "false");
   if (!skip_reason.empty()) {
-    os << ",\"skip_reason\":\"" << jesc(skip_reason) << "\"";
+    os << ",\"skip_reason\":\"" << json_escape(skip_reason) << "\"";
   }
   os << ",\"safe\":" << (safe() ? "true" : "false")
      << ",\"n_blocks\":" << n_blocks << ",\"scratch_floats\":" << scratch_floats
@@ -677,34 +472,6 @@ std::string verify_gate_error(const Schedule& s) {
   const VerifyReport rep = verify_schedule(s);
   if (!rep.checked || rep.safe()) return {};
   return std::string(kGateErrorPrefix) + rep.violations.front().message;
-}
-
-std::vector<StmtContext> statement_contexts(const Schedule& s) {
-  std::vector<StmtContext> out;
-  std::uint32_t mask = 0;
-  for (const int l : s.block_loops()) mask |= 1u << static_cast<unsigned>(l);
-  // Iterative preorder walk matching statements_in_order(): the active
-  // mask at a statement is block loops plus tree ancestors.
-  struct Frame {
-    int node;
-    std::uint32_t mask;
-  };
-  std::vector<Frame> stack{{s.root(), mask}};
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    const auto& n = s.node(f.node);
-    if (n.is_stmt) {
-      out.push_back({&n.stmt, f.mask});
-      continue;
-    }
-    std::uint32_t m = f.mask;
-    if (n.loop >= 0) m |= 1u << static_cast<unsigned>(n.loop);
-    for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
-      stack.push_back({*it, m});
-    }
-  }
-  return out;
 }
 
 }  // namespace verify

@@ -1,30 +1,34 @@
 // Static kernel-safety verifier: symbolic interval/bounds analysis over
-// lowered schedules (the data-plane counterpart of the concurrency gates).
+// lowered kernels (the data-plane counterpart of the concurrency gates).
 //
-// `emit_cpp_kernel` (exec/codegen.cpp) folds every extent, tile size and
-// arena offset into literal constants; nothing at runtime re-checks them.
-// verify_schedule() re-derives, without executing or compiling anything,
-// the exact set of addresses every emitted load/compute/store can touch
-// and proves three properties for every thread block in [0, n_blocks):
+// `emit_cpp_kernel` (exec/codegen.cpp) prints exec/lower's LoweredKernel
+// with every extent, tile size and arena offset folded to a literal;
+// nothing at runtime re-checks them.  verify_schedule() lowers the
+// schedule through the same lower() and corner-evaluates the very access
+// descriptors the emitter prints — without executing or compiling
+// anything — proving three properties for every thread block in
+// [0, n_blocks):
 //
 //   1. scratch safety — every arena access stays inside its tensor's
-//      span of the scratch arena (`cpp_kernel_scratch_floats`), and the
-//      tile-stage regions never alias each other or the online-softmax
-//      stats region;
+//      region of the scratch arena (`ArenaPlan`, whose size
+//      `cpp_kernel_scratch_floats` reports), and the tile-stage regions
+//      never alias each other or the online-softmax stats region;
 //   2. global safety — every ga/gw/gout access stays inside the declared
 //      tensor extents (batch x rows x cols), including the zero-filled
 //      fringe paths where the emitted offsets are min-clamped;
 //   3. no overflow — offset/index arithmetic (evaluated in 128-bit with
-//      saturation) cannot overflow the kernel's `long long` ("i64").
+//      saturation) cannot overflow the kernel's `long long` ("i64"); a
+//      size that overflows already in lower() is reported as a `setup`
+//      violation.
 //
-// Every emitted index expression is affine in the loop variables plus
+// Every lowered index expression is affine in the loop variables plus
 // min-clamps, hence monotone in each variable separately — so interval
 // extremes are attained at corners of the iteration box and corner
 // evaluation is exact: zero false positives by construction, not by
-// tolerance.  A statement sees loop `l` at its full extent iff `l` is a
-// block loop, a tree ancestor, or one of a hoisted store's covered
-// loops; otherwise the emitted variable is pinned to 0 (codegen resets
-// i<l> after closing the loop).
+// tolerance.  A statement sees loop `l` at its full extent iff the
+// lowered statement ranges over it (LoweredStmt::ranging: block loop,
+// tree ancestor, or a hoisted store's covered loop); otherwise the
+// emitted variable is pinned to 0.
 //
 // Violations carry a concrete witness: the block id, the per-loop index
 // values, and the offending offset against its bound.  The jit consults
@@ -96,17 +100,6 @@ inline constexpr const char* kGateErrorPrefix = "verify: ";
 /// "" when `s` is safe (or not analyzable — the lowering gates own that
 /// case); otherwise kGateErrorPrefix + the first violation's message.
 [[nodiscard]] std::string verify_gate_error(const Schedule& s);
-
-/// Per-statement activity mask, in statements_in_order() order: bit `l`
-/// is set iff the emitted i<l> ranges over the full extent at that
-/// statement (block loop or tree ancestor).  Shared with the mutation
-/// corpus, which needs the same reachability facts to build mutants
-/// that are unsafe by construction.
-struct StmtContext {
-  const Statement* stmt = nullptr;
-  std::uint32_t active_mask = 0;
-};
-[[nodiscard]] std::vector<StmtContext> statement_contexts(const Schedule& s);
 
 }  // namespace verify
 }  // namespace mcf

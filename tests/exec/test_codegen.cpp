@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/program.hpp"
+#include "support/rng.hpp"
 
 namespace mcf {
 namespace {
@@ -77,6 +78,50 @@ TEST(CompiledKernel, RejectsSmemOverflow) {
       a100());
   EXPECT_FALSE(kernel.ok());
   EXPECT_NE(kernel.error().find("shared memory"), std::string::npos);
+}
+
+// The jit keys its on-disk cache on the emitted source, so any change to
+// the printed C++ must come with a kEmitterVersion bump.  One schedule per
+// emitter path: exact and fringe tiles, every epilogue, a hoisted store.
+TEST(CppEmitter, GoldenSourceDigests) {
+  static const ChainSpec exact = ChainSpec::gemm_chain("g-exact", 1, 128, 128, 64, 64);
+  static const ChainSpec fringe = ChainSpec::gemm_chain("g-fringe", 2, 96, 80, 48, 56);
+  static const ChainSpec relu("g-relu", 2, 64, {32, 64, 32}, {Epilogue::Relu, Epilogue::None});
+  static const ChainSpec gelu("g-gelu", 1, 80, {48, 72, 40}, {Epilogue::Gelu, Epilogue::None});
+  static const ChainSpec attn = ChainSpec::attention("g-attn", 2, 64, 72, 32, 32);
+  static const ChainSpec hoist = ChainSpec::gemm_chain("g-hoist", 1, 256, 256, 128, 128);
+  struct Golden {
+    const char* tag;
+    Schedule s;
+    std::uint64_t digest;
+  };
+  const std::vector<Golden> cases = {
+      {"exact", build_schedule(exact, make_deep_expr(exact, {0, 3, 2, 1}),
+                               std::vector<std::int64_t>{32, 32, 32, 32}),
+       0xba01917aa7c3eac4ULL},
+      {"fringe", build_schedule(fringe, make_deep_expr(fringe, {0, 3, 2, 1}),
+                                std::vector<std::int64_t>{40, 48, 28, 24}),
+       0xc9114a7b0a7943a6ULL},
+      {"relu", build_schedule(relu, make_deep_expr(relu, {0, 3, 2, 1}),
+                              std::vector<std::int64_t>{32, 32, 32, 32}),
+       0xa9f4c449693e37acULL},
+      {"gelu", build_schedule(gelu, make_deep_expr(gelu, {0, 3, 2, 1}),
+                              std::vector<std::int64_t>{32, 48, 24, 40}),
+       0xef73fa31ac0cb648ULL},
+      {"softmax", build_schedule(attn, make_deep_expr(attn, {0, 3, 2, 1}),
+                                 std::vector<std::int64_t>{24, 64, 16, 16}),
+       0xd12eb1549f748026ULL},
+      {"hoisted-store", build_schedule(hoist, make_flat_expr(hoist, {0, 2}, {1, 3}),
+                                       std::vector<std::int64_t>{64, 64, 64, 64}),
+       0xf320b17b840a66dcULL},
+  };
+  for (const Golden& g : cases) {
+    ASSERT_TRUE(g.s.valid() && g.s.consume_complete()) << g.tag;
+    const std::string code = emit_cpp_kernel(g.s, "golden_kernel").code;
+    EXPECT_EQ(hash_string(code), g.digest)
+        << g.tag << " (0x" << std::hex << hash_string(code)
+        << "): emitter output changed — bump kEmitterVersion in exec/jit.cpp";
+  }
 }
 
 TEST(CompiledKernel, MeasureProducesTime) {

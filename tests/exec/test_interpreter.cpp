@@ -1,21 +1,27 @@
 // Functional interpreter correctness.
 //
 // Property tests (TEST_P) sweep tiling expressions x tile sizes x chain
-// kinds and assert two invariants for every consume-complete schedule:
+// kinds x (power-of-two and ragged) dims and assert, for every
+// consume-complete schedule:
 //   1. the fused kernel's numerical output equals the unfused reference;
 //   2. the dynamically counted traffic/FLOPs equal dag/volume's static
 //      analysis exactly (the repo's analogue of the paper's NVPTX
-//      validation).
+//      validation);
+//   3. the verifier proves the lowered kernel safe;
+//   4. when a host compiler exists, the jit-compiled kernel (the same
+//      lowering, printed as C++) also matches the reference.
 #include <gtest/gtest.h>
 
 #include "dag/volume.hpp"
 #include "exec/interpreter.hpp"
+#include "exec/jit.hpp"
 #include "tensor/ops.hpp"
+#include "verify/verify.hpp"
 
 namespace mcf {
 namespace {
 
-enum class ChainKind { Plain, Relu, Attention };
+enum class ChainKind { Plain, Relu, Gelu, Attention };
 
 const char* kind_name(ChainKind k) {
   switch (k) {
@@ -23,6 +29,8 @@ const char* kind_name(ChainKind k) {
       return "plain";
     case ChainKind::Relu:
       return "relu";
+    case ChainKind::Gelu:
+      return "gelu";
     case ChainKind::Attention:
       return "attention";
   }
@@ -36,6 +44,8 @@ ChainSpec make_chain(ChainKind kind, std::int64_t batch, std::int64_t m,
       return ChainSpec::gemm_chain("plain", batch, m, n, k, h);
     case ChainKind::Relu:
       return ChainSpec("relu", batch, m, {k, n, h}, {Epilogue::Relu, Epilogue::None});
+    case ChainKind::Gelu:
+      return ChainSpec("gelu", batch, m, {k, n, h}, {Epilogue::Gelu, Epilogue::None});
     case ChainKind::Attention:
       return ChainSpec::attention("attn", batch, m, n, k, h);
   }
@@ -44,45 +54,116 @@ ChainSpec make_chain(ChainKind kind, std::int64_t batch, std::int64_t m,
 
 void reference(const ChainSpec& chain, ChainKind kind, const Tensor& a,
                const std::vector<Tensor>& w, Tensor& out) {
-  const ops::ChainEpilogue epi = kind == ChainKind::Plain
-                                     ? ops::ChainEpilogue::None
-                                     : (kind == ChainKind::Relu
-                                            ? ops::ChainEpilogue::Relu
-                                            : ops::ChainEpilogue::Softmax);
+  ops::ChainEpilogue epi = ops::ChainEpilogue::None;
+  if (kind == ChainKind::Relu) epi = ops::ChainEpilogue::Relu;
+  if (kind == ChainKind::Gelu) epi = ops::ChainEpilogue::Gelu;
+  if (kind == ChainKind::Attention) epi = ops::ChainEpilogue::Softmax;
   ops::gemm_chain_reference(a, w[0], w[1], out, epi, chain.softmax_scale());
+}
+
+/// Sweep dims (batch, m, n, k, h): every tile in the sweep divides or pads
+/// the power-of-two set; the ragged set puts a fringe on every dimension.
+struct Dims {
+  std::int64_t batch, m, n, k, h;
+};
+constexpr Dims kEvenDims{2, 96, 96, 48, 48};
+constexpr Dims kRaggedDims{2, 80, 72, 40, 56};
+
+/// Static storage: a Schedule keeps a ChainSpec pointer.
+const ChainSpec& sweep_chain(ChainKind kind, bool ragged) {
+  static const std::vector<ChainSpec> chains = [] {
+    std::vector<ChainSpec> out;
+    for (const Dims& d : {kEvenDims, kRaggedDims}) {
+      for (const ChainKind k : {ChainKind::Plain, ChainKind::Relu,
+                                ChainKind::Gelu, ChainKind::Attention}) {
+        out.push_back(make_chain(k, d.batch, d.m, d.n, d.k, d.h));
+      }
+    }
+    return out;
+  }();
+  return chains[(ragged ? 4u : 0u) + static_cast<std::size_t>(kind)];
 }
 
 struct Case {
   ChainKind kind;
+  bool ragged;
   bool flat;
   std::vector<int> order;  // deep order (ignored when flat)
   std::vector<std::int64_t> tiles;
 };
 
+Schedule case_schedule(const Case& c) {
+  const ChainSpec& chain = sweep_chain(c.kind, c.ragged);
+  const TileExpr expr = c.flat ? make_flat_expr(chain, {0, 2}, {1, 3})
+                               : make_deep_expr(chain, c.order);
+  return build_schedule(chain, expr, c.tiles);
+}
+
 std::string case_name(const testing::TestParamInfo<Case>& info) {
   const Case& c = info.param;
   std::string name = kind_name(c.kind);
+  if (c.ragged) name += "_ragged";
   name += c.flat ? "_flat" : "_deep";
   for (const int l : c.order) name += std::to_string(l);
   for (const auto t : c.tiles) name += "_" + std::to_string(t);
   return name;
 }
 
-class FusedKernelProperty : public testing::TestWithParam<Case> {};
+std::vector<Case> make_cases() {
+  std::vector<Case> cases;
+  const std::vector<std::vector<int>> deep_orders = {
+      {0, 3, 2, 1},  // mhnk -> nk
+      {0, 2, 3, 1},  // -> nk variant
+      {0, 3, 1, 2},  // -> kn (complete only when Tk == K)
+  };
+  const std::vector<std::vector<std::int64_t>> tile_sets = {
+      {32, 16, 32, 16}, {48, 48, 48, 48}, {96, 16, 96, 48},
+      {32, 48, 32, 48}, {16, 32, 48, 16},
+  };
+  for (const bool ragged : {false, true}) {
+    for (const ChainKind kind : {ChainKind::Plain, ChainKind::Relu,
+                                 ChainKind::Gelu, ChainKind::Attention}) {
+      for (const auto& order : deep_orders) {
+        for (const auto& tiles : tile_sets) {
+          cases.push_back(Case{kind, ragged, false, order, tiles});
+        }
+      }
+      for (const auto& tiles : tile_sets) {
+        cases.push_back(Case{kind, ragged, true, {}, tiles});
+      }
+    }
+  }
+  return cases;
+}
+
+constexpr const char* kJitKey = "interp-sweep";
+
+class FusedKernelProperty : public testing::TestWithParam<Case> {
+ protected:
+  /// One compiler invocation for every kernel of the sweep.
+  static void SetUpTestSuite() {
+    const jit::Toolchain tc = jit::detect_toolchain();
+    if (!tc.ok()) return;
+    std::vector<Schedule> schedules;
+    for (const Case& c : make_cases()) {
+      Schedule s = case_schedule(c);
+      if (s.valid() && s.consume_complete()) schedules.push_back(std::move(s));
+    }
+    std::vector<const Schedule*> batch;
+    for (const Schedule& s : schedules) batch.push_back(&s);
+    jit::prepare_kernels(batch, kJitKey, tc);
+  }
+};
 
 TEST_P(FusedKernelProperty, MatchesReferenceAndStaticCounts) {
   const Case& p = GetParam();
-  // Dims chosen so every tile in the sweep divides or pads them.
-  const std::int64_t batch = 2;
-  const std::int64_t m = 96;
-  const std::int64_t n = 96;
-  const std::int64_t k = 48;
-  const std::int64_t h = 48;
-  const ChainSpec chain = make_chain(p.kind, batch, m, n, k, h);
-
-  const TileExpr expr = p.flat ? make_flat_expr(chain, {0, 2}, {1, 3})
-                               : make_deep_expr(chain, p.order);
-  const Schedule s = build_schedule(chain, expr, p.tiles);
+  const ChainSpec& chain = sweep_chain(p.kind, p.ragged);
+  const std::int64_t batch = chain.batch();
+  const std::int64_t m = chain.m();
+  const std::int64_t k = chain.inner()[0];
+  const std::int64_t n = chain.inner()[1];
+  const std::int64_t h = chain.inner()[2];
+  const Schedule s = case_schedule(p);
   ASSERT_TRUE(s.valid());
   if (!s.consume_complete()) GTEST_SKIP() << "Rule-2 schedule, not executable";
 
@@ -110,31 +191,18 @@ TEST_P(FusedKernelProperty, MatchesReferenceAndStaticCounts) {
   EXPECT_DOUBLE_EQ(counters.flops, vol.flops);
   EXPECT_DOUBLE_EQ(counters.epilogue_flops, vol.epilogue_flops);
   EXPECT_DOUBLE_EQ(counters.stmt_trips, vol.stmt_trips);
-}
 
-std::vector<Case> make_cases() {
-  std::vector<Case> cases;
-  const std::vector<std::vector<int>> deep_orders = {
-      {0, 3, 2, 1},  // mhnk -> nk
-      {0, 2, 3, 1},  // -> nk variant
-      {0, 3, 1, 2},  // -> kn (complete only when Tk == K)
-  };
-  const std::vector<std::vector<std::int64_t>> tile_sets = {
-      {32, 16, 32, 16}, {48, 48, 48, 48}, {96, 16, 96, 48},
-      {32, 48, 32, 48}, {16, 32, 48, 16},
-  };
-  for (const ChainKind kind :
-       {ChainKind::Plain, ChainKind::Relu, ChainKind::Attention}) {
-    for (const auto& order : deep_orders) {
-      for (const auto& tiles : tile_sets) {
-        cases.push_back(Case{kind, false, order, tiles});
-      }
-    }
-    for (const auto& tiles : tile_sets) {
-      cases.push_back(Case{kind, true, {}, tiles});
-    }
-  }
-  return cases;
+  const verify::VerifyReport rep = verify::verify_schedule(s);
+  EXPECT_TRUE(rep.safe()) << rep.to_json();
+
+  // The jit self-disables under sanitizer builds (no toolchain).
+  if (!jit::detect_toolchain().ok()) return;
+  const JitKernel kernel(s, kJitKey);
+  ASSERT_TRUE(kernel.ok()) << kernel.error();
+  Tensor out_jit(Shape{batch, m, h});
+  kernel.run(a, w, out_jit);
+  EXPECT_TRUE(allclose(out_jit, ref, 1e-3, 1e-4))
+      << "jit max diff " << max_abs_diff(out_jit, ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FusedKernelProperty,

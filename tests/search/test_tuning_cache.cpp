@@ -1,6 +1,9 @@
 #include "search/tuning_cache.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -161,6 +164,60 @@ TEST(TuningCache, RawKeyRecordsRoundTrip) {
   EXPECT_EQ(hit->time_s, 7.5e-6);
   EXPECT_FALSE(loaded.get_raw("b1m512x64x256@abc123@64,64", "RTX3080"));
   std::filesystem::remove(path);
+}
+
+// A save killed mid-write must leave a loadable file holding the old or
+// the new records, never a torn mix: a forked child saves a large cache
+// in a loop and is SIGKILLed at varied delays.
+TEST(TuningCache, SaveSurvivesKillMidWrite) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("mcf_cache_kill_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "cache.txt").string();
+  TuningCache old_cache;
+  TuningCache new_cache;
+  for (int i = 0; i < 50; ++i) {
+    old_cache.put_raw("old" + std::to_string(i), "A100",
+                      CachedSchedule{"e", {16, 32}, 1e-6});
+  }
+  for (int i = 0; i < 40000; ++i) {
+    new_cache.put_raw("new" + std::to_string(i), "A100",
+                      CachedSchedule{"b0b3|2(1)", {64, 128, 64, 32}, 2.5e-5});
+  }
+  for (int round = 0; round < 16; ++round) {
+    ASSERT_TRUE(old_cache.save(path));
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      for (;;) (void)new_cache.save(path);
+    }
+    ::usleep(static_cast<useconds_t>(500 + (round * 2711) % 40000));
+    ::kill(child, SIGKILL);
+    int status = 0;
+    ::waitpid(child, &status, 0);
+    TuningCache loaded;
+    EXPECT_TRUE(loaded.load(path)) << "round " << round << ": torn file";
+    EXPECT_TRUE(loaded.size() == old_cache.size() ||
+                loaded.size() == new_cache.size())
+        << "round " << round << ": " << loaded.size() << " records";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TuningCache, FailedSaveLeavesNoTempFile) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("mcf_cache_fail_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir / "cache.txt");
+  TuningCache cache;
+  cache.put(chain(), a100(), CachedSchedule{"key", {32, 64, 128, 16}, 2e-5});
+  // The temporary is written, but renaming it onto a directory fails.
+  EXPECT_FALSE(cache.save((dir / "cache.txt").string()));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TuningCache, LoadMissingFileFails) {

@@ -7,9 +7,10 @@
 //                        mutant we also execute must trip ASan (the
 //                        corpus injects real bugs, not verifier quirks)
 //
-// This is the empirical check that verify.cpp's access model matches
-// what exec/codegen.cpp actually emits; a model drift shows up here as
-// either a surprise ASan report or a surprise clean run.  Kept to a
+// The verifier and the emitter read the same exec/lower descriptors;
+// this is the empirical check that the printed C++ really touches what
+// those descriptors say — a drift shows up here as either a surprise
+// ASan report or a surprise clean run.  Kept to a
 // handful of compiles — each standalone -fsanitize=address build costs
 // a few seconds.
 #include <gtest/gtest.h>
@@ -133,8 +134,8 @@ TEST(Differential, VerifierSafeImpliesAsanSilent) {
     const verify::VerifyReport r = verify::verify_schedule(s);
     ASSERT_TRUE(r.safe()) << cs.tag << ": " << r.to_json();
     EXPECT_EQ(compile_and_run_asan(emit_driver_tu(s, r.n_blocks), cs.tag), 0)
-        << cs.tag << ": verifier-safe kernel tripped ASan (model drift "
-           "between verify.cpp and codegen.cpp)";
+        << cs.tag << ": verifier-safe kernel tripped ASan (the emitted "
+           "code drifted from its lowered descriptors)";
   }
 }
 

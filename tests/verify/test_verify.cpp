@@ -201,18 +201,6 @@ TEST(Verify, HugeChainOffsetsFlaggedAsOverflow) {
   EXPECT_EQ(verify::verify_gate_error(s).rfind(verify::kGateErrorPrefix, 0), 0u);
 }
 
-TEST(Verify, StatementContextsCoverAllStatements) {
-  const Schedule s = deep_schedule(fig7_chain(), {32, 32, 32, 32});
-  const auto ctxs = verify::statement_contexts(s);
-  EXPECT_EQ(ctxs.size(), s.statements_in_order().size());
-  std::uint32_t block_mask = 0;
-  for (const int l : s.block_loops()) block_mask |= 1u << l;
-  for (const auto& ctx : ctxs) {
-    ASSERT_NE(ctx.stmt, nullptr);
-    EXPECT_EQ(ctx.active_mask & block_mask, block_mask);
-  }
-}
-
 TEST(Verify, EnvKnobControlsGate) {
   ::setenv("MCFUSER_VERIFY", "0", 1);
   EXPECT_FALSE(verify::verify_enabled());

@@ -59,6 +59,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "search/space.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 #include "verify/mutate.hpp"
 #include "verify/verify.hpp"
@@ -848,8 +849,8 @@ int cmd_verify(const Args& args) {
     mutants_flagged += chain_mut_flagged;
     if (json) {
       if (!chains_json.empty()) chains_json += ",";
-      chains_json += "{\"name\":\"" + chain.name() +
-                     "\",\"shape\":\"" + chain.to_string() +
+      chains_json += "{\"name\":\"" + json_escape(chain.name()) +
+                     "\",\"shape\":\"" + json_escape(chain.to_string()) +
                      "\",\"grid\":" + std::to_string(cands.size()) +
                      ",\"checked\":" + std::to_string(chain_checked) +
                      ",\"violations\":" + std::to_string(chain_violations) +
