@@ -6,7 +6,7 @@
 // memo of finished FusionResults.  Three front doors:
 //
 //   * fuse(chain)        — synchronous, runs inline on the caller's thread;
-//                          bit-identical to the classic MCFuser::fuse()
+//                          bit-identical to the pre-engine pipeline
 //                          (pinned by tests/engine/test_regression.cpp).
 //   * submit(chain)      — asynchronous; returns a FusionTicket with
 //                          wait()/ready()/cancel() and live progress
@@ -106,10 +106,10 @@ struct FusionEngineOptions {
   PruneOptions prune;      ///< smem_limit_bytes is overwritten from the GPU
   ScheduleOptions sched;   ///< hoisting / unit-collapse flags
   TunerOptions tuner;
-  /// Measurement backend by registry name ("sim", "interp", "cached-sim",
-  /// see measure/backend.hpp).  Empty = tuner.backend if set, else the
-  /// simulator.  Resolved once at engine construction; an unknown name
-  /// aborts with the registered names in the message.
+  /// Measurement backend by registry name ("sim", "interp", "jit",
+  /// "jit-isolated"; see measure/backend.hpp).  Empty = tuner.backend if
+  /// set, else the simulator.  Resolved once at engine construction; an
+  /// unknown name aborts with the registered names in the message.
   std::string backend;
   /// Worker threads for asynchronous submission and graph-level batch
   /// fusion (distinct chains tune concurrently).  0 = hardware
@@ -385,7 +385,8 @@ class FusionEngine {
   [[nodiscard]] static FusionEngineOptions chimera_options();
 
  private:
-  /// The classic MCFuser::fuse() pipeline plus status/reason mapping.
+  /// The single-chain pipeline (space -> prune -> tune -> compile) plus
+  /// status/reason mapping.
   /// `prebuilt` (nullable) reuses a SearchSpace the caller already built
   /// for this chain with this engine's options (fuse_cached's miss path).
   [[nodiscard]] FusionResult run_one(const ChainSpec& chain,

@@ -1,6 +1,7 @@
 #include "exec/jit.hpp"
 
 #include <dlfcn.h>
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -222,8 +223,12 @@ struct CommandResult {
 [[nodiscard]] CommandResult run_command_deadline(const std::string& cmd,
                                                  double deadline_s) {
   CommandResult r;
+  // O_CLOEXEC atomically (dup2 onto 1/2 clears it in the child): a sandbox
+  // worker exec'd by another thread mid-compile must not inherit the write
+  // end, or the read below waits for that worker to exit instead of the
+  // compiler (in practice: until the compile deadline).
   int fds[2];
-  if (::pipe(fds) != 0) return r;
+  if (::pipe2(fds, O_CLOEXEC) != 0) return r;
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);

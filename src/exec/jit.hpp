@@ -41,8 +41,8 @@
 // configured the library with (MCF_JIT_CXX), else `c++` on PATH.  When no
 // working compiler exists (or under sanitizer builds, where uninstrumented
 // JIT objects would poison the ASan/UBSan gate) everything degrades
-// gracefully: JitKernel construction fails with a reason and the "jit"
-// MeasureBackend falls back to the interpreter (measure/backend.hpp).
+// gracefully: JitKernel construction fails with a reason and ExecBackend's
+// cascade starts on its interpreter rung (measure/backend.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,11 @@
 // Crash-isolated measurement workers — the process boundary between the
 // FusionEngine and the native code it measures.
 //
-// The jit backend (measure/backend.hpp) runs candidate kernels in the
-// engine's own address space: one miscompiled or ill-behaved kernel
-// (SIGSEGV, SIGFPE, infinite loop) takes down the whole service and
-// every queued ticket with it.  This subsystem moves execution behind a
-// pool of fork/exec'd worker processes:
+// The in-process native rung of ExecBackend (measure/backend.hpp) runs
+// candidate kernels in the engine's own address space: one miscompiled
+// or ill-behaved kernel (SIGSEGV, SIGFPE, infinite loop) takes down the
+// whole service and every queued ticket with it.  This subsystem moves
+// execution behind a pool of fork/exec'd worker processes:
 //
 //   * WorkerPool — spawns `/proc/self/exe` with MCFUSER_SANDBOX_WORKER
 //     set; the re-exec'd binary detects the flag in an early constructor
@@ -33,8 +33,8 @@
 // Availability: sandboxing self-disables under sanitizer builds (like
 // the jit — uninstrumented workers would evade the ASan/UBSan gate),
 // when MCFUSER_SANDBOX=0, or when /proc/self/exe is not executable.
-// Consumers (the "jit-isolated" backend) degrade to the in-process
-// jit/interp path, so measure() always answers.
+// ExecBackend's "jit-isolated" preset then starts its cascade on the
+// in-process native/interpreter rungs, so measure() always answers.
 #pragma once
 
 #include <cstdint>
@@ -120,7 +120,9 @@ struct RunRequest {
   std::int64_t scratch_floats = 0; ///< cpp_kernel_scratch_floats(s)
   int warmup = 1;
   int repeats = 3;
-  std::uint64_t data_seed = 1;  ///< same seeding as ExecMeasureState::data
+  /// Input seed; ExecBackend always sends detail::kMeasureDataSeed, the
+  /// seeding ExecMeasureState::data uses in-process.
+  std::uint64_t data_seed = 1;
   /// Block fan-out cap (MeasureOptions::exec_threads): the worker replays
   /// the host's jit::run_compiled chunking geometry.  <= 0 = the worker's
   /// full pool concurrency.
@@ -148,8 +150,8 @@ struct RunResult {
 /// concurrent callers check out idle workers (blocking when all
 /// `workers` are busy) and dead workers are respawned lazily.  The
 /// destructor kills and reaps everything.  Does NOT consult the crash
-/// negative-cache — that policy lives in the caller (IsolatedJitBackend)
-/// so the pool stays a pure transport.
+/// negative-cache — that policy lives in the caller (ExecBackend's sandbox
+/// rung) so the pool stays a pure transport.
 class WorkerPool {
  public:
   explicit WorkerPool(PoolOptions opt = default_pool_options());

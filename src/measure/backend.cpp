@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <sstream>
 
 #include "exec/codegen.hpp"
 #include "exec/interpreter.hpp"
 #include "gpu/smem.hpp"
-#include "support/logging.hpp"
+#include "search/tuning_cache.hpp"
 #include "support/rng.hpp"
 #include "tensor/tensor.hpp"
 #include "verify/verify.hpp"
@@ -43,7 +42,7 @@ std::uint64_t schedule_structure_digest(const Schedule& s) {
   return h;
 }
 
-// ---- shared state of the execution-based backends ---------------------------
+// ---- per-instance memos of the execution backend ----------------------------
 
 namespace detail {
 
@@ -93,9 +92,8 @@ ExecMeasureState::Gate ExecMeasureState::gate(const Schedule& s,
 }
 
 std::shared_ptr<const ExecMeasureState::ChainData> ExecMeasureState::data(
-    const ChainSpec& chain, std::uint64_t data_seed) const {
-  const std::string key =
-      chain_cache_key(chain) + "#" + std::to_string(data_seed);
+    const ChainSpec& chain) const {
+  const std::string key = chain_cache_key(chain);
   {
     const LockGuard lock(mu_);
     if (const auto* hit = data_.find(key)) return *hit;
@@ -106,12 +104,12 @@ std::shared_ptr<const ExecMeasureState::ChainData> ExecMeasureState::data(
   // the first insert wins.
   auto fresh = std::make_shared<ChainData>();
   fresh->a = Tensor(Shape{chain.batch(), chain.m(), chain.inner().front()});
-  fresh->a.fill_random(data_seed);
+  fresh->a.fill_random(kMeasureDataSeed);
   fresh->weights.reserve(static_cast<std::size_t>(chain.num_ops()));
   for (int op = 0; op < chain.num_ops(); ++op) {
     Tensor w(Shape{chain.batch(), chain.inner()[static_cast<std::size_t>(op)],
                    chain.inner()[static_cast<std::size_t>(op) + 1]});
-    w.fill_random(data_seed + static_cast<std::uint64_t>(op) + 1);
+    w.fill_random(kMeasureDataSeed + static_cast<std::uint64_t>(op) + 1);
     fresh->weights.push_back(std::move(w));
   }
   const std::size_t fresh_bytes = fresh->bytes();
@@ -145,13 +143,12 @@ std::uint64_t ExecMeasureState::evictions() const {
 
 namespace {
 
-/// The outlier-robust estimator every wall-clock path shares: clamp each
-/// sample at a nanosecond (a sample below clock resolution must not
-/// produce time_s == 0 — the contract promises time_s > 0 on ok), sort,
-/// drop trim_fraction of the samples from each end, average the rest.
-/// The sandboxed backend feeds worker-returned samples through the SAME
-/// arithmetic, which is what keeps isolated and in-process timings
-/// directly comparable.
+/// The outlier-robust estimator every rung shares: clamp each sample at a
+/// nanosecond (a sample below clock resolution must not produce time_s ==
+/// 0 — the contract promises time_s > 0 on ok), sort, drop trim_fraction
+/// of the samples from each end, average the rest.  Worker-returned
+/// samples go through the SAME arithmetic, which is what keeps sandboxed
+/// and in-process timings directly comparable.
 double trimmed_mean(std::vector<double> samples, double trim_fraction) {
   for (double& sample : samples) sample = std::max(sample, 1e-9);
   std::sort(samples.begin(), samples.end());
@@ -165,174 +162,73 @@ double trimmed_mean(std::vector<double> samples, double trim_fraction) {
          static_cast<double>(hi - lo);
 }
 
-/// Warm-up / repeat / trimmed-mean wall-clock sampling shared by the
-/// execution-based backends.  `run` executes the kernel once.
-double sample_trimmed_wall(const std::function<void()>& run, int warmup,
-                           int repeats, double trim_fraction,
-                           const std::function<double()>& clock) {
-  for (int i = 0; i < warmup; ++i) run();
-  std::vector<double> samples(static_cast<std::size_t>(repeats));
-  for (double& sample : samples) {
-    const double t0 = clock();
-    run();
-    sample = clock() - t0;
-  }
-  return trimmed_mean(std::move(samples), trim_fraction);
-}
-
-std::function<double()> steady_clock_seconds() {
-  return [] {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  };
+bool verify_rejected(const std::string& err) {
+  return err.rfind(verify::kGateErrorPrefix, 0) == 0;
 }
 
 }  // namespace
 
-// ---- InterpreterBackend -----------------------------------------------------
+// ---- ExecBackend ------------------------------------------------------------
 
-InterpreterBackend::InterpreterBackend(GpuSpec spec,
-                                       InterpreterBackendOptions options)
+std::string_view exec_rung_name(ExecRung rung) noexcept {
+  switch (rung) {
+    case ExecRung::Sandbox:
+      return "jit-isolated";
+    case ExecRung::Native:
+      return "jit";
+    case ExecRung::Interpreter:
+    default:
+      return "interp";
+  }
+}
+
+ExecBackend::ExecBackend(GpuSpec spec, ExecBackendOptions options)
     : sim_(std::move(spec)), opt_(std::move(options)),
       state_(opt_.memo_limits) {
   opt_.warmup = std::max(opt_.warmup, 0);
   opt_.repeats = std::max(opt_.repeats, 1);
   opt_.trim_fraction = std::clamp(opt_.trim_fraction, 0.0, 0.49);
-  if (!opt_.clock) opt_.clock = steady_clock_seconds();
-}
-
-KernelMeasurement InterpreterBackend::measure(
-    const Schedule& s, const MeasureOptions& /*options*/) const {
-  KernelMeasurement m;
-  const detail::ExecMeasureState::Gate gate = state_.gate(s, spec());
-  m.n_blocks = gate.n_blocks;
-  m.smem_bytes = gate.smem_bytes;
-  if (!gate.ok) {
-    m.fail_reason = gate.fail_reason;
-    return m;
+  if (!opt_.clock) {
+    opt_.clock = [] {
+      return std::chrono::duration<double>(
+                 std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+    };
   }
-
-  const auto data = state_.data(s.chain(), opt_.data_seed);
-  const ChainSpec& chain = s.chain();
-  Tensor out(Shape{chain.batch(), chain.m(), chain.inner().back()});
-  const Interpreter interp(s);
-  m.time_s = sample_trimmed_wall(
-      [&] { (void)interp.run(data->a, data->weights, out); }, opt_.warmup,
-      opt_.repeats, opt_.trim_fraction, opt_.clock);
-  m.ok = true;
-  return m;
-}
-
-// ---- JitBackend -------------------------------------------------------------
-
-JitBackend::JitBackend(GpuSpec spec, JitBackendOptions options)
-    : sim_(std::move(spec)), opt_(std::move(options)),
-      toolchain_(jit::detect_toolchain()), state_(opt_.memo_limits) {
-  opt_.warmup = std::max(opt_.warmup, 0);
-  opt_.repeats = std::max(opt_.repeats, 1);
-  opt_.trim_fraction = std::clamp(opt_.trim_fraction, 0.0, 0.49);
-  if (!opt_.clock) opt_.clock = steady_clock_seconds();
-}
-
-KernelMeasurement JitBackend::measure(const Schedule& s,
-                                      const MeasureOptions& options) const {
-  KernelMeasurement m;
-  const detail::ExecMeasureState::Gate gate = state_.gate(s, spec());
-  m.n_blocks = gate.n_blocks;
-  m.smem_bytes = gate.smem_bytes;
-  if (!gate.ok) {
-    m.fail_reason = gate.fail_reason;
-    return m;
+  if (opt_.preset == ExecRung::Interpreter) return;
+  toolchain_ = jit::detect_toolchain();
+  if (!toolchain_.ok()) {
+    // No toolchain means no artifact for either native rung.
+    fallback_reason_ = toolchain_.reason;
+    return;
   }
-
-  const auto data = state_.data(s.chain(), opt_.data_seed);
-  const ChainSpec& chain = s.chain();
-  Tensor out(Shape{chain.batch(), chain.m(), chain.inner().back()});
-
-  // Native path; a missing toolchain or a (negative-cached) compile
-  // failure degrades to the interpreter so measure() always answers.
-  if (toolchain_.ok()) {
-    std::string err;
-    // `rk.module` lives on this frame across all samples: a concurrent
-    // registry eviction cannot unmap the code mid-measurement.
-    const jit::ResolvedKernel rk =
-        jit::resolve_kernel(s, spec().name, toolchain_, &err);
-    if (rk.ok()) {
-      // Per-call scratch (concurrent measure() calls stay independent),
-      // reused across the warmup/repeat samples inside.
-      std::vector<std::vector<float>> scratch;
-      m.time_s = sample_trimmed_wall(
-          [&] {
-            jit::run_compiled(rk.fn, s, data->a, data->weights, out, scratch,
-                              options.exec_threads);
-          },
-          opt_.warmup, opt_.repeats, opt_.trim_fraction, opt_.clock);
-      m.ok = true;
-      return m;
-    }
-    // A verifier rejection is a property of the schedule, not of the
-    // toolchain: degrading to the interpreter would happily "measure" a
-    // kernel the gate just proved unsafe to compile.  Fail it instead.
-    if (err.rfind(verify::kGateErrorPrefix, 0) == 0) {
-      m.fail_reason = std::move(err);
-      m.fail_kind = MeasureFailKind::VerifyRejected;
-      return m;
-    }
-  }
-
-  const Interpreter interp(s);
-  m.time_s = sample_trimmed_wall(
-      [&] { (void)interp.run(data->a, data->weights, out); }, opt_.warmup,
-      opt_.repeats, opt_.trim_fraction, opt_.clock);
-  m.ok = true;
-  return m;
-}
-
-void JitBackend::prepare_batch(std::span<const Schedule* const> schedules,
-                               const MeasureOptions& /*options*/) const {
-  if (!toolchain_.ok()) return;
-  // Only schedules that pass the lowering gate are worth compiling (the
-  // paper's quadrant-II candidates never reach execution).
-  std::vector<const Schedule*> feasible;
-  feasible.reserve(schedules.size());
-  for (const Schedule* s : schedules) {
-    if (s != nullptr && state_.gate(*s, spec()).ok) feasible.push_back(s);
-  }
-  jit::prepare_kernels(feasible, spec().name, toolchain_);
-}
-
-// ---- IsolatedJitBackend -----------------------------------------------------
-
-IsolatedJitBackend::IsolatedJitBackend(GpuSpec spec,
-                                       IsolatedJitBackendOptions options)
-    : opt_(std::move(options)),
-      fallback_(std::move(spec),
-                JitBackendOptions{opt_.warmup, opt_.repeats, opt_.trim_fraction,
-                                  opt_.data_seed, opt_.clock,
-                                  opt_.memo_limits}),
-      toolchain_(jit::detect_toolchain()), state_(opt_.memo_limits) {
-  opt_.warmup = std::max(opt_.warmup, 0);
-  opt_.repeats = std::max(opt_.repeats, 1);
-  opt_.trim_fraction = std::clamp(opt_.trim_fraction, 0.0, 0.49);
+  if (opt_.preset != ExecRung::Sandbox) return;
   const sandbox::Availability avail = sandbox::availability();
-  if (opt_.disable_sandbox) {
-    inactive_reason_ = "sandbox disabled by backend options";
-  } else if (!avail.ok) {
-    inactive_reason_ = avail.reason;
-  } else if (!toolchain_.ok()) {
-    // No toolchain means no artifact to hand a worker; the fallback
-    // degrades further to the interpreter on its own.
-    inactive_reason_ = toolchain_.reason;
-  } else {
+  if (avail.ok) {
     pool_ = std::make_unique<sandbox::WorkerPool>(opt_.pool);
+  } else {
+    fallback_reason_ = avail.reason;
   }
 }
 
-KernelMeasurement IsolatedJitBackend::measure(
-    const Schedule& s, const MeasureOptions& options) const {
-  if (pool_ == nullptr) return fallback_.measure(s, options);
+ExecRung ExecBackend::top_rung() const noexcept {
+  if (pool_ != nullptr) return ExecRung::Sandbox;
+  return toolchain_.ok() ? ExecRung::Native : ExecRung::Interpreter;
+}
 
+double ExecBackend::sample(const std::function<void()>& run) const {
+  for (int i = 0; i < opt_.warmup; ++i) run();
+  std::vector<double> samples(static_cast<std::size_t>(opt_.repeats));
+  for (double& sample : samples) {
+    const double t0 = opt_.clock();
+    run();
+    sample = opt_.clock() - t0;
+  }
+  return trimmed_mean(std::move(samples), opt_.trim_fraction);
+}
+
+KernelMeasurement ExecBackend::measure(const Schedule& s,
+                                       const MeasureOptions& options) const {
   KernelMeasurement m;
   const detail::ExecMeasureState::Gate gate = state_.gate(s, spec());
   m.n_blocks = gate.n_blocks;
@@ -342,29 +238,66 @@ KernelMeasurement IsolatedJitBackend::measure(
     m.fail_kind = MeasureFailKind::Generic;
     return m;
   }
+  if (pool_ != nullptr && measure_in_worker(s, options, m)) return m;
 
-  // Resolve the on-disk artifact (compiling at most once) WITHOUT
-  // loading it into this process; a compile failure degrades to the
-  // in-process path, which reports it the way the jit backend always has.
-  jit::KernelArtifact art = jit::resolve_artifact(s, spec().name, toolchain_);
-  if (!art.ok()) {
-    // Same policy as the in-process backend: a verify-gate rejection must
-    // not degrade to a path that executes the unsafe kernel anyway.
-    if (art.error.rfind(verify::kGateErrorPrefix, 0) == 0) {
-      m.fail_reason = std::move(art.error);
-      m.fail_kind = MeasureFailKind::VerifyRejected;
+  const auto data = state_.data(s.chain());
+  const ChainSpec& chain = s.chain();
+  Tensor out(Shape{chain.batch(), chain.m(), chain.inner().back()});
+  std::string err;
+  if (toolchain_.ok()) {
+    // `rk.module` lives on this frame across all samples: a concurrent
+    // registry eviction cannot unmap the code mid-measurement.
+    const jit::ResolvedKernel rk =
+        jit::resolve_kernel(s, spec().name, toolchain_, &err);
+    if (rk.ok()) {
+      // Per-call scratch (concurrent measure() calls stay independent),
+      // reused across the warmup/repeat samples inside.
+      std::vector<std::vector<float>> scratch;
+      m.time_s = sample([&] {
+        jit::run_compiled(rk.fn, s, data->a, data->weights, out, scratch,
+                          options.exec_threads);
+      });
+      m.ok = true;
       return m;
     }
-    return fallback_.measure(s, options);
+  } else if (verify::verify_enabled()) {
+    // The interpreter has no compile step to hang the verifier gate on.
+    err = verify::verify_gate_error(s);
   }
+  // A verifier rejection is a property of the schedule, not of the
+  // toolchain: the interpreter would happily "measure" a kernel the gate
+  // just proved unsafe.  Any other native failure degrades to it.
+  if (verify_rejected(err)) {
+    m.fail_reason = std::move(err);
+    m.fail_kind = MeasureFailKind::VerifyRejected;
+    return m;
+  }
+  const Interpreter interp(s);
+  m.time_s = sample([&] { (void)interp.run(data->a, data->weights, out); });
+  m.ok = true;
+  return m;
+}
 
-  // Crash negative-cache: a kernel that already killed (or hung) a
-  // worker is answered from the cache — no process is spawned for it
-  // ever again.
+bool ExecBackend::measure_in_worker(const Schedule& s,
+                                    const MeasureOptions& options,
+                                    KernelMeasurement& m) const {
+  // Resolve the on-disk artifact (compiling at most once) WITHOUT loading
+  // it into this process; a compile failure hands over to the native
+  // rung, which reports it the way the in-process path always has.
+  const jit::KernelArtifact art =
+      jit::resolve_artifact(s, spec().name, toolchain_);
+  if (!art.ok()) {
+    if (!verify_rejected(art.error)) return false;
+    m.fail_reason = art.error;
+    m.fail_kind = MeasureFailKind::VerifyRejected;
+    return true;
+  }
+  // Crash negative-cache: a kernel that already killed (or hung) a worker
+  // is answered from the cache — no process is spawned for it ever again.
   if (const auto hit = sandbox::crash_cache_lookup(art.key)) {
     m.fail_reason = hit->reason + " (crash-cache)";
     m.fail_kind = hit->kind;
-    return m;
+    return true;
   }
 
   const ChainSpec& chain = s.chain();
@@ -375,11 +308,11 @@ KernelMeasurement IsolatedJitBackend::measure(
   req.batch = chain.batch();
   req.m = chain.m();
   req.inner = chain.inner();
-  req.n_blocks = gate.n_blocks;
+  req.n_blocks = m.n_blocks;
   req.scratch_floats = cpp_kernel_scratch_floats(s);
   req.warmup = opt_.warmup;
   req.repeats = opt_.repeats;
-  req.data_seed = opt_.data_seed;
+  req.data_seed = detail::kMeasureDataSeed;
   req.threads = options.exec_threads;
 
   sandbox::RunResult r = pool_->run(req);
@@ -401,39 +334,31 @@ KernelMeasurement IsolatedJitBackend::measure(
     case sandbox::RunOutcome::Ok:
       m.time_s = trimmed_mean(std::move(r.samples), opt_.trim_fraction);
       m.ok = true;
-      return m;
+      return true;
     case sandbox::RunOutcome::Failed:
       // Structured worker-side failure (garbage output, unhealable load
-      // failure): negative-cache it — re-running cannot help.
-      sandbox::crash_cache_insert(req.key, MeasureFailKind::Generic, r.reason);
-      m.fail_reason = r.reason;
+      // failure): re-running cannot help.
       m.fail_kind = MeasureFailKind::Generic;
-      return m;
+      break;
     case sandbox::RunOutcome::TimedOut:
-      sandbox::crash_cache_insert(req.key, MeasureFailKind::WorkerTimeout,
-                                  r.reason);
-      m.fail_reason = r.reason;
+      // A hung kernel would burn another full deadline: never retried.
       m.fail_kind = MeasureFailKind::WorkerTimeout;
-      return m;
+      break;
     case sandbox::RunOutcome::Crashed:
     default:
-      sandbox::crash_cache_insert(req.key, MeasureFailKind::WorkerCrashed,
-                                  r.reason);
-      m.fail_reason = r.reason;
       m.fail_kind = MeasureFailKind::WorkerCrashed;
-      return m;
+      break;
   }
+  sandbox::crash_cache_insert(req.key, m.fail_kind, r.reason);
+  m.fail_reason = std::move(r.reason);
+  return true;
 }
 
-void IsolatedJitBackend::prepare_batch(
-    std::span<const Schedule* const> schedules,
-    const MeasureOptions& options) const {
-  if (pool_ == nullptr) {
-    fallback_.prepare_batch(schedules, options);
-    return;
-  }
-  // Same wave-batched compilation as the jit backend; the workers then
-  // dlopen the cached artifacts (one mmap per TU per worker).
+void ExecBackend::prepare_batch(std::span<const Schedule* const> schedules,
+                                const MeasureOptions& /*options*/) const {
+  if (!toolchain_.ok()) return;
+  // Only schedules that pass the lowering gate are worth compiling (the
+  // paper's quadrant-II candidates never reach execution).
   std::vector<const Schedule*> feasible;
   feasible.reserve(schedules.size());
   for (const Schedule* s : schedules) {
@@ -442,150 +367,21 @@ void IsolatedJitBackend::prepare_batch(
   jit::prepare_kernels(feasible, spec().name, toolchain_);
 }
 
-// ---- CachingBackend ---------------------------------------------------------
-
-namespace {
-
-std::string hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
-}
-
-std::string tiles_string(const Schedule& s) {
-  std::string out;
-  for (const auto t : s.tiles()) {
-    if (!out.empty()) out += ",";
-    out += std::to_string(t);
-  }
-  return out;
-}
-
-/// Composite first-field key: chain shape key, structure+options digest
-/// and tiles, space- and '|'-free so the TuningCache line format round
-/// trips it verbatim.  The options part comes from the inner backend
-/// (only the fields it consumes), so irrelevant option churn still hits.
-std::string measure_key(const Schedule& s, std::uint64_t options_digest) {
-  const std::uint64_t digest =
-      hash_combine(schedule_structure_digest(s), options_digest);
-  return chain_cache_key(s.chain()) + "@" + hex64(digest) + "@" +
-         tiles_string(s);
-}
-
-}  // namespace
-
-CachingBackend::CachingBackend(std::shared_ptr<const MeasureBackend> inner)
-    : inner_(std::move(inner)) {
-  MCF_CHECK(inner_ != nullptr) << "CachingBackend needs an inner backend";
-  name_ = "cached-" + std::string(inner_->name());
-}
-
-KernelMeasurement CachingBackend::measure(const Schedule& s,
-                                          const MeasureOptions& options) const {
-  const std::string key = measure_key(s, inner_->options_digest(options));
-  const std::string& gpu_name = inner_->spec().name;
-  {
-    const LockGuard lock(mu_);
-    if (const auto it = mem_.find(key); it != mem_.end()) {
-      ++hits_;
-      return it->second;
-    }
-    // Persisted entries carry only time_s; rebuild the schedule geometry
-    // (the contract promises honest n_blocks/smem_bytes on ok results)
-    // and promote into the in-memory store so later hits are uniform.
-    if (const auto disk = disk_.get_raw(key, gpu_name)) {
-      KernelMeasurement m;
-      m.ok = true;
-      m.time_s = disk->time_s;
-      m.n_blocks = s.num_blocks();
-      m.smem_bytes = plan_smem(s).total_bytes;
-      mem_.emplace(key, m);
-      ++hits_;
-      return m;
-    }
-  }
-  // Measure outside the lock: inner backends can be slow, and measure()
-  // must stay concurrent.  Two threads racing on the same fresh key both
-  // measure; the first insert wins so every caller observes one value.
-  const KernelMeasurement measured = inner_->measure(s, options);
-  const LockGuard lock(mu_);
-  const auto [it, inserted] = mem_.emplace(key, measured);
-  if (inserted) {
-    ++misses_;
-    if (measured.ok) {
-      disk_.put_raw(key, gpu_name,
-                    CachedSchedule{hex64(schedule_structure_digest(s)),
-                                   {s.tiles().begin(), s.tiles().end()},
-                                   measured.time_s});
-    }
-  } else {
-    ++hits_;
-  }
-  return it->second;
-}
-
-void CachingBackend::prepare_batch(std::span<const Schedule* const> schedules,
-                                   const MeasureOptions& options) const {
-  std::vector<const Schedule*> missing;
-  missing.reserve(schedules.size());
-  {
-    const std::string& gpu_name = inner_->spec().name;
-    const LockGuard lock(mu_);
-    for (const Schedule* s : schedules) {
-      if (s == nullptr) continue;
-      const std::string key = measure_key(*s, inner_->options_digest(options));
-      if (mem_.count(key) != 0) continue;
-      if (disk_.get_raw(key, gpu_name)) continue;
-      missing.push_back(s);
-    }
-  }
-  inner_->prepare_batch(missing, options);
-}
-
-bool CachingBackend::save(const std::string& path) const {
-  const LockGuard lock(mu_);
-  return disk_.save(path);
-}
-
-bool CachingBackend::load(const std::string& path) {
-  const LockGuard lock(mu_);
-  return disk_.load(path);
-}
-
-std::size_t CachingBackend::hits() const {
-  const LockGuard lock(mu_);
-  return hits_;
-}
-
-std::size_t CachingBackend::misses() const {
-  const LockGuard lock(mu_);
-  return misses_;
-}
-
-std::size_t CachingBackend::size() const {
-  const LockGuard lock(mu_);
-  return mem_.size();
-}
-
 // ---- registry ---------------------------------------------------------------
 
 BackendRegistry::BackendRegistry() {
   factories_["sim"] = [](const GpuSpec& gpu) {
     return std::make_shared<SimulatorBackend>(gpu);
   };
-  factories_["interp"] = [](const GpuSpec& gpu) {
-    return std::make_shared<InterpreterBackend>(gpu);
-  };
-  factories_["cached-sim"] = [](const GpuSpec& gpu) {
-    return std::make_shared<CachingBackend>(
-        std::make_shared<SimulatorBackend>(gpu));
-  };
-  factories_["jit"] = [](const GpuSpec& gpu) {
-    return std::make_shared<JitBackend>(gpu);
-  };
-  factories_["jit-isolated"] = [](const GpuSpec& gpu) {
-    return std::make_shared<IsolatedJitBackend>(gpu);
-  };
+  for (const ExecRung preset :
+       {ExecRung::Sandbox, ExecRung::Native, ExecRung::Interpreter}) {
+    factories_[std::string(exec_rung_name(preset))] =
+        [preset](const GpuSpec& gpu) {
+          ExecBackendOptions options;
+          options.preset = preset;
+          return std::make_shared<ExecBackend>(gpu, std::move(options));
+        };
+  }
 }
 
 BackendRegistry& BackendRegistry::instance() {

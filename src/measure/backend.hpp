@@ -4,25 +4,16 @@
 // A MeasureBackend answers one question — "how long does this candidate
 // schedule take?" — and the tuner, the library-kernel baselines and the
 // benches consume the abstraction instead of holding a TimingSimulator
-// directly.  Three backends ship:
+// directly.  Two implementations ship:
 //
-//   * SimulatorBackend    wraps the deterministic TimingSimulator; the
-//                         default everywhere, bit-for-bit identical to the
-//                         pre-subsystem behaviour.
-//   * InterpreterBackend  actually executes the schedule through
-//                         exec/interpreter on the CPU (worker-slot arenas)
-//                         and converts wall-clock samples into a
-//                         KernelMeasurement with warm-up / repeat /
-//                         outlier-trim controls.
-//   * CachingBackend      decorator over any backend; memoizes by
-//                         (chain key, gpu, schedule structure, tiles) and
-//                         persists through the TuningCache serialization.
-//   * JitBackend          compiles each candidate to real machine code
-//                         through exec/jit (host-toolchain JIT, digest-
-//                         keyed kernel cache, batched per-wave TUs) and
-//                         wall-clock-samples the native kernel; falls
-//                         back to interpreter execution when no host
-//                         compiler is available.
+//   * SimulatorBackend  wraps the deterministic TimingSimulator; the
+//                       default everywhere ("sim").
+//   * ExecBackend       really executes the candidate and wall-clock-
+//                       samples it through one cascade of rungs: a
+//                       sandbox worker process, then native code in this
+//                       process (exec/jit), then exec/interpreter.  The
+//                       registry names "jit-isolated", "jit" and "interp"
+//                       are presets that pick the rung it starts on.
 //
 // Every backend must honour the contract pinned by the conformance suite
 // (tests/measure/test_conformance.cpp, documented in docs/measurement.md):
@@ -38,7 +29,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dag/schedule.hpp"
@@ -47,7 +37,6 @@
 #include "gpu/spec.hpp"
 #include "gpu/timing.hpp"
 #include "measure/measurement.hpp"
-#include "search/tuning_cache.hpp"
 #include "support/lru_map.hpp"
 #include "support/mutex.hpp"
 #include "support/rng.hpp"
@@ -132,19 +121,20 @@ class SimulatorBackend : public MeasureBackend {
   TimingSimulator sim_;
 };
 
-// ---- shared state of the execution-based backends ---------------------------
+// ---- per-instance memos of the execution backend ----------------------------
 
 namespace detail {
 
-/// What the execution-based backends (interp, jit) memoize per backend
-/// instance so repeated measure() calls of the same candidate skip the
-/// lowering work:
+/// Seed of the deterministic random input tensors every execution rung
+/// measures on (the sandbox worker rebuilds them from RunRequest).
+inline constexpr std::uint64_t kMeasureDataSeed = 1;
+
+/// What ExecBackend memoizes per instance so repeated measure() calls of
+/// the same candidate skip the lowering work:
 ///
 ///   * the lowering gate (validity, consume-completeness, smem plan) —
 ///     keyed by schedule_structure_digest, which already folds the chain
-///     key and the tiles.  Before this memo the interpreter backend
-///     re-lowered the schedule on EVERY measure() call, repeat tiles
-///     included;
+///     key and the tiles;
 ///   * the deterministic random input tensors — keyed by chain shape,
 ///     shared by every candidate of the same chain (building and filling
 ///     them dominated the per-measure setup cost).
@@ -186,9 +176,10 @@ class ExecMeasureState {
 
   /// The CompiledKernel-equivalent lowering gate, memoized by digest.
   [[nodiscard]] Gate gate(const Schedule& s, const GpuSpec& gpu) const;
-  /// Deterministic inputs for `chain`, built once per chain shape.
+  /// Deterministic inputs for `chain` (kMeasureDataSeed), built once per
+  /// chain shape.
   [[nodiscard]] std::shared_ptr<const ChainData> data(
-      const ChainSpec& chain, std::uint64_t data_seed) const;
+      const ChainSpec& chain) const;
 
   // Occupancy/eviction observability (the admission bench samples these).
   [[nodiscard]] std::size_t gate_entries() const;
@@ -205,9 +196,23 @@ class ExecMeasureState {
 
 }  // namespace detail
 
-// ---- InterpreterBackend -----------------------------------------------------
+// ---- ExecBackend ------------------------------------------------------------
 
-struct InterpreterBackendOptions {
+/// The rungs of ExecBackend's cascade, top to bottom.  A preset names the
+/// rung the cascade starts on; the registry spells it "jit-isolated",
+/// "jit" or "interp".
+enum class ExecRung : std::uint8_t {
+  Sandbox,      ///< native kernel in a sandbox worker process
+  Native,       ///< native kernel in this process
+  Interpreter,  ///< exec/interpreter in this process
+};
+
+/// Registry name of the preset that starts on `rung`.
+[[nodiscard]] std::string_view exec_rung_name(ExecRung rung) noexcept;
+
+struct ExecBackendOptions {
+  /// The preset: the rung the cascade starts on.
+  ExecRung preset = ExecRung::Native;
   /// Untimed executions before sampling (first-touch page faults, arena
   /// allocation, cache warm-up).
   int warmup = 1;
@@ -217,305 +222,108 @@ struct InterpreterBackendOptions {
   /// repeats=4 drops the fastest and slowest sample).  The trimmed mean is
   /// the standard outlier-robust estimator for shared-machine timing.
   double trim_fraction = 0.25;
-  /// Seed for the deterministic random tensor contents.
-  std::uint64_t data_seed = 1;
   /// Monotonic time source in seconds.  Null = std::chrono::steady_clock.
-  /// Tests inject a scripted clock to pin the sampling arithmetic.
+  /// Tests inject a scripted clock to pin the sampling arithmetic; sandbox
+  /// workers time with their own steady clock.
   std::function<double()> clock;
   /// LRU caps on the lowering-gate / input-tensor memos (bounded RSS
   /// under unbounded distinct-chain traffic); see ExecMeasureState.
   detail::ExecMeasureState::Limits memo_limits;
-};
-
-/// Executes the candidate on the CPU through exec/interpreter and times it.
-/// The absolute times are CPU-interpreter times, not GPU times — useful
-/// because they *rank* candidates by real executed work (the conformance
-/// suite asserts rank correlation against the simulator on the fig7
-/// family), and because this is the template a CUDA-event backend follows.
-class InterpreterBackend : public MeasureBackend {
- public:
-  explicit InterpreterBackend(GpuSpec spec,
-                              InterpreterBackendOptions options = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override { return "interp"; }
-  [[nodiscard]] const GpuSpec& spec() const noexcept override { return sim_.spec(); }
-  /// Wall-clock sampling: repeats jitter run-to-run.
-  [[nodiscard]] bool deterministic() const noexcept override { return false; }
-
-  [[nodiscard]] KernelMeasurement measure(
-      const Schedule& s, const MeasureOptions& options = {}) const override;
-  [[nodiscard]] KernelMeasurement measure_raw(
-      double bytes, double flops, std::int64_t n_blocks,
-      std::int64_t smem_bytes, double mem_eff, double comp_eff,
-      double stmt_trips, const MeasureOptions& options) const override {
-    // No schedule to execute: raw aggregates fall back to the roofline.
-    return sim_.measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
-                            comp_eff, stmt_trips, options);
-  }
-
-  /// measure() executes the schedule as-is; the simulator-noise options
-  /// do not reach it.
-  [[nodiscard]] std::uint64_t options_digest(
-      const MeasureOptions&) const noexcept override {
-    return 0;
-  }
-
-  [[nodiscard]] const InterpreterBackendOptions& options() const noexcept {
-    return opt_;
-  }
-
- private:
-  TimingSimulator sim_;  ///< spec holder + measure_raw fallback
-  InterpreterBackendOptions opt_;
-  /// Digest-keyed lowering memo + shared input tensors: repeat-tile
-  /// measure() calls skip straight to execution.  LRU-bounded by
-  /// opt_.memo_limits.
-  detail::ExecMeasureState state_;
-};
-
-// ---- JitBackend -------------------------------------------------------------
-
-/// Sampling knobs mirror InterpreterBackendOptions; the jit backend times
-/// the natively compiled kernel instead of the interpreter.
-struct JitBackendOptions {
-  int warmup = 1;
-  int repeats = 3;
-  double trim_fraction = 0.25;
-  std::uint64_t data_seed = 1;
-  /// Monotonic time source in seconds (tests inject a scripted clock).
-  std::function<double()> clock;
-  /// LRU caps on the lowering-gate / input-tensor memos (bounded RSS
-  /// under unbounded distinct-chain traffic); see ExecMeasureState.
-  detail::ExecMeasureState::Limits memo_limits;
-};
-
-/// Compiles every candidate schedule to real machine code through the
-/// exec/jit subsystem (host toolchain, -O3 -march=native, digest-keyed
-/// on-disk kernel cache) and wall-clock-samples the native kernel — the
-/// CPU-host realisation of the paper's "lower to Triton/PTX, then
-/// measure" path.  prepare_batch() compiles a whole tuner wave in one
-/// compiler invocation.  When no host compiler is available (or under
-/// sanitizer builds) every measure() transparently falls back to
-/// interpreter execution, so the backend always satisfies the
-/// conformance contract; jit_active() tells which path is live.
-class JitBackend : public MeasureBackend {
- public:
-  explicit JitBackend(GpuSpec spec, JitBackendOptions options = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override { return "jit"; }
-  [[nodiscard]] const GpuSpec& spec() const noexcept override { return sim_.spec(); }
-  /// Wall-clock sampling: repeats jitter run-to-run.
-  [[nodiscard]] bool deterministic() const noexcept override { return false; }
-
-  [[nodiscard]] KernelMeasurement measure(
-      const Schedule& s, const MeasureOptions& options = {}) const override;
-  /// One TU / compiler invocation for all missing kernels of the wave.
-  void prepare_batch(std::span<const Schedule* const> schedules,
-                     const MeasureOptions& options = {}) const override;
-  [[nodiscard]] KernelMeasurement measure_raw(
-      double bytes, double flops, std::int64_t n_blocks,
-      std::int64_t smem_bytes, double mem_eff, double comp_eff,
-      double stmt_trips, const MeasureOptions& options) const override {
-    // No schedule to execute: raw aggregates fall back to the roofline.
-    return sim_.measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
-                            comp_eff, stmt_trips, options);
-  }
-  /// measure() executes the schedule as-is; simulator-noise options do
-  /// not reach it.  exec_threads DOES change the measured wall time, so
-  /// it folds into the digest — a cache layered over this backend must
-  /// never serve a 1-thread time for an 8-thread request.
-  [[nodiscard]] std::uint64_t options_digest(
-      const MeasureOptions& options) const noexcept override {
-    return options.exec_threads > 0
-               ? hash_combine(0x6d63662d6a69746dull,
-                              static_cast<std::uint64_t>(options.exec_threads))
-               : 0;
-  }
-
-  /// True when a host toolchain was detected at construction and
-  /// measure() runs native code; false = interpreter fallback.
-  [[nodiscard]] bool jit_active() const noexcept { return toolchain_.ok(); }
-  /// Why the jit is inactive (empty when jit_active()).
-  [[nodiscard]] const std::string& fallback_reason() const noexcept {
-    return toolchain_.reason;
-  }
-  [[nodiscard]] const JitBackendOptions& options() const noexcept {
-    return opt_;
-  }
-
- private:
-  TimingSimulator sim_;  ///< spec holder + measure_raw fallback
-  JitBackendOptions opt_;
-  /// Resolved once at construction (tests override MCFUSER_JIT_CXX per
-  /// instance); !ok() => permanent interpreter fallback.
-  jit::Toolchain toolchain_;
-  detail::ExecMeasureState state_;
-};
-
-// ---- IsolatedJitBackend -----------------------------------------------------
-
-/// Sampling knobs mirror JitBackendOptions, plus the worker-pool policy.
-struct IsolatedJitBackendOptions {
-  int warmup = 1;
-  int repeats = 3;
-  double trim_fraction = 0.25;
-  std::uint64_t data_seed = 1;
-  /// Monotonic time source in seconds — reaches only the in-process
-  /// fallback path (worker timings use the worker's own steady clock).
-  std::function<double()> clock;
-  /// LRU caps on the lowering-gate memo; see ExecMeasureState.
-  detail::ExecMeasureState::Limits memo_limits;
-  /// Worker-pool sizing/deadline/retry policy; defaults read the
-  /// MCFUSER_SANDBOX_* environment.
+  /// Sandbox-rung worker-pool sizing/deadline/retry policy; defaults read
+  /// the MCFUSER_SANDBOX_* environment.
   sandbox::PoolOptions pool = sandbox::default_pool_options();
-  /// Forces the in-process fallback even when sandboxing is available
-  /// (conformance tests pin the sampling arithmetic this way).
-  bool disable_sandbox = false;
 };
 
-/// Crash-isolated variant of the jit backend: kernels are compiled
-/// through the same digest-keyed cache, but EXECUTED inside sandbox
-/// worker processes (exec/sandbox.hpp), so a kernel that segfaults,
-/// loops forever or emits garbage fails its own measurement instead of
-/// taking down the engine.  Policy layered on the pool transport:
+/// Executes each candidate and wall-clock-samples it — the CPU-host
+/// realisation of the paper's "lower to Triton/PTX, then measure" path.
+/// measure() is one cascade; each rung either answers or hands the
+/// schedule to the rung below:
 ///
-///   * crash negative-cache check before every run — a known-bad kernel
-///     is answered from the cache without spawning anything;
-///   * crashes retry on a fresh worker (pool.max_retries), then the
-///     failure is negative-cached as WorkerCrashed; timeouts are
-///     negative-cached immediately as WorkerTimeout (a hung kernel
-///     would burn another full deadline);
-///   * a worker-side dlopen/dlsym failure means the cached .so is
-///     poisoned: jit::invalidate_kernel + recompile + ONE retry before
-///     giving up (satellite of the disk cache's crash-consistency).
+///   1. Sandbox — the jit-compiled artifact runs in a worker process
+///      (exec/sandbox.hpp), so a kernel that segfaults, loops forever or
+///      emits garbage fails its own measurement instead of taking down
+///      the engine.  A crash negative-cache answers known-bad kernels
+///      without spawning anything; crashes retry on a fresh worker
+///      (pool.max_retries) and are then negative-cached as WorkerCrashed,
+///      timeouts immediately as WorkerTimeout; a worker-side dlopen
+///      failure (poisoned .so) evicts, recompiles and retries once.
+///   2. Native — the kernel compiled by exec/jit (host toolchain, -O3
+///      -march=native, digest-keyed on-disk cache) runs in this process.
+///   3. Interpreter — exec/interpreter, which needs no toolchain.
 ///
-/// When sandboxing is unavailable (sanitizer build, MCFUSER_SANDBOX=0,
-/// no toolchain) every call degrades to an inner JitBackend — same
-/// gate, same interpreter fallback, so measure() always answers.
-class IsolatedJitBackend : public MeasureBackend {
+/// Infeasible schedules fail at the lowering gate before any rung runs.
+/// With the verifier gate on (MCFUSER_VERIFY), a "verify: " rejection
+/// (src/verify/) fails as VerifyRejected on every rung and never falls
+/// through to one that would execute the unsafe kernel.  Rungs the host
+/// cannot offer (sanitizer build, MCFUSER_SANDBOX=0, no toolchain) are
+/// dropped at construction; top_rung() tells which one is live.  The
+/// absolute times are CPU times, not GPU times — useful because they
+/// *rank* candidates by real executed work (the conformance suite asserts
+/// rank correlation against the simulator on fig7).
+class ExecBackend : public MeasureBackend {
  public:
-  explicit IsolatedJitBackend(GpuSpec spec,
-                              IsolatedJitBackendOptions options = {});
+  explicit ExecBackend(GpuSpec spec, ExecBackendOptions options = {});
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "jit-isolated";
+    return exec_rung_name(opt_.preset);
   }
-  [[nodiscard]] const GpuSpec& spec() const noexcept override {
-    return fallback_.spec();
-  }
+  [[nodiscard]] const GpuSpec& spec() const noexcept override { return sim_.spec(); }
   /// Wall-clock sampling: repeats jitter run-to-run.
   [[nodiscard]] bool deterministic() const noexcept override { return false; }
 
   [[nodiscard]] KernelMeasurement measure(
       const Schedule& s, const MeasureOptions& options = {}) const override;
-  /// One TU / compiler invocation for all missing kernels of the wave
-  /// (the workers then dlopen the cached artifacts).
+  /// Native rungs: one TU / compiler invocation for all missing kernels of
+  /// the wave (sandbox workers then dlopen the cached artifacts).
   void prepare_batch(std::span<const Schedule* const> schedules,
                      const MeasureOptions& options = {}) const override;
   [[nodiscard]] KernelMeasurement measure_raw(
       double bytes, double flops, std::int64_t n_blocks,
       std::int64_t smem_bytes, double mem_eff, double comp_eff,
       double stmt_trips, const MeasureOptions& options) const override {
-    return fallback_.measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
-                                 comp_eff, stmt_trips, options);
+    // No schedule to execute: raw aggregates fall back to the roofline.
+    return sim_.measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
+                            comp_eff, stmt_trips, options);
   }
-  /// measure() executes the schedule as-is; simulator-noise options do
-  /// not reach it.  exec_threads DOES change the measured wall time
-  /// (the workers replay the host's fan-out geometry), so it folds into
-  /// the digest like JitBackend's.
+  /// measure() executes the schedule as-is; the simulator-noise options do
+  /// not reach it.  On the native presets exec_threads DOES change the
+  /// measured wall time, so it folds into the digest — a cache must never
+  /// serve a 1-thread time for an 8-thread request.
   [[nodiscard]] std::uint64_t options_digest(
       const MeasureOptions& options) const noexcept override {
-    return options.exec_threads > 0
+    return opt_.preset != ExecRung::Interpreter && options.exec_threads > 0
                ? hash_combine(0x6d63662d6a69746dull,
                               static_cast<std::uint64_t>(options.exec_threads))
                : 0;
   }
 
-  /// True when measurements run in sandbox workers; false = in-process
-  /// jit/interp fallback.
-  [[nodiscard]] bool sandbox_active() const noexcept {
-    return pool_ != nullptr;
-  }
-  /// Why the sandbox is inactive (empty when sandbox_active()).
+  /// The rung the cascade starts on for this instance: the preset, or
+  /// lower when the host cannot offer it.
+  [[nodiscard]] ExecRung top_rung() const noexcept;
+  /// Why top_rung() is below the preset (empty when it is not).
   [[nodiscard]] const std::string& fallback_reason() const noexcept {
-    return inactive_reason_;
+    return fallback_reason_;
   }
-  [[nodiscard]] const IsolatedJitBackendOptions& options() const noexcept {
+  [[nodiscard]] const ExecBackendOptions& options() const noexcept {
     return opt_;
   }
 
  private:
-  IsolatedJitBackendOptions opt_;
-  /// Degraded path AND the measure_raw/spec holder; owns its own memos.
-  JitBackend fallback_;
-  /// Resolved once at construction, like JitBackend.
+  /// Sandbox rung; false = hand the schedule to the native rung.
+  bool measure_in_worker(const Schedule& s, const MeasureOptions& options,
+                         KernelMeasurement& m) const;
+  /// Warm-up, then `repeats` timed runs reduced by the trimmed mean.
+  [[nodiscard]] double sample(const std::function<void()>& run) const;
+
+  TimingSimulator sim_;  ///< spec holder + measure_raw fallback
+  ExecBackendOptions opt_;
+  /// Resolved once at construction (tests override MCFUSER_JIT_CXX per
+  /// instance); !ok() => no native rungs.  Never resolved by "interp".
   jit::Toolchain toolchain_;
-  std::string inactive_reason_;  ///< why pool_ is null (empty when active)
-  /// The worker pool; null when degraded to the in-process path.
+  std::string fallback_reason_;
+  /// The sandbox rung's workers; null when that rung is not live.
   std::unique_ptr<sandbox::WorkerPool> pool_;
-  /// Lowering-gate memo for the sandboxed path (the fallback's memos are
-  /// private to it).
   detail::ExecMeasureState state_;
-};
-
-// ---- CachingBackend ---------------------------------------------------------
-
-/// Memoizing decorator: measure() results are cached by
-/// (chain shape key, gpu, schedule-structure digest, tiles, options) and
-/// can be persisted through the TuningCache line format, so a deployment
-/// can ship warm measurement caches next to its tuning logs.
-class CachingBackend : public MeasureBackend {
- public:
-  explicit CachingBackend(std::shared_ptr<const MeasureBackend> inner);
-
-  [[nodiscard]] std::string_view name() const noexcept override { return name_; }
-  [[nodiscard]] const GpuSpec& spec() const noexcept override {
-    return inner_->spec();
-  }
-  /// Memoization makes repeated measure() of the same schedule identical
-  /// even over a nondeterministic inner backend.
-  [[nodiscard]] bool deterministic() const noexcept override { return true; }
-
-  [[nodiscard]] KernelMeasurement measure(
-      const Schedule& s, const MeasureOptions& options = {}) const override;
-  /// Forwards only the schedules this cache has NOT memoized: a
-  /// memoized measurement never reaches the inner backend, so preparing
-  /// (jit-compiling) its kernel would be pure waste.
-  void prepare_batch(std::span<const Schedule* const> schedules,
-                     const MeasureOptions& options = {}) const override;
-  [[nodiscard]] KernelMeasurement measure_raw(
-      double bytes, double flops, std::int64_t n_blocks,
-      std::int64_t smem_bytes, double mem_eff, double comp_eff,
-      double stmt_trips, const MeasureOptions& options) const override {
-    // Cheap arithmetic; not worth memoizing.
-    return inner_->measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
-                               comp_eff, stmt_trips, options);
-  }
-  [[nodiscard]] std::uint64_t options_digest(
-      const MeasureOptions& options) const noexcept override {
-    return inner_->options_digest(options);
-  }
-
-  /// Persistence via the TuningCache serialization (one record per cached
-  /// measurement; only ok results with their time_s survive a round trip).
-  [[nodiscard]] bool save(const std::string& path) const;
-  bool load(const std::string& path);
-
-  [[nodiscard]] std::size_t hits() const;
-  [[nodiscard]] std::size_t misses() const;
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  std::shared_ptr<const MeasureBackend> inner_;
-  std::string name_;
-  mutable Mutex mu_{"measure.caching"};
-  /// Full-fidelity in-memory store (diagnostics included).
-  mutable std::unordered_map<std::string, KernelMeasurement> mem_
-      MCF_GUARDED_BY(mu_);
-  /// Serializable mirror of the ok entries (time_s only).
-  mutable TuningCache disk_ MCF_GUARDED_BY(mu_);
-  mutable std::size_t hits_ MCF_GUARDED_BY(mu_) = 0;
-  mutable std::size_t misses_ MCF_GUARDED_BY(mu_) = 0;
 };
 
 /// Structural digest of a schedule: block loops, the scope/statement tree
@@ -527,10 +335,10 @@ class CachingBackend : public MeasureBackend {
 // ---- registry ---------------------------------------------------------------
 
 /// Name -> factory registry; the CLI's --backend flag and the conformance
-/// suite enumerate it.  Registration is thread-safe; built-ins ("sim",
-/// "interp", "cached-sim") self-register on first use.  A hardware
-/// backend (CUDA events / rocprof) plugs in with one add() call — see
-/// docs/measurement.md.
+/// suite enumerate it.  Registration is thread-safe; the built-ins ("sim"
+/// and the ExecBackend presets "interp", "jit", "jit-isolated")
+/// self-register on first use.  A hardware backend (CUDA events /
+/// rocprof) plugs in with one add() call — see docs/measurement.md.
 class BackendRegistry {
  public:
   using Factory =

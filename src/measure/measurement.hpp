@@ -1,5 +1,6 @@
-// Measurement value types shared by every MeasureBackend (simulator,
-// interpreter, caching decorator, future hardware backends).
+// Measurement value types shared by every MeasureBackend (the simulator,
+// the execution backend's interp/jit/jit-isolated presets, future
+// hardware backends).
 //
 // Historically these lived in gpu/timing.hpp next to TimingSimulator; they
 // moved here when measurement became a pluggable subsystem so that a
@@ -32,7 +33,7 @@ struct MeasureOptions {
 /// free-form fail_reason.  Generic covers everything that is a property of
 /// the schedule itself (infeasible lowering, compile failure, bad output);
 /// the Worker* kinds are properties of out-of-process execution
-/// (measure/backend.hpp "jit-isolated") and map 1:1 onto
+/// (ExecBackend's sandbox rung, measure/backend.hpp) and map 1:1 onto
 /// FusionStatus::WorkerCrashed / WorkerTimeout at the engine layer.
 enum class MeasureFailKind : std::uint8_t {
   None,            ///< measurement succeeded (ok == true)

@@ -17,8 +17,8 @@
 //
 // Measurements go through a pluggable MeasureBackend
 // (TunerOptions::backend, measure/backend.hpp): the default simulator,
-// the CPU interpreter, a caching decorator, or a future hardware backend
-// all drive the identical search loop.
+// the execution backend (interpreter or native code), or a future
+// hardware backend all drive the identical search loop.
 #pragma once
 
 #include <atomic>

@@ -107,18 +107,6 @@ void TuningCache::put(const ChainSpec& chain, const GpuSpec& gpu,
   entries_[record_key(chain, gpu)] = std::move(entry);
 }
 
-void TuningCache::put_raw(const std::string& chain_key,
-                          const std::string& gpu_name, CachedSchedule entry) {
-  entries_[chain_key + "|" + gpu_name] = std::move(entry);
-}
-
-std::optional<CachedSchedule> TuningCache::get_raw(
-    const std::string& chain_key, const std::string& gpu_name) const {
-  const auto it = entries_.find(chain_key + "|" + gpu_name);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
-}
-
 std::optional<CachedSchedule> TuningCache::get(const ChainSpec& chain,
                                                const GpuSpec& gpu) const {
   const auto it = entries_.find(record_key(chain, gpu));

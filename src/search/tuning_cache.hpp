@@ -44,15 +44,6 @@ class TuningCache {
   [[nodiscard]] std::optional<CachedSchedule> get(const ChainSpec& chain,
                                                   const GpuSpec& gpu) const;
 
-  /// String-keyed record access for callers that manage their own chain
-  /// keys (the CachingBackend memoizes per-candidate measurements with a
-  /// composite key).  `chain_key` must contain no whitespace and no '|'
-  /// or the record will not survive a save/load round trip.
-  void put_raw(const std::string& chain_key, const std::string& gpu_name,
-               CachedSchedule entry);
-  [[nodiscard]] std::optional<CachedSchedule> get_raw(
-      const std::string& chain_key, const std::string& gpu_name) const;
-
   /// Resolves a cached entry against a freshly built search space,
   /// returning the matching candidate when the entry is still valid
   /// (expression class present, tiles still on the rule-checked grid —

@@ -1,6 +1,6 @@
 // The one LRU-evicting map behind every bounded memo in the codebase:
 // the engine's digest-keyed result memo (engine/engine.hpp), the
-// execution backends' lowering-gate and input-tensor memos
+// execution backend's lowering-gate and input-tensor memos
 // (measure/backend.hpp), and the jit kernel registry + negative cache
 // (exec/jit.cpp).  Centralising the splice-to-front recency refresh,
 // the iterator bookkeeping and the eviction loop keeps their semantics

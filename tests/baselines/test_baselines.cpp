@@ -8,7 +8,7 @@
 #include "baselines/library_kernels.hpp"
 #include "baselines/relay_like.hpp"
 #include "baselines/unfused.hpp"
-#include "search/mcfuser.hpp"
+#include "engine/engine.hpp"
 
 namespace mcf {
 namespace {
@@ -129,7 +129,7 @@ TEST(Flash, FallsBackWhenUnsupported) {
 TEST(Flash, SlowerThanTunedMCFuser) {
   const GpuSpec gpu = a100();
   const FlashAttentionLikeBaseline flash(gpu);
-  const FusionResult mcf = MCFuser(gpu).fuse(s2());
+  const FusionResult mcf = FusionEngine(gpu).fuse(s2());
   ASSERT_TRUE(mcf.ok());
   EXPECT_GT(flash.run(s2()).time_s, mcf.time_s());
 }
@@ -206,7 +206,7 @@ TEST(CrossBaseline, FusionOrderingOnMemoryBoundShape) {
   AnsorOptions aopts;
   aopts.trials = 256;
   const double ansor = AnsorLikeBaseline(gpu, aopts).run(c).time_s;
-  const FusionResult mcf = MCFuser(gpu).fuse(c);
+  const FusionResult mcf = FusionEngine(gpu).fuse(c);
   ASSERT_TRUE(mcf.ok());
   EXPECT_LT(mcf.time_s(), ansor * 1.05);
   EXPECT_LT(ansor, pytorch);

@@ -1,4 +1,8 @@
-#include "search/mcfuser.hpp"
+// The single-chain fusion pipeline end to end through FusionEngine::fuse:
+// tuned kernels validate numerically against the unfused references, the
+// simulated time respects the traffic bound, the Chimera preset restricts
+// the space, and the prune funnel is reported per chain.
+#include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,10 +11,10 @@
 namespace mcf {
 namespace {
 
-TEST(MCFuser, FusesGemmChainAndValidates) {
+TEST(FusionPipeline, FusesGemmChainAndValidates) {
   const GpuSpec gpu = a100();
   const ChainSpec c = ChainSpec::gemm_chain("q", 2, 128, 96, 64, 80);
-  const FusionResult r = MCFuser(gpu).fuse(c);
+  const FusionResult r = FusionEngine(gpu).fuse(c);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.kernel.has_value());
   // The tuned kernel must run and match the reference numerically.
@@ -30,10 +34,10 @@ TEST(MCFuser, FusesGemmChainAndValidates) {
   EXPECT_TRUE(allclose(out, ref, 1e-3, 1e-4));
 }
 
-TEST(MCFuser, FusesAttentionAndValidates) {
+TEST(FusionPipeline, FusesAttentionAndValidates) {
   const GpuSpec gpu = a100();
   const ChainSpec c = ChainSpec::attention("qa", 4, 128, 128, 64, 64);
-  const FusionResult r = MCFuser(gpu).fuse(c);
+  const FusionResult r = FusionEngine(gpu).fuse(c);
   ASSERT_TRUE(r.ok());
   Tensor q(Shape{4, 128, 64});
   Tensor kt(Shape{4, 64, 128});
@@ -51,12 +55,12 @@ TEST(MCFuser, FusesAttentionAndValidates) {
   EXPECT_TRUE(allclose(out, ref, 1e-3, 1e-4));
 }
 
-TEST(MCFuser, FusedBeatsMinimalTrafficBound) {
+TEST(FusionPipeline, FusedBeatsMinimalTrafficBound) {
   // Sanity: simulated time is bounded below by the fused traffic at peak
   // bandwidth, and the tuner's winner should be within ~30x of it.
   const GpuSpec gpu = a100();
   const ChainSpec c = ChainSpec::gemm_chain("g1", 1, 512, 256, 64, 64);
-  const FusionResult r = MCFuser(gpu).fuse(c);
+  const FusionResult r = FusionEngine(gpu).fuse(c);
   ASSERT_TRUE(r.ok());
   const double bound = static_cast<double>(c.min_traffic_elems()) * 2.0 /
                        gpu.mem_bandwidth;
@@ -64,11 +68,12 @@ TEST(MCFuser, FusedBeatsMinimalTrafficBound) {
   EXPECT_LT(r.time_s(), 30.0 * bound + 1e-4);
 }
 
-TEST(MCFuser, ChimeraOptionsRestrictSpace) {
+TEST(FusionPipeline, ChimeraOptionsRestrictSpace) {
   const GpuSpec gpu = a100();
   const ChainSpec c = ChainSpec::gemm_chain("g3", 1, 512, 256, 64, 256);
-  const FusionResult full = MCFuser(gpu).fuse(c);
-  const FusionResult chim = MCFuser(gpu, MCFuser::chimera_options()).fuse(c);
+  const FusionResult full = FusionEngine(gpu).fuse(c);
+  const FusionResult chim =
+      FusionEngine(gpu, FusionEngine::chimera_options()).fuse(c);
   ASSERT_TRUE(full.ok() && chim.ok());
   EXPECT_LE(chim.space_size, full.space_size);
   // The full space can never lose (same tuner, superset space, shared
@@ -76,29 +81,29 @@ TEST(MCFuser, ChimeraOptionsRestrictSpace) {
   EXPECT_LE(full.time_s(), chim.time_s() * 1.02);
 }
 
-TEST(MCFuser, FunnelReportedPerChain) {
+TEST(FusionPipeline, FunnelReportedPerChain) {
   const GpuSpec gpu = a100();
   const ChainSpec c = ChainSpec::gemm_chain("fig7", 1, 1024, 1024, 512, 512);
-  const FusionResult r = MCFuser(gpu).fuse(c);
+  const FusionResult r = FusionEngine(gpu).fuse(c);
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.funnel.original, 109051904.0);
   EXPECT_EQ(r.space_size, static_cast<std::size_t>(r.funnel.after_rule4));
 }
 
-TEST(MCFuser, WinnerKeepsMostOfTheReductionResident) {
+TEST(FusionPipeline, WinnerKeepsMostOfTheReductionResident) {
   // For K = 64-class attention shapes the best schedules hold all (or
   // half) of the reduction in one tile — the FlashAttention recipe.
   const GpuSpec gpu = a100();
   const ChainSpec c = ChainSpec::attention("s4", 12, 256, 256, 64, 64);
-  const FusionResult r = MCFuser(gpu).fuse(c);
+  const FusionResult r = FusionEngine(gpu).fuse(c);
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r.tuned.best.tiles[1], 32);  // Tk >= K/2
 }
 
-TEST(MCFuser, WorksOnRtx3080) {
+TEST(FusionPipeline, WorksOnRtx3080) {
   const GpuSpec gpu = rtx3080();
   const ChainSpec c = ChainSpec::gemm_chain("g1r", 1, 512, 256, 64, 64);
-  const FusionResult r = MCFuser(gpu).fuse(c);
+  const FusionResult r = FusionEngine(gpu).fuse(c);
   ASSERT_TRUE(r.ok());
   EXPECT_LE(r.kernel->smem().total_bytes, gpu.smem_per_block);
 }

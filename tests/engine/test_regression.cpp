@@ -1,7 +1,7 @@
-// Bit-identical regression pin for the engine refactor: MCFuser::fuse()
-// (now a thin wrapper over FusionEngine) must reproduce the pre-engine
-// implementation exactly on the fig7 workload family — best tile vector,
-// best expression, best measured time (exact double compare), tuning
+// Bit-identical regression pin for the engine refactor:
+// FusionEngine::fuse() must reproduce the pre-engine implementation
+// exactly on the fig7 workload family — best tile vector, best
+// expression, best measured time (exact double compare), tuning
 // measurement count and the full prune funnel.  The golden values below
 // were captured from the pre-refactor tree (commit 52d3639) with the
 // default options on a100().
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "engine/engine.hpp"
-#include "search/mcfuser.hpp"
 
 namespace mcf {
 namespace {
@@ -66,14 +65,6 @@ void expect_matches(const FusionResult& r, const Golden& g) {
   EXPECT_EQ(r.funnel.after_rule3, g.funnel[3]) << g.name;
   EXPECT_EQ(r.funnel.after_rule4, g.funnel[4]) << g.name;
   EXPECT_EQ(r.space_size, g.space_size) << g.name;
-}
-
-TEST(EngineRegression, MCFuserWrapperBitIdenticalToPrePR) {
-  const GpuSpec gpu = a100();
-  const MCFuser fuser(gpu);
-  for (const Golden& g : golden()) {
-    expect_matches(fuser.fuse(chain_for(g.name)), g);
-  }
 }
 
 TEST(EngineRegression, EngineFuseBitIdenticalToPrePR) {

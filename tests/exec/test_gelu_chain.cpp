@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "dag/volume.hpp"
+#include "engine/engine.hpp"
 #include "exec/interpreter.hpp"
-#include "search/mcfuser.hpp"
 #include "tensor/ops.hpp"
 
 namespace mcf {
@@ -68,7 +68,7 @@ TEST(GeluChain, McfuserFusesTokenMlpShape) {
   const GpuSpec gpu = a100();
   const ChainSpec chain = ChainSpec("token_mlp", 1, 768, {196, 384, 196},
                                     {Epilogue::Gelu, Epilogue::None});
-  const FusionResult r = MCFuser(gpu).fuse(chain);
+  const FusionResult r = FusionEngine(gpu).fuse(chain);
   ASSERT_TRUE(r.ok());
   EXPECT_LE(r.kernel->smem().total_bytes, gpu.smem_per_block);
 }

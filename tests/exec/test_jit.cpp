@@ -1,18 +1,25 @@
-// JIT native-codegen backend: numeric agreement against the interpreter
-// on gelu and attention chains, kernel-cache behaviour (hit on second
-// compile, one TU per batch), and graceful fallback when no host
-// compiler exists.
+// JIT native codegen: numeric agreement against the interpreter on gelu
+// and attention chains, kernel-cache behaviour (hit on second compile,
+// one TU per batch), the compile timeout and the compiler pipe's
+// close-on-exec.  The execution backend's fallback when no host compiler
+// exists is pinned by the cascade table in tests/measure/test_backends.cpp.
 #include "exec/jit.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <pthread.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "exec/interpreter.hpp"
 #include "exec/program.hpp"
@@ -42,6 +49,28 @@ std::string unique_key(const char* prefix) {
   std::random_device rd;
   return std::string(prefix) + "-" + std::to_string(::getpid()) + "-" +
          std::to_string((static_cast<std::uint64_t>(rd()) << 32) ^ rd());
+}
+
+/// Pipes (past the standard streams) open without FD_CLOEXEC at the
+/// moment this process forks, as seen by a pthread_atfork prepare handler
+/// (it runs in the forking thread) while
+/// CompilerPipeIsCloseOnExecWhenTheCompilerForks arms it.
+std::atomic<bool> g_fork_probe_armed{false};
+std::vector<std::string> g_inheritable_pipes;
+
+void probe_inheritable_pipes() {
+  if (!g_fork_probe_armed) return;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    const int fd = std::stoi(entry.path().filename());
+    if (fd <= 2) continue;  // the standard streams are meant to be inherited
+    std::error_code ec;
+    const std::string target = std::filesystem::read_symlink(entry.path(), ec);
+    if (ec || target.rfind("pipe:", 0) != 0) continue;
+    const int flags = ::fcntl(fd, F_GETFD);
+    if (flags >= 0 && (flags & FD_CLOEXEC) == 0) {
+      g_inheritable_pipes.push_back(entry.path().string() + " -> " + target);
+    }
+  }
 }
 
 void run_both_and_compare(const Schedule& s) {
@@ -125,8 +154,8 @@ TEST(JitKernel, BatchCompilesOneTranslationUnitPerWave) {
   }
   GpuSpec gpu = a100();
   gpu.name = unique_key("batch-tu-test");
-  const JitBackend backend(gpu);
-  ASSERT_TRUE(backend.jit_active());
+  const ExecBackend backend(gpu);
+  ASSERT_EQ(backend.top_rung(), ExecRung::Native) << backend.fallback_reason();
 
   const ChainSpec& c = gelu_chain();
   const Schedule s1 = build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
@@ -153,31 +182,6 @@ TEST(JitKernel, BatchCompilesOneTranslationUnitPerWave) {
   EXPECT_EQ(meas.tus_compiled, 0);
   EXPECT_EQ(meas.kernels_compiled, 0);
   EXPECT_EQ(meas.cache_hits(), 3);
-}
-
-TEST(JitBackend, FallsBackToInterpreterWhenCompilerMissing) {
-  // Whatever the environment, a jit backend constructed while
-  // MCFUSER_JIT_CXX points nowhere must degrade to the interpreter and
-  // still satisfy the measurement contract.
-  ::setenv("MCFUSER_JIT_CXX", "/nonexistent/not-a-compiler", 1);
-  const JitBackend backend(a100());
-  ::unsetenv("MCFUSER_JIT_CXX");
-
-  EXPECT_FALSE(backend.jit_active());
-  EXPECT_FALSE(backend.fallback_reason().empty());
-
-  const ChainSpec& c = gelu_chain();
-  const Schedule s = build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
-                                    std::vector<std::int64_t>{32, 16, 32, 16});
-  const jit::CompileStats s0 = jit::stats_snapshot();
-  const KernelMeasurement m = backend.measure(s);
-  EXPECT_TRUE(m.ok) << m.fail_reason;
-  EXPECT_GT(m.time_s, 0.0);
-  EXPECT_EQ(m.n_blocks, s.num_blocks());
-  // Nothing was compiled (or even attempted) on the fallback path.
-  const jit::CompileStats delta = jit::stats_snapshot().since(s0);
-  EXPECT_EQ(delta.tus_compiled, 0);
-  EXPECT_EQ(delta.failures, 0);
 }
 
 TEST(CompiledKernel, NativeRunMatchesInterpreterRun) {
@@ -210,22 +214,6 @@ TEST(CompiledKernel, NativeRunMatchesInterpreterRun) {
   ASSERT_TRUE(kernel.run_native(a, w, out_native));
   EXPECT_TRUE(allclose(out_native, out_interp, 1e-4, 1e-5))
       << "max rel diff " << max_rel_diff(out_native, out_interp);
-}
-
-TEST(JitBackend, InfeasibleScheduleFailsBeforeCompilation) {
-  const JitBackend backend(a100());
-  static const ChainSpec c =
-      ChainSpec::gemm_chain("jit-too-big", 1, 512, 512, 256, 256);
-  const Schedule s =
-      build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
-                     std::vector<std::int64_t>{512, 512, 256, 256});
-  const jit::CompileStats s0 = jit::stats_snapshot();
-  const KernelMeasurement m = backend.measure(s);
-  EXPECT_FALSE(m.ok);
-  EXPECT_FALSE(m.fail_reason.empty());
-  const jit::CompileStats delta = jit::stats_snapshot().since(s0);
-  EXPECT_EQ(delta.tus_compiled, 0);
-  EXPECT_EQ(delta.kernels_compiled, 0);
 }
 
 TEST(JitCompile, TimeoutKillsHungCompiler) {
@@ -264,6 +252,43 @@ TEST(JitCompile, TimeoutKillsHungCompiler) {
   EXPECT_FALSE(rk.ok());
   EXPECT_NE(error.find("timed out"), std::string::npos) << error;
   EXPECT_LT(wall, 60.0);  // killed at ~1s, nowhere near the 600s sleep
+}
+
+TEST(JitCompile, CompilerPipeIsCloseOnExecWhenTheCompilerForks) {
+  // Every fd without close-on-exec survives into whatever this process
+  // execs next — e.g. a sandbox worker another thread spawns while a
+  // compile is in flight.  Holding the compiler's output pipe, that
+  // worker would make the compile read until the worker exits instead of
+  // the compiler: in practice until MCFUSER_JIT_COMPILE_TIMEOUT_S.
+  if (!jit::detect_toolchain().ok()) {
+    GTEST_SKIP() << "jit unavailable: " << jit::detect_toolchain().reason;
+  }
+  static const int registered =
+      ::pthread_atfork(probe_inheritable_pipes, nullptr, nullptr);
+  ASSERT_EQ(registered, 0);
+  const std::string script =
+      "/tmp/mcfuser-failing-cxx-" + std::to_string(::getpid()) + ".sh";
+  {
+    std::ofstream os(script);
+    os << "#!/bin/sh\nexit 1\n";
+  }
+  ::chmod(script.c_str(), 0755);
+  ::setenv("MCFUSER_JIT_CXX", script.c_str(), 1);
+
+  const ChainSpec& c = gelu_chain();
+  const Schedule s = build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
+                                    std::vector<std::int64_t>{32, 16, 32, 16});
+  const jit::CompileStats before = jit::stats_snapshot();
+  g_fork_probe_armed = true;
+  std::string error;
+  (void)jit::resolve_kernel(s, unique_key("cloexec"), jit::detect_toolchain(),
+                            &error);
+  g_fork_probe_armed = false;
+  ::unsetenv("MCFUSER_JIT_CXX");
+  ::unlink(script.c_str());
+
+  EXPECT_EQ(jit::stats_snapshot().since(before).failures, 1);  // it forked
+  EXPECT_TRUE(g_inheritable_pipes.empty()) << g_inheritable_pipes.front();
 }
 
 }  // namespace

@@ -107,9 +107,10 @@ std::string sandbox_skip_reason() {
   return "";
 }
 
-IsolatedJitBackendOptions fast_options(double deadline_s = 10.0,
-                                       int max_retries = 1) {
-  IsolatedJitBackendOptions opt;
+ExecBackendOptions fast_options(double deadline_s = 10.0,
+                                int max_retries = 1) {
+  ExecBackendOptions opt;
+  opt.preset = ExecRung::Sandbox;
   opt.warmup = 1;
   opt.repeats = 2;
   opt.pool.workers = 1;
@@ -197,20 +198,6 @@ TEST(Sandbox, WorkerRefusesOversizedFrameWithDistinctReason) {
   ::close(resp[1]);
 }
 
-TEST(Sandbox, BackendDegradesToInProcessPathWhenDisabled) {
-  // disable_sandbox (and equally an unavailable environment) must leave
-  // a backend that still satisfies the measurement contract.
-  IsolatedJitBackendOptions opt;
-  opt.disable_sandbox = true;
-  const IsolatedJitBackend backend(unique_gpu("sbx-off"), opt);
-  EXPECT_FALSE(backend.sandbox_active());
-  EXPECT_FALSE(backend.fallback_reason().empty());
-  const Schedule s = schedule_for(gelu_chain());
-  const KernelMeasurement m = backend.measure(s);
-  EXPECT_TRUE(m.ok) << m.fail_reason;
-  EXPECT_GT(m.time_s, 0.0);
-}
-
 // ---- agreement with the in-process jit path ---------------------------------
 
 TEST(Sandbox, SandboxedTimingsAgreeWithInProcessJit) {
@@ -218,9 +205,9 @@ TEST(Sandbox, SandboxedTimingsAgreeWithInProcessJit) {
     GTEST_SKIP() << why;
   }
   const GpuSpec gpu = unique_gpu("sbx-agree");
-  const IsolatedJitBackend iso(gpu, fast_options());
-  ASSERT_TRUE(iso.sandbox_active()) << iso.fallback_reason();
-  const JitBackend inproc(gpu);
+  const ExecBackend iso(gpu, fast_options());
+  ASSERT_EQ(iso.top_rung(), ExecRung::Sandbox) << iso.fallback_reason();
+  const ExecBackend inproc(gpu);
 
   const Schedule small = schedule_for(gelu_chain());
   const Schedule big = schedule_for(big_chain());
@@ -254,7 +241,7 @@ TEST(Sandbox, SegfaultingKernelIsClassifiedWithSignalName) {
   }
   const ScopedEnv fault("MCFUSER_JIT_FAULT", "segv");
   const sandbox::WorkerStats before = sandbox::stats_snapshot();
-  const IsolatedJitBackend backend(unique_gpu("sbx-segv"), fast_options());
+  const ExecBackend backend(unique_gpu("sbx-segv"), fast_options());
   const KernelMeasurement m = backend.measure(schedule_for(gelu_chain()));
   EXPECT_FALSE(m.ok);
   EXPECT_EQ(m.fail_kind, MeasureFailKind::WorkerCrashed);
@@ -271,7 +258,7 @@ TEST(Sandbox, SigkilledWorkerIsClassified) {
     GTEST_SKIP() << why;
   }
   const ScopedEnv fault("MCFUSER_JIT_FAULT", "kill");
-  const IsolatedJitBackend backend(unique_gpu("sbx-kill"), fast_options());
+  const ExecBackend backend(unique_gpu("sbx-kill"), fast_options());
   const KernelMeasurement m = backend.measure(schedule_for(gelu_chain()));
   EXPECT_FALSE(m.ok);
   EXPECT_EQ(m.fail_kind, MeasureFailKind::WorkerCrashed);
@@ -284,8 +271,8 @@ TEST(Sandbox, HungKernelIsKilledAtTheDeadline) {
   }
   const ScopedEnv fault("MCFUSER_JIT_FAULT", "hang");
   const sandbox::WorkerStats before = sandbox::stats_snapshot();
-  const IsolatedJitBackend backend(unique_gpu("sbx-hang"),
-                                   fast_options(/*deadline_s=*/0.5));
+  const ExecBackend backend(unique_gpu("sbx-hang"),
+                            fast_options(/*deadline_s=*/0.5));
   const KernelMeasurement m = backend.measure(schedule_for(gelu_chain()));
   EXPECT_FALSE(m.ok);
   EXPECT_EQ(m.fail_kind, MeasureFailKind::WorkerTimeout);
@@ -300,7 +287,7 @@ TEST(Sandbox, GarbageOutputFailsTheMeasurement) {
     GTEST_SKIP() << why;
   }
   const ScopedEnv fault("MCFUSER_JIT_FAULT", "garbage");
-  const IsolatedJitBackend backend(unique_gpu("sbx-garbage"), fast_options());
+  const ExecBackend backend(unique_gpu("sbx-garbage"), fast_options());
   const KernelMeasurement m = backend.measure(schedule_for(gelu_chain()));
   EXPECT_FALSE(m.ok);
   EXPECT_EQ(m.fail_kind, MeasureFailKind::Generic);
@@ -316,7 +303,7 @@ TEST(Sandbox, CrashNegativeCacheServesWithoutSpawningAndRetriesAfterEvict) {
   }
   const GpuSpec gpu = unique_gpu("sbx-negcache");
   const Schedule s = schedule_for(gelu_chain());
-  const IsolatedJitBackend backend(gpu, fast_options());
+  const ExecBackend backend(gpu, fast_options());
 
   {
     const ScopedEnv fault("MCFUSER_JIT_FAULT", "segv");
@@ -375,7 +362,7 @@ TEST(Sandbox, PoisonedKernelArtifactHealsViaEvictAndRecompile) {
   }
 
   const jit::CompileStats before = jit::stats_snapshot();
-  const IsolatedJitBackend backend(gpu, fast_options());
+  const ExecBackend backend(gpu, fast_options());
   const KernelMeasurement m = backend.measure(s);
   // The dlopen failure was healed in-line: evict, recompile once, retry.
   EXPECT_TRUE(m.ok) << m.fail_reason;

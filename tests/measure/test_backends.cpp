@@ -1,16 +1,21 @@
-// Backend-specific unit tests: the interpreter backend's sampling
-// arithmetic (scripted clock), the caching decorator's memoization and
-// persistence, the registry, and the schedule digest.  The cross-backend
-// contract lives in test_conformance.cpp.
+// Backend-specific unit tests: the execution backend's sampling
+// arithmetic (scripted clock) and its rung cascade across presets,
+// environments and schedule kinds, the per-instance memos, the registry,
+// and the schedule digest.  The cross-backend contract lives in
+// test_conformance.cpp.
 #include "measure/backend.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <filesystem>
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "search/space.hpp"
+#include "verify/mutate.hpp"
+#include "verify/verify.hpp"
 
 namespace mcf {
 namespace {
@@ -28,49 +33,15 @@ Schedule small_schedule(const GpuSpec& gpu) {
   return space.schedule_for(space.candidates().front());
 }
 
-/// Counting decorator: how often does the inner backend really measure?
-class CountingBackend : public MeasureBackend {
- public:
-  explicit CountingBackend(std::shared_ptr<const MeasureBackend> inner)
-      : inner_(std::move(inner)) {}
+// ---- ExecBackend: sampling and geometry ------------------------------------
 
-  [[nodiscard]] std::string_view name() const noexcept override { return "counting"; }
-  [[nodiscard]] const GpuSpec& spec() const noexcept override { return inner_->spec(); }
-  [[nodiscard]] bool deterministic() const noexcept override {
-    return inner_->deterministic();
-  }
-  [[nodiscard]] KernelMeasurement measure(
-      const Schedule& s, const MeasureOptions& options = {}) const override {
-    ++calls;
-    return inner_->measure(s, options);
-  }
-  [[nodiscard]] KernelMeasurement measure_raw(
-      double bytes, double flops, std::int64_t n_blocks,
-      std::int64_t smem_bytes, double mem_eff, double comp_eff,
-      double stmt_trips, const MeasureOptions& options) const override {
-    return inner_->measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
-                               comp_eff, stmt_trips, options);
-  }
-
-  [[nodiscard]] std::uint64_t options_digest(
-      const MeasureOptions& options) const noexcept override {
-    return inner_->options_digest(options);
-  }
-
-  mutable std::atomic<int> calls{0};
-
- private:
-  std::shared_ptr<const MeasureBackend> inner_;
-};
-
-// ---- InterpreterBackend -----------------------------------------------------
-
-TEST(InterpreterBackend, TrimmedMeanOfScriptedSamplesIsExact) {
+TEST(ExecBackend, TrimmedMeanOfScriptedSamplesIsExact) {
   // Scripted sample durations 1, 2, 3, 4 ms; trim 0.25 of 4 samples drops
   // one from each end: the reported time is exactly mean(2ms, 3ms).
   auto now = std::make_shared<double>(0.0);
   auto tick = std::make_shared<int>(0);
-  InterpreterBackendOptions opt;
+  ExecBackendOptions opt;
+  opt.preset = ExecRung::Interpreter;
   opt.warmup = 0;
   opt.repeats = 4;
   opt.trim_fraction = 0.25;
@@ -78,16 +49,17 @@ TEST(InterpreterBackend, TrimmedMeanOfScriptedSamplesIsExact) {
     if (++*tick % 2 == 0) *now += 1e-3 * (*tick / 2);
     return *now;
   };
-  const InterpreterBackend backend(a100(), opt);
+  const ExecBackend backend(a100(), opt);
   const KernelMeasurement m = backend.measure(small_schedule(a100()));
   ASSERT_TRUE(m.ok);
   EXPECT_DOUBLE_EQ(m.time_s, 2.5e-3);
 }
 
-TEST(InterpreterBackend, WarmupRunsAreNotTimed) {
+TEST(ExecBackend, WarmupRunsAreNotTimed) {
   auto clock_calls = std::make_shared<int>(0);
   auto now = std::make_shared<double>(0.0);
-  InterpreterBackendOptions opt;
+  ExecBackendOptions opt;
+  opt.preset = ExecRung::Interpreter;
   opt.warmup = 3;
   opt.repeats = 2;
   opt.trim_fraction = 0.0;
@@ -95,16 +67,18 @@ TEST(InterpreterBackend, WarmupRunsAreNotTimed) {
     ++*clock_calls;
     return *now += 1e-3;
   };
-  const InterpreterBackend backend(a100(), opt);
+  const ExecBackend backend(a100(), opt);
   ASSERT_TRUE(backend.measure(small_schedule(a100())).ok);
   // Two clock reads per timed sample, none for the warm-up executions.
   EXPECT_EQ(*clock_calls, 2 * opt.repeats);
 }
 
-TEST(InterpreterBackend, ReportsScheduleGeometry) {
+TEST(ExecBackend, ReportsScheduleGeometry) {
   const GpuSpec gpu = a100();
   const Schedule s = small_schedule(gpu);
-  const InterpreterBackend backend(gpu);
+  ExecBackendOptions opt;
+  opt.preset = ExecRung::Interpreter;
+  const ExecBackend backend(gpu, opt);
   const KernelMeasurement m = backend.measure(s);
   ASSERT_TRUE(m.ok);
   EXPECT_EQ(m.n_blocks, s.num_blocks());
@@ -112,9 +86,11 @@ TEST(InterpreterBackend, ReportsScheduleGeometry) {
   EXPECT_GT(m.time_s, 0.0);
 }
 
-TEST(InterpreterBackend, MeasureRawFallsBackToRoofline) {
+TEST(ExecBackend, MeasureRawFallsBackToRoofline) {
   const GpuSpec gpu = a100();
-  const InterpreterBackend interp(gpu);
+  ExecBackendOptions opt;
+  opt.preset = ExecRung::Interpreter;
+  const ExecBackend interp(gpu, opt);
   const SimulatorBackend sim(gpu);
   MeasureOptions opts;
   opts.noise_amp = 0.0;
@@ -124,95 +100,152 @@ TEST(InterpreterBackend, MeasureRawFallsBackToRoofline) {
   EXPECT_DOUBLE_EQ(mi.time_s, ms.time_s);
 }
 
-// ---- CachingBackend ---------------------------------------------------------
-
-TEST(CachingBackend, MemoizesByScheduleAndOptions) {
-  const GpuSpec gpu = a100();
-  auto counting = std::make_shared<CountingBackend>(
-      std::make_shared<SimulatorBackend>(gpu));
-  const CachingBackend cached(counting);
-
-  const ChainSpec c = ChainSpec::gemm_chain("memo", 1, 128, 128, 64, 64);
-  const SearchSpace space = make_space(c, gpu);
-  const Schedule s1 = space.schedule_for(space.candidates().front());
-  const Schedule s2 = space.schedule_for(space.candidates().back());
-
-  const KernelMeasurement first = cached.measure(s1);
-  EXPECT_EQ(cached.measure(s1).time_s, first.time_s);  // hit
-  EXPECT_EQ(counting->calls, 1);
-  (void)cached.measure(s2);  // different tiles: miss
-  EXPECT_EQ(counting->calls, 2);
-  MeasureOptions other;
-  other.noise_seed = 1234;
-  (void)cached.measure(s1, other);  // different options: miss
-  EXPECT_EQ(counting->calls, 3);
-  EXPECT_EQ(cached.hits(), 1u);
-  EXPECT_EQ(cached.misses(), 3u);
-  EXPECT_EQ(cached.size(), 3u);
+TEST(ExecBackend, OptionsDigestFollowsThePreset) {
+  // The interpreter ignores every MeasureOptions field; the native presets
+  // fold exec_threads in (a 1-thread time is not an 8-thread time).
+  MeasureOptions one_thread;
+  one_thread.exec_threads = 1;
+  MeasureOptions noisy;
+  noisy.noise_seed = 999;
+  noisy.include_launch = false;
+  ExecBackendOptions interp_opt;
+  interp_opt.preset = ExecRung::Interpreter;
+  const ExecBackend interp(a100(), interp_opt);
+  EXPECT_EQ(interp.options_digest(one_thread), 0u);
+  EXPECT_EQ(interp.options_digest(noisy), 0u);
+  ExecBackendOptions jit_opt;
+  jit_opt.preset = ExecRung::Native;
+  const ExecBackend jit(a100(), jit_opt);
+  EXPECT_EQ(jit.options_digest(noisy), 0u);
+  EXPECT_NE(jit.options_digest(one_thread), 0u);
 }
 
-TEST(CachingBackend, OptionChurnStillHitsWhenInnerIgnoresOptions) {
-  // The interpreter ignores the simulator-noise options, so a cache over
-  // it must hit across noise_seed changes — re-executing a schedule on
-  // the CPU to get an identical answer is exactly what the cache is for.
-  const GpuSpec gpu = a100();
-  InterpreterBackendOptions fast;
-  fast.warmup = 0;
-  fast.repeats = 1;
-  auto counting = std::make_shared<CountingBackend>(
-      std::make_shared<InterpreterBackend>(gpu, fast));
-  const CachingBackend cached(counting);
-  const Schedule s = small_schedule(gpu);
-  ASSERT_TRUE(cached.measure(s).ok);
-  MeasureOptions other;
-  other.noise_seed = 999;
-  other.include_launch = false;
-  ASSERT_TRUE(cached.measure(s, other).ok);
-  EXPECT_EQ(counting->calls, 1);  // options the interpreter ignores: hit
-}
+// ---- ExecBackend: the rung cascade ------------------------------------------
 
-TEST(CachingBackend, PersistsThroughTuningCacheFormat) {
-  const GpuSpec gpu = a100();
-  const Schedule s = small_schedule(gpu);
-  const std::string path = "caching_backend_test.txt";
-  double first_time = 0.0;
-  {
-    const CachingBackend cached(std::make_shared<SimulatorBackend>(gpu));
-    first_time = cached.measure(s).time_s;
-    ASSERT_TRUE(cached.save(path));
+/// Sets an environment variable for the enclosing scope (nullptr name =
+/// no-op), restoring the previous value (or absence) on destruction.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (name_ == nullptr) return;
+    if (const char* old = ::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
   }
-  auto counting = std::make_shared<CountingBackend>(
-      std::make_shared<SimulatorBackend>(gpu));
-  CachingBackend reloaded(counting);
-  ASSERT_TRUE(reloaded.load(path));
-  const KernelMeasurement m = reloaded.measure(s);
-  ASSERT_TRUE(m.ok);
-  EXPECT_DOUBLE_EQ(m.time_s, first_time);
-  EXPECT_EQ(counting->calls, 0);  // served from the persisted record
-  // Promoted records still honour the geometry contract.
-  EXPECT_EQ(m.n_blocks, s.num_blocks());
-  EXPECT_EQ(m.smem_bytes, plan_smem(s).total_bytes);
-  std::filesystem::remove(path);
+  ~ScopedEnv() {
+    if (name_ == nullptr) return;
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// The highest rung this host offers under the current environment,
+/// probed independently of ExecBackend.
+ExecRung host_top_rung() {
+  if (!jit::detect_toolchain().ok()) return ExecRung::Interpreter;
+  return sandbox::availability().ok ? ExecRung::Sandbox : ExecRung::Native;
 }
 
-TEST(CachingBackend, FailuresAreMemoizedButNotPersisted) {
-  const GpuSpec gpu = a100();
-  auto counting = std::make_shared<CountingBackend>(
-      std::make_shared<SimulatorBackend>(gpu));
-  CachingBackend cached(counting);
-  const ChainSpec c = ChainSpec::gemm_chain("big", 1, 512, 512, 256, 256);
-  const Schedule s = build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
-                                    std::vector<std::int64_t>{512, 512, 256, 256});
-  EXPECT_FALSE(cached.measure(s).ok);
-  EXPECT_FALSE(cached.measure(s).ok);
-  EXPECT_EQ(counting->calls, 1);  // known failures are not re-measured...
-  const std::string path = "caching_backend_failures_test.txt";
-  ASSERT_TRUE(cached.save(path));
-  CachingBackend reloaded(counting);
-  ASSERT_TRUE(reloaded.load(path));
-  EXPECT_FALSE(reloaded.measure(s).ok);
-  EXPECT_EQ(counting->calls, 2);  // ...but never persisted as records
-  std::filesystem::remove(path);
+struct CascadeSchedule {
+  const char* label;
+  Schedule schedule;
+  bool ok;
+  MeasureFailKind fail_kind;
+  const char* reason_prefix;  ///< "" = fail_reason must be empty
+};
+
+/// Feasible, infeasible (smem past the limit) and verifier-rejected (the
+/// first seeded mutant of a safe fig7-mini schedule, as in
+/// tests/verify/test_verify.cpp).  Static chains: a Schedule keeps a
+/// ChainSpec pointer.
+std::vector<CascadeSchedule> cascade_schedules() {
+  static const ChainSpec gelu("cascade-gelu", 2, 96, {48, 96, 48},
+                              {Epilogue::Gelu, Epilogue::None});
+  static const ChainSpec big =
+      ChainSpec::gemm_chain("cascade-too-big", 1, 512, 512, 256, 256);
+  static const ChainSpec fig7 =
+      ChainSpec::gemm_chain("cascade-fig7-mini", 1, 128, 128, 64, 64);
+  const Schedule base = build_schedule(fig7, make_deep_expr(fig7, {0, 3, 2, 1}),
+                                       std::vector<std::int64_t>{32, 32, 32, 32});
+  const auto corpus = verify::mutation_corpus(base, 11, 4);
+  EXPECT_FALSE(corpus.empty());
+  return {
+      {"feasible",
+       build_schedule(gelu, make_deep_expr(gelu, {0, 3, 2, 1}),
+                      std::vector<std::int64_t>{32, 16, 32, 16}),
+       true, MeasureFailKind::None, ""},
+      {"infeasible",
+       build_schedule(big, make_deep_expr(big, {0, 3, 2, 1}),
+                      std::vector<std::int64_t>{512, 512, 256, 256}),
+       false, MeasureFailKind::Generic, "shared memory exceeds per-block limit"},
+      {"verify-rejected", corpus.front().schedule, false,
+       MeasureFailKind::VerifyRejected, verify::kGateErrorPrefix},
+  };
+}
+
+TEST(ExecBackend, CascadeAnswersEveryPresetEnvironmentAndSchedule) {
+  // Whatever rung a preset starts on in whatever environment, a schedule
+  // gets the same answer: feasible measures, infeasible fails at the
+  // lowering gate before anything compiles, and a verifier rejection fails
+  // as VerifyRejected instead of falling through to a rung that would
+  // execute the unsafe kernel.  The interpreter rung never compiles.
+  const ScopedEnv verify_on("MCFUSER_VERIFY", "1");
+  const std::vector<CascadeSchedule> schedules = cascade_schedules();
+  const struct {
+    const char* name;
+    const char* value;
+  } environments[] = {
+      {nullptr, nullptr},
+      {"MCFUSER_JIT_CXX", "/nonexistent/not-a-compiler"},
+      {"MCFUSER_SANDBOX", "0"},
+  };
+  for (const char* preset : {"interp", "jit", "jit-isolated"}) {
+    for (const auto& env : environments) {
+      const ScopedEnv scoped(env.name, env.value);
+      const std::string where = std::string(preset) + " with " +
+                                (env.name ? env.name : "default env");
+      const auto backend = std::dynamic_pointer_cast<ExecBackend>(
+          BackendRegistry::instance().create(preset, a100()));
+      ASSERT_NE(backend, nullptr) << where;
+      EXPECT_EQ(backend->name(), preset);
+      const ExecRung start = backend->options().preset;
+      const ExecRung top = backend->top_rung();
+      EXPECT_EQ(top, std::max(start, host_top_rung())) << where;
+      EXPECT_EQ(backend->fallback_reason().empty(), top == start) << where;
+
+      for (const CascadeSchedule& c : schedules) {
+        const jit::CompileStats before = jit::stats_snapshot();
+        const KernelMeasurement m = backend->measure(c.schedule);
+        const jit::CompileStats d = jit::stats_snapshot().since(before);
+        const std::string what = where + ", " + c.label;
+        EXPECT_EQ(m.ok, c.ok) << what << ": " << m.fail_reason;
+        EXPECT_EQ(m.fail_kind, c.fail_kind) << what << ": " << m.fail_reason;
+        EXPECT_EQ(m.n_blocks, c.schedule.num_blocks()) << what;
+        if (*c.reason_prefix == '\0') {
+          EXPECT_TRUE(m.fail_reason.empty()) << what << ": " << m.fail_reason;
+          EXPECT_GT(m.time_s, 0.0) << what;
+        } else {
+          EXPECT_EQ(m.fail_reason.rfind(c.reason_prefix, 0), 0u)
+              << what << ": " << m.fail_reason;
+          EXPECT_EQ(m.time_s, 0.0) << what;
+        }
+        if (top == ExecRung::Interpreter || !c.ok) {
+          // Nothing compiled, or even attempted.
+          EXPECT_EQ(d.tus_compiled, 0) << what;
+          EXPECT_EQ(d.kernels_compiled, 0) << what;
+          EXPECT_EQ(d.failures, 0) << what;
+        }
+      }
+    }
+  }
 }
 
 // ---- digest & registry ------------------------------------------------------
@@ -264,16 +297,16 @@ TEST(ExecMeasureState, DataLruEvictsByEntriesAndRebuildsIdentically) {
   detail::ExecMeasureState state(limits);
   const ChainSpec a = ChainSpec::gemm_chain("a", 1, 64, 64, 32, 32);
   const ChainSpec b = ChainSpec::gemm_chain("b", 1, 96, 64, 32, 32);
-  const auto data_a = state.data(a, 1);
+  const auto data_a = state.data(a);
   const float probe = data_a->a.data()[0];
   const std::size_t bytes_a = data_a->bytes();
   EXPECT_GT(bytes_a, 0u);
-  (void)state.data(b, 1);  // evicts a's entry (cap 1)
+  (void)state.data(b);  // evicts a's entry (cap 1)
   EXPECT_EQ(state.data_entries(), 1u);
   EXPECT_GE(state.evictions(), 1u);
   // The held shared_ptr stays valid past eviction; a rebuilt tensor set
   // is bit-identical (deterministic seeded fill).
-  const auto rebuilt = state.data(a, 1);
+  const auto rebuilt = state.data(a);
   EXPECT_NE(rebuilt.get(), data_a.get());
   EXPECT_EQ(rebuilt->a.data()[0], probe);
   EXPECT_EQ(rebuilt->bytes(), bytes_a);
@@ -286,21 +319,22 @@ TEST(ExecMeasureState, DataByteCapKeepsNewestEntry) {
   detail::ExecMeasureState state(limits);
   const ChainSpec a = ChainSpec::gemm_chain("a", 1, 64, 64, 32, 32);
   const ChainSpec b = ChainSpec::gemm_chain("b", 1, 96, 64, 32, 32);
-  (void)state.data(a, 1);
+  (void)state.data(a);
   EXPECT_EQ(state.data_entries(), 1u);  // never evict the newest
-  (void)state.data(b, 1);
+  (void)state.data(b);
   EXPECT_EQ(state.data_entries(), 1u);
   EXPECT_GE(state.evictions(), 1u);
   EXPECT_GT(state.data_bytes(), 0u);
 }
 
-TEST(InterpreterBackend, HonoursMemoLimitsFromOptions) {
+TEST(ExecBackend, HonoursMemoLimitsFromOptions) {
   const GpuSpec gpu = a100();
-  InterpreterBackendOptions opts;
+  ExecBackendOptions opts;
+  opts.preset = ExecRung::Interpreter;
   opts.warmup = 0;
   opts.repeats = 1;
   opts.memo_limits.max_data_entries = 1;
-  const InterpreterBackend backend(gpu, opts);
+  const ExecBackend backend(gpu, opts);
   // Two distinct chains through a 1-entry input-tensor memo: both still
   // measure correctly (the memo is an optimisation, not a correctness
   // dependency).
@@ -317,13 +351,14 @@ TEST(InterpreterBackend, HonoursMemoLimitsFromOptions) {
 TEST(BackendRegistry, CreatesBuiltinsAndRejectsUnknown) {
   const GpuSpec gpu = a100();
   auto& registry = BackendRegistry::instance();
-  for (const char* name : {"sim", "interp", "cached-sim"}) {
+  for (const char* name : {"sim", "interp", "jit", "jit-isolated"}) {
     const auto backend = registry.create(name, gpu);
     ASSERT_NE(backend, nullptr) << name;
     EXPECT_EQ(backend->name(), name);
     EXPECT_EQ(backend->spec().name, gpu.name);
   }
   EXPECT_EQ(registry.create("cuda-events", gpu), nullptr);
+  EXPECT_EQ(registry.create("cached-sim", gpu), nullptr);  // removed
 }
 
 TEST(BackendRegistry, AddIsFirstComeFirstServed) {

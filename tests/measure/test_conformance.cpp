@@ -132,48 +132,40 @@ std::shared_ptr<MeasureBackend> registry_make(const char* name,
   return backend;
 }
 
+/// An execution-backend preset sampled on a scripted clock.
+std::shared_ptr<MeasureBackend> scripted_exec(const GpuSpec& gpu,
+                                              ExecRung preset, int repeats) {
+  ExecBackendOptions opt;
+  opt.preset = preset;
+  opt.repeats = repeats;
+  opt.trim_fraction = 0.25;
+  opt.warmup = 0;
+  opt.clock = ScriptedClock{}.fn();
+  return std::make_shared<ExecBackend>(gpu, opt);
+}
+
 const BackendCase kCases[] = {
     {"sim", [](const GpuSpec& g) { return registry_make("sim", g); },
      [](const GpuSpec& g, int) { return registry_make("sim", g); }},
     {"interp", [](const GpuSpec& g) { return registry_make("interp", g); },
-     [](const GpuSpec& g, int repeats) -> std::shared_ptr<MeasureBackend> {
-       InterpreterBackendOptions opt;
-       opt.repeats = repeats;
-       opt.trim_fraction = 0.25;
-       opt.warmup = 0;
-       opt.clock = ScriptedClock{}.fn();
-       return std::make_shared<InterpreterBackend>(g, opt);
+     [](const GpuSpec& g, int repeats) {
+       return scripted_exec(g, ExecRung::Interpreter, repeats);
      }},
-    {"cached-sim",
-     [](const GpuSpec& g) { return registry_make("cached-sim", g); },
-     [](const GpuSpec& g, int) { return registry_make("cached-sim", g); }},
     // Real native-code measurement; where no host toolchain exists (or
-    // under sanitizer builds) it transparently falls back to interpreter
-    // execution, so the contract holds in every environment.
+    // under sanitizer builds) the cascade starts on the interpreter rung,
+    // so the contract holds in every environment.
     {"jit", [](const GpuSpec& g) { return registry_make("jit", g); },
-     [](const GpuSpec& g, int repeats) -> std::shared_ptr<MeasureBackend> {
-       JitBackendOptions opt;
-       opt.repeats = repeats;
-       opt.trim_fraction = 0.25;
-       opt.warmup = 0;
-       opt.clock = ScriptedClock{}.fn();
-       return std::make_shared<JitBackend>(g, opt);
+     [](const GpuSpec& g, int repeats) {
+       return scripted_exec(g, ExecRung::Native, repeats);
      }},
-    // Crash-isolated measurement in sandbox worker processes; degrades
-    // to the in-process jit/interp path where sandboxing is unavailable.
-    // The sampling instance forces that fallback (disable_sandbox) so
-    // the scripted clock drives the arithmetic — worker-side timings use
-    // the worker's own steady clock, which a test cannot script.
+    // Crash-isolated measurement in sandbox worker processes.  Worker-side
+    // timings use the worker's own steady clock, which a test cannot
+    // script; the sampler is one function for every rung, so the jit
+    // preset's scripted instance exercises the same arithmetic.
     {"jit-isolated",
      [](const GpuSpec& g) { return registry_make("jit-isolated", g); },
-     [](const GpuSpec& g, int repeats) -> std::shared_ptr<MeasureBackend> {
-       IsolatedJitBackendOptions opt;
-       opt.repeats = repeats;
-       opt.trim_fraction = 0.25;
-       opt.warmup = 0;
-       opt.clock = ScriptedClock{}.fn();
-       opt.disable_sandbox = true;
-       return std::make_shared<IsolatedJitBackend>(g, opt);
+     [](const GpuSpec& g, int repeats) {
+       return scripted_exec(g, ExecRung::Native, repeats);
      }},
 };
 
@@ -306,11 +298,12 @@ TEST(MeasureBackendConformance, SimulatorAndInterpreterRankWorkloadsAlike) {
   // ranking; the per-chain candidate spread adds the fine structure.
   const GpuSpec gpu = a100();
   const SimulatorBackend sim(gpu);
-  InterpreterBackendOptions opt;
+  ExecBackendOptions opt;
+  opt.preset = ExecRung::Interpreter;
   opt.warmup = 1;
   opt.repeats = 3;
   opt.trim_fraction = 0.34;  // median of three
-  const InterpreterBackend interp(gpu, opt);
+  const ExecBackend interp(gpu, opt);
 
   std::vector<double> sim_times;
   std::vector<double> interp_times;

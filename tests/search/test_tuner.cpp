@@ -101,27 +101,6 @@ TEST(Tuner, ExplicitSimulatorBackendIsBitIdenticalToDefault) {
   expect_identical(r1, r2);
 }
 
-TEST(Tuner, CachingBackendPreservesResultAndSkipsRemeasures) {
-  // A caching decorator must be invisible to the search: same winner and
-  // traces, while the second run's inner measurements all hit the cache.
-  const ChainSpec c = ChainSpec::gemm_chain("g1c", 1, 512, 256, 64, 64);
-  const GpuSpec gpu = a100();
-  const SearchSpace space = make_space(c, gpu);
-  auto cached = std::make_shared<CachingBackend>(
-      std::make_shared<SimulatorBackend>(gpu));
-  TunerOptions plain;
-  plain.seed = 5;
-  TunerOptions with_cache = plain;
-  with_cache.backend = cached;
-  const TunedResult r1 = Tuner(space, gpu, plain).run();
-  const TunedResult r2 = Tuner(space, gpu, with_cache).run();
-  expect_identical(r1, r2);
-  const std::size_t misses_after_first = cached->misses();
-  const TunedResult r3 = Tuner(space, gpu, with_cache).run();
-  expect_identical(r1, r3);
-  EXPECT_EQ(cached->misses(), misses_after_first);  // all hits
-}
-
 TEST(Tuner, BeatsMedianOfSpace) {
   const ChainSpec c = ChainSpec::attention("s4", 12, 256, 256, 64, 64);
   const GpuSpec gpu = a100();

@@ -10,7 +10,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "search/mcfuser.hpp"
+#include "engine/engine.hpp"
 
 namespace mcf {
 namespace {
@@ -147,25 +147,6 @@ TEST(TuningCache, ResolveRejectsOffGridTiles) {
   EXPECT_FALSE(cache.resolve(c, gpu, space).has_value());
 }
 
-TEST(TuningCache, RawKeyRecordsRoundTrip) {
-  // The string-keyed API the CachingBackend builds on: composite chain
-  // keys survive save/load as long as they are space- and '|'-free.
-  const std::string path = "tuning_cache_raw.txt";
-  {
-    TuningCache cache;
-    cache.put_raw("b1m512x64x256@abc123@64,64", "A100",
-                  CachedSchedule{"abc123", {64, 64}, 7.5e-6});
-    ASSERT_TRUE(cache.save(path));
-  }
-  TuningCache loaded;
-  ASSERT_TRUE(loaded.load(path));
-  const auto hit = loaded.get_raw("b1m512x64x256@abc123@64,64", "A100");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->time_s, 7.5e-6);
-  EXPECT_FALSE(loaded.get_raw("b1m512x64x256@abc123@64,64", "RTX3080"));
-  std::filesystem::remove(path);
-}
-
 // A save killed mid-write must leave a loadable file holding the old or
 // the new records, never a torn mix: a forked child saves a large cache
 // in a loop and is SIGKILLed at varied delays.
@@ -177,13 +158,14 @@ TEST(TuningCache, SaveSurvivesKillMidWrite) {
   const std::string path = (dir / "cache.txt").string();
   TuningCache old_cache;
   TuningCache new_cache;
+  // One record per distinct chain shape (m varies).
   for (int i = 0; i < 50; ++i) {
-    old_cache.put_raw("old" + std::to_string(i), "A100",
-                      CachedSchedule{"e", {16, 32}, 1e-6});
+    old_cache.put(ChainSpec::gemm_chain("old", 1, 16 + i, 64, 32, 32), a100(),
+                  CachedSchedule{"e", {16, 32}, 1e-6});
   }
   for (int i = 0; i < 40000; ++i) {
-    new_cache.put_raw("new" + std::to_string(i), "A100",
-                      CachedSchedule{"b0b3|2(1)", {64, 128, 64, 32}, 2.5e-5});
+    new_cache.put(ChainSpec::gemm_chain("new", 1, 16 + i, 64, 32, 32), a100(),
+                  CachedSchedule{"b0b3|2(1)", {64, 128, 64, 32}, 2.5e-5});
   }
   for (int round = 0; round < 16; ++round) {
     ASSERT_TRUE(old_cache.save(path));
@@ -228,7 +210,7 @@ TEST(TuningCache, LoadMissingFileFails) {
 
 TEST(TuningCache, FuseCachedSkipsTuningOnHit) {
   const GpuSpec gpu = a100();
-  const MCFuser fuser(gpu);
+  const FusionEngine fuser(gpu);
   TuningCache cache;
   const FusionResult first = fuser.fuse_cached(chain(), cache);
   ASSERT_TRUE(first.ok());
@@ -246,7 +228,7 @@ TEST(TuningCache, FuseCachedSkipsTuningOnHit) {
 
 TEST(TuningCache, StaleEntryFallsBackToTuning) {
   const GpuSpec gpu = a100();
-  const MCFuser fuser(gpu);
+  const FusionEngine fuser(gpu);
   TuningCache cache;
   // Poison the cache with tiles of the wrong arity.
   cache.put(chain(), gpu, CachedSchedule{"b0b3|2(1)", {64, 64}, 1e-6});

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/unfused.hpp"
-#include "search/mcfuser.hpp"
+#include "engine/engine.hpp"
 #include "workloads/suites.hpp"
 
 namespace mcf {
@@ -37,7 +37,7 @@ TEST_P(WorkloadSweep, FusesValidlyAndProfitably) {
   const GpuSpec gpu = gpu_by_name(p.gpu);
   const ChainSpec chain = find_chain(p.workload);
 
-  const FusionResult r = MCFuser(gpu).fuse(chain);
+  const FusionResult r = FusionEngine(gpu).fuse(chain);
   ASSERT_TRUE(r.ok()) << "fusion failed on " << chain.to_string();
 
   // The winner lowers within the hardware limits.

@@ -234,7 +234,7 @@ TEST(Verify, JitGateRefusesUnsafeKernels) {
   EXPECT_FALSE(rk.ok());
   EXPECT_EQ(err.rfind(verify::kGateErrorPrefix, 0), 0u) << err;
 
-  const JitBackend backend(a100(), {});
+  const ExecBackend backend(a100(), {});
   const KernelMeasurement m = backend.measure(unsafe, {});
   EXPECT_FALSE(m.ok);
   EXPECT_EQ(m.fail_kind, MeasureFailKind::VerifyRejected) << m.fail_reason;

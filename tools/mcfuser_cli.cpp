@@ -2,7 +2,7 @@
 //
 //   mcfuser fuse    --m 512 --n 256 --k 64 --h 64 [--batch N]
 //                   [--attention | --gelu | --relu] [--gpu a100|rtx3080]
-//                   [--backend=sim|interp|cached-sim]
+//                   [--backend=sim|interp|jit|jit-isolated]
 //                   [--isolation worker|none]
 //                   [--cache FILE] [--emit] [--pseudo] [--json]
 //   mcfuser fuse    --graph bert-small|bert-base|bert-large|mixer-small|
@@ -327,7 +327,7 @@ void print_chain_json(const ChainSpec& chain, const FusionResult& r,
 }
 
 /// --isolation worker|none: "worker" routes every measurement through
-/// the crash-isolated sandbox backend ("jit-isolated", overriding
+/// the crash-isolated sandbox rung (the "jit-isolated" preset, overriding
 /// --backend); "none" keeps whatever --backend selected.  False + a
 /// diagnostic on any other value.
 bool apply_isolation(const Args& args, FusionEngineOptions* opts) {

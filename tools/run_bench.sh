@@ -16,7 +16,11 @@ cmake -B "$build_dir" -S "$repo_root"
 cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
-# The bench writes its CSVs/JSON into the working directory.
-(cd "$build_dir" && ./bench_tuning_throughput)
+# The bench writes its CSVs/JSON into the working directory, the JSON
+# before its gates run: publish it even when a gate fails, then exit with
+# the bench's status.
+status=0
+(cd "$build_dir" && ./bench_tuning_throughput) || status=$?
 cp "$build_dir/BENCH_tuning_throughput.json" "$repo_root/BENCH_tuning_throughput.json"
 echo "BENCH_tuning_throughput.json updated at $repo_root"
+exit "$status"
