@@ -512,11 +512,33 @@ class CppEmitter {
 
 }  // namespace
 
+// The prelude includes no header: it declares exactly the libc functions
+// the TU calls.  In C++ mode <math.h> and <stdlib.h> pull in libstdc++'s
+// <cmath> and <cstdlib>, and parsing them cost about 40% of every cold
+// kernel compile.  The declarations match glibc's C++ prototypes (noexcept
+// where glibc says __THROW; nanosleep is a cancellation point and has
+// none), so GCC binds them to the same builtins and the machine code does
+// not change.  A call to anything else must be declared here too —
+// JitCompile.KernelSourceNeedsNoSystemHeader (tests/exec/test_jit.cpp)
+// compiles every epilogue's kernel with -nostdinc to hold the rule.
 std::string cpp_kernel_prelude() {
   return
       "// generated by mcfuser exec/codegen (C++ lowering)\n"
-      "#include <math.h>\n"
-      "#include <string.h>\n"
+      "typedef __SIZE_TYPE__ size_t;\n"
+      "struct timespec { long tv_sec; long tv_nsec; };\n"
+      "extern \"C\" {\n"
+      "void* memcpy(void* __restrict, const void* __restrict, size_t) "
+      "noexcept;\n"
+      "float floorf(float) noexcept;\n"
+      "float nanf(const char*) noexcept;\n"
+      "char* getenv(const char*) noexcept;\n"
+      "int strncmp(const char*, const char*, size_t) noexcept;\n"
+      "char* strstr(const char*, const char*) noexcept;\n"
+      "int raise(int) noexcept;\n"
+      "int nanosleep(const struct timespec*, struct timespec*);\n"
+      "}\n"
+      "#define INFINITY (__builtin_inff())\n"
+      "#define SIGKILL 9\n"
       "typedef long long i64;\n"
       "\n"
       "// Inline polynomial expf (Cephes-style: 2^n * p(r) on a reduced\n"
@@ -550,9 +572,6 @@ std::string cpp_kernel_prelude() {
       "// MCFUSER_JIT_FAULT: comma-separated `mode@substr` entries, mode in\n"
       "// {segv, kill, hang, garbage}; an entry without `@` matches every\n"
       "// kernel, otherwise substr is matched against the chain tag.\n"
-      "#include <signal.h>\n"
-      "#include <stdlib.h>\n"
-      "#include <time.h>\n"
       "static int mcf_fault_in_worker(void) {\n"
       "  static int flag = -1;\n"
       "  if (flag < 0) {\n"

@@ -56,8 +56,10 @@ struct CppKernelSource {
 [[nodiscard]] CppKernelSource emit_cpp_kernel(const Schedule& s,
                                               const std::string& symbol);
 
-/// Translation-unit header shared by every emitted kernel (includes and
-/// typedefs); a TU is prelude + N emit_cpp_kernel bodies.
+/// Translation-unit header shared by every emitted kernel (libc
+/// declarations, typedefs and the inline helpers; no #include, so a TU
+/// compiles without any system header); a TU is prelude + N
+/// emit_cpp_kernel bodies.
 [[nodiscard]] std::string cpp_kernel_prelude();
 
 /// Scratch floats one kernel invocation needs: exec/lower's arena plan

@@ -40,8 +40,11 @@ namespace fs = std::filesystem;
 /// Bump when the emitted code or ABI changes: stale on-disk kernels from
 /// an older emitter must miss, not resolve.  v5: fault-injection seam in
 /// the prelude + per-kernel mcf_maybe_fault call (exec/sandbox chaos
-/// tests).
-constexpr std::uint64_t kEmitterVersion = 6;
+/// tests).  v7: the prelude declares its libc functions instead of
+/// including headers and the object links against libc alone; kernel
+/// bodies and machine code are unchanged (the key already folds the
+/// prelude and the command line; the bump records the new TU format).
+constexpr std::uint64_t kEmitterVersion = 7;
 
 /// Kernels are always compiled at full optimisation for the build
 /// machine's vector ISA — the point of the JIT is that the micro-kernel
@@ -50,10 +53,16 @@ constexpr std::uint64_t kEmitterVersion = 6;
 /// assumptions that block vectorisation of floorf in the softmax exp
 /// (results are unchanged: the kernels never read errno or FP traps);
 /// full -ffast-math stays OFF — the online softmax relies on -inf
-/// sentinel semantics.
+/// sentinel semantics.  -nodefaultlibs plus kLinkLibs links the object
+/// against libc alone: the kernels call nothing from libstdc++, libm or
+/// libgcc_s, and scanning them was nearly half the link.
 constexpr const char* kCompileFlags =
     "-std=c++17 -O3 -march=native -fopenmp-simd -fno-math-errno "
-    "-fno-trapping-math -fPIC -shared";
+    "-fno-trapping-math -fPIC -shared -nodefaultlibs";
+
+/// Libraries named after the source on the compiler command line (the
+/// linker resolves left to right).
+constexpr const char* kLinkLibs = "-lc";
 
 [[nodiscard]] std::string find_on_path(const std::string& name) {
   if (name.find('/') != std::string::npos) {
@@ -137,7 +146,7 @@ struct Registry {
 
 /// One emitted kernel plus its cache identity.  The key folds the
 /// structure digest (chain shape key, statement tree, tiles), the gpu
-/// key, the compile flags, the emitter version AND a hash of the full
+/// key, the compile line, the emitter version AND a hash of the full
 /// emitted source (prelude included) — so an emitter change can never
 /// serve stale native code from the persistent cache, version bump or
 /// not.  Emission costs microseconds; resolving is dominated by either
@@ -176,6 +185,7 @@ struct EmittedKernel {
   std::uint64_t h = schedule_structure_digest(s);
   h = hash_combine(h, hash_string(gpu_key));
   h = hash_combine(h, hash_string(kCompileFlags));
+  h = hash_combine(h, hash_string(kLinkLibs));
   h = hash_combine(h, hash_string(host_cpu_fingerprint()));
   h = hash_combine(h, kEmitterVersion);
   // The symbol must not depend on the source (the source contains it);
@@ -377,7 +387,7 @@ struct CommandResult {
   if (fail.empty()) {
     const std::string cmd = shell_quote(tc.cxx) + " " + kCompileFlags +
                             " -o " + shell_quote(so_tmp.string()) + " " +
-                            shell_quote(cpp_tmp.string());
+                            shell_quote(cpp_tmp.string()) + " " + kLinkLibs;
     const double deadline = compile_timeout_s();
     const CommandResult res = run_command_deadline(cmd, deadline);
     if (!res.spawned) {

@@ -11,9 +11,22 @@
 //     (`-O3 -march=native`, so the JIT'd code uses the full vector ISA
 //     even when the library itself is built generic), dlopen()s the
 //     resulting shared object and resolves per-candidate entry points.
+//     The whole compile and link is one command:
+//
+//       $CXX -std=c++17 -O3 -march=native -fopenmp-simd -fno-math-errno
+//            -fno-trapping-math -fPIC -shared -nodefaultlibs
+//            -o tu_<hash>.so.tmp.<pid>.<n> tu_<hash>.tmp.<pid>.<n>.cpp -lc
+//
+//     The TU includes no header: cpp_kernel_prelude() declares the few
+//     libc functions the kernels call, because in C++ mode <math.h> and
+//     <stdlib.h> drag in libstdc++'s <cmath> and <cstdlib>, whose parse
+//     was ~40% of a cold compile.  GCC binds the declarations to the same
+//     builtins, so the machine code is what the headers gave.  Nothing
+//     but libc is linked: the kernels call nothing in libstdc++, libm or
+//     libgcc_s, and scanning them was nearly half the link.
 //   * digest-keyed on-disk cache — kernels are keyed by
 //     schedule_structure_digest (which already folds the tiles) + the gpu
-//     key + the emitted source + compile flags; a `<key>.idx` file maps
+//     key + the emitted source + the compile line; a `<key>.idx` file maps
 //     the key to its shared object and symbol, so recompiles are free
 //     across tuner generations, engine calls and processes.  The on-disk
 //     directory has no automatic eviction (it is bounded by the distinct

@@ -1,8 +1,9 @@
 // JIT native codegen: numeric agreement against the interpreter on gelu
 // and attention chains, kernel-cache behaviour (hit on second compile,
-// one TU per batch), the compile timeout and the compiler pipe's
-// close-on-exec.  The execution backend's fallback when no host compiler
-// exists is pinned by the cascade table in tests/measure/test_backends.cpp.
+// one TU per batch), the compile timeout, the compiler pipe's
+// close-on-exec and the header-free kernel source.  The execution
+// backend's fallback when no host compiler exists is pinned by the
+// cascade table in tests/measure/test_backends.cpp.
 #include "exec/jit.hpp"
 
 #include <gtest/gtest.h>
@@ -18,9 +19,11 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "exec/codegen.hpp"
 #include "exec/interpreter.hpp"
 #include "exec/program.hpp"
 #include "ir/expr.hpp"
@@ -289,6 +292,44 @@ TEST(JitCompile, CompilerPipeIsCloseOnExecWhenTheCompilerForks) {
 
   EXPECT_EQ(jit::stats_snapshot().since(before).failures, 1);  // it forked
   EXPECT_TRUE(g_inheritable_pipes.empty()) << g_inheritable_pipes.front();
+}
+
+TEST(JitCompile, KernelSourceNeedsNoSystemHeader) {
+  // The prelude declares the libc functions a TU calls instead of
+  // including their headers, which cost most of a cold compile.  A kernel
+  // that calls anything undeclared fails to parse without the system
+  // include path.  One schedule per epilogue, on the golden-digest shapes.
+  const jit::Toolchain tc = jit::detect_toolchain();
+  if (!tc.ok()) GTEST_SKIP() << "jit unavailable: " << tc.reason;
+  static const ChainSpec none = ChainSpec::gemm_chain("g-exact", 1, 128, 128, 64, 64);
+  static const ChainSpec relu("g-relu", 2, 64, {32, 64, 32}, {Epilogue::Relu, Epilogue::None});
+  static const ChainSpec gelu("g-gelu", 1, 80, {48, 72, 40}, {Epilogue::Gelu, Epilogue::None});
+  static const ChainSpec softmax = ChainSpec::attention("g-attn", 2, 64, 72, 32, 32);
+  const struct {
+    const char* tag;
+    Schedule s;
+  } cases[] = {
+      {"none", build_schedule(none, make_deep_expr(none, {0, 3, 2, 1}),
+                              std::vector<std::int64_t>{32, 32, 32, 32})},
+      {"relu", build_schedule(relu, make_deep_expr(relu, {0, 3, 2, 1}),
+                              std::vector<std::int64_t>{32, 32, 32, 32})},
+      {"gelu", build_schedule(gelu, make_deep_expr(gelu, {0, 3, 2, 1}),
+                              std::vector<std::int64_t>{32, 48, 24, 40})},
+      {"softmax", build_schedule(softmax, make_deep_expr(softmax, {0, 3, 2, 1}),
+                                 std::vector<std::int64_t>{24, 64, 16, 16})},
+  };
+  for (const auto& c : cases) {
+    const std::string src = ::testing::TempDir() + "mcf_noinc_" + c.tag + ".cpp";
+    const std::string log = src + ".log";
+    std::ofstream(src) << cpp_kernel_prelude()
+                       << emit_cpp_kernel(c.s, "noinc_kernel").code;
+    const std::string cmd = tc.cxx + " -std=c++17 -fsyntax-only -nostdinc " +
+                            src + " >" + log + " 2>&1";
+    const int status = std::system(cmd.c_str());
+    std::stringstream diag;
+    diag << std::ifstream(log).rdbuf();
+    EXPECT_EQ(status, 0) << c.tag << ":\n" << diag.str();
+  }
 }
 
 }  // namespace

@@ -63,8 +63,7 @@ std::string emit_driver_tu(const Schedule& s, std::int64_t n_blocks) {
   const CppKernelSource k = emit_cpp_kernel(s, "mcf_diff_kernel");
   std::ostringstream os;
   os << cpp_kernel_prelude() << k.code;
-  os << "#include <cstdlib>\n"
-     << "int main() {\n"
+  os << "int main() {\n"
      << "  const i64 scratch_n = " << cpp_kernel_scratch_floats(s) << ";\n"
      << "  float* a = new float[" << c.batch() * c.m() * c.inner().front()
      << "]();\n";
