@@ -14,7 +14,8 @@ int main() {
   const GpuSpec gpu = a100();
 
   // One long-lived engine per deployment: it owns the GPU spec, the
-  // resolved measurement backend, the worker pool, and the result memo.
+  // resolved measurement backend, the worker pool, and the result store
+  // every entry point consults before tuning.
   // Production engines bound their queue and memo so a traffic burst
   // sheds load (FusionStatus::Rejected) instead of growing without
   // bound — see docs/api.md "Admission control".
@@ -58,11 +59,12 @@ int main() {
                 c.reused ? " (memo)" : "");
   }
 
-  // A second pass over the same graph tunes nothing: the engine memo
+  // A second pass over the same graph tunes nothing: the engine's store
   // already holds every digest.
   const GraphFusionReport again = engine.fuse_graph(graph);
-  std::printf("second fuse_graph: tuned %d chains (memo hits: %zu)\n",
-              again.tuned_chains, engine.result_cache_size());
+  std::printf("second fuse_graph: tuned %d chains (memo hits so far: %llu)\n",
+              again.tuned_chains,
+              static_cast<unsigned long long>(engine.stats().memo_hits));
 
   std::printf("\nJSON report:\n%s\n", again.to_json().c_str());
 

@@ -56,20 +56,6 @@ const char* overflow_policy_name(OverflowPolicy p) noexcept {
 
 namespace {
 
-/// Approximate heap payload of a memoized result — what the MemoLimits
-/// byte cap counts.  Exactness is not the point (the kernel/schedule
-/// payload is estimated flat); monotone growth with result size is.
-std::size_t approx_result_bytes(const FusionResult& r) {
-  std::size_t bytes = sizeof(FusionResult);
-  bytes += r.reason.capacity();
-  bytes += r.tuned.fail_reason.capacity();
-  bytes += r.tuned.est_vs_measured.capacity() * sizeof(std::pair<double, double>);
-  bytes += static_cast<std::size_t>(r.tuned.best.tiles.size()) *
-           sizeof(std::int64_t);
-  if (r.kernel.has_value()) bytes += 1024;  // schedule tree + lowering state
-  return bytes;
-}
-
 FusionResult make_shed_result(FusionStatus status, std::string reason) {
   FusionResult r;
   r.status = status;
@@ -159,7 +145,30 @@ FusionTicket::Progress FusionTicket::progress() const {
   return p;
 }
 
-// ---- GraphFusionReport ------------------------------------------------------
+// ---- EngineStats / GraphFusionReport ----------------------------------------
+
+std::string EngineStats::to_json() const {
+  std::ostringstream os;
+  os << "{\"queued\":" << queued << ",\"busy\":" << busy
+     << ",\"workers\":" << workers << ",\"admitting\":" << admitting
+     << ",\"submitted\":" << submitted << ",\"completed\":" << completed
+     << ",\"rejected\":" << rejected << ",\"cancelled\":" << cancelled
+     << ",\"deadline_exceeded\":" << deadline_exceeded
+     << ",\"memo_entries\":" << memo_entries
+     << ",\"memo_bytes\":" << memo_bytes
+     << ",\"memo_evictions\":" << memo_evictions
+     << ",\"memo_hits\":" << memo_hits
+     << ",\"worker_spawns\":" << worker_spawns
+     << ",\"worker_respawns\":" << worker_respawns
+     << ",\"worker_crashes\":" << worker_crashes
+     << ",\"worker_timeouts\":" << worker_timeouts
+     << ",\"crash_cache_hits\":" << crash_cache_hits
+     << ",\"workers_active\":" << workers_active
+     << ",\"jit_modules_opened\":" << jit_modules_opened
+     << ",\"jit_modules_closed\":" << jit_modules_closed
+     << ",\"jit_modules_open\":" << jit_modules_open << "}";
+  return os.str();
+}
 
 bool GraphFusionReport::all_ok() const noexcept {
   for (const auto& c : chains) {
@@ -186,24 +195,7 @@ std::string GraphFusionReport::to_json() const {
      << ",\"modules_open\":" << jit_compile.modules_open
      << ",\"modules_closed\":" << jit_compile.modules_closed
      << ",\"compile_wall_s\":" << jit_compile.compile_wall_s
-     << "},\"engine\":{\"queued\":" << engine_stats.queued
-     << ",\"busy\":" << engine_stats.busy
-     << ",\"workers\":" << engine_stats.workers
-     << ",\"submitted\":" << engine_stats.submitted
-     << ",\"completed\":" << engine_stats.completed
-     << ",\"rejected\":" << engine_stats.rejected
-     << ",\"cancelled\":" << engine_stats.cancelled
-     << ",\"deadline_exceeded\":" << engine_stats.deadline_exceeded
-     << ",\"memo_entries\":" << engine_stats.memo_entries
-     << ",\"memo_bytes\":" << engine_stats.memo_bytes
-     << ",\"memo_evictions\":" << engine_stats.memo_evictions
-     << ",\"worker_spawns\":" << engine_stats.worker_spawns
-     << ",\"worker_respawns\":" << engine_stats.worker_respawns
-     << ",\"worker_crashes\":" << engine_stats.worker_crashes
-     << ",\"worker_timeouts\":" << engine_stats.worker_timeouts
-     << ",\"crash_cache_hits\":" << engine_stats.crash_cache_hits
-     << ",\"workers_active\":" << engine_stats.workers_active
-     << "},\"chains\":[";
+     << "},\"engine\":" << engine_stats.to_json() << ",\"chains\":[";
   for (std::size_t i = 0; i < chains.size(); ++i) {
     const GraphChainReport& c = chains[i];
     if (i) os << ",";
@@ -263,6 +255,12 @@ FusionEngine::FusionEngine(GpuSpec gpu, FusionEngineOptions options)
     // simulator — value-identical to the tuner's per-run default.
     opt_.tuner.backend = std::make_shared<SimulatorBackend>(gpu_);
   }
+  // Who measures this engine's results; wall-clock times also depend on
+  // the host and its toolchain.
+  const MeasureBackend& b = *opt_.tuner.backend;
+  producer_ = gpu_.name + " " + std::string(b.name()) + " " +
+              std::to_string(b.options_digest(opt_.tuner.measure)) + " " +
+              (b.deterministic() ? "-" : std::to_string(jit::host_key()));
 }
 
 FusionEngine::~FusionEngine() {
@@ -312,8 +310,8 @@ FusionEngineOptions FusionEngine::chimera_options() {
 }
 
 FusionResult FusionEngine::run_one(const ChainSpec& chain,
-                                   std::shared_ptr<TuningProgress> progress,
-                                   const SearchSpace* prebuilt) const {
+                                   const std::string& digest,
+                                   std::shared_ptr<TuningProgress> progress) const {
   FusionResult result;
   if (!chain.valid()) {
     result.status = FusionStatus::InvalidChain;
@@ -322,11 +320,7 @@ FusionResult FusionEngine::run_one(const ChainSpec& chain,
                   << "': " << result.reason;
     return result;
   }
-  std::optional<SearchSpace> own_space;
-  if (prebuilt == nullptr) {
-    own_space.emplace(chain, opt_.space, opt_.prune, opt_.sched);
-  }
-  const SearchSpace& space = prebuilt ? *prebuilt : *own_space;
+  const SearchSpace space(chain, opt_.space, opt_.prune, opt_.sched);
   result.funnel = space.funnel();
   result.space_size = space.candidates().size();
   if (space.candidates().empty()) {
@@ -392,12 +386,95 @@ FusionResult FusionEngine::run_one(const ChainSpec& chain,
     return result;
   }
   result.status = FusionStatus::Ok;
+  // Only Ok results are stored: a failed tuning (which may be transient
+  // on nondeterministic hardware backends) must not poison its digest
+  // for the engine's lifetime; the next request re-tunes.
+  store(digest, std::make_shared<const StoredResult>(space, result.tuned));
   return result;
+}
+
+FusionEngine::StoredResult::StoredResult(const SearchSpace& space,
+                                         const TunedResult& tuned)
+    : expr(space.expressions()[static_cast<std::size_t>(tuned.best.expr_id)]) {
+  result.status = FusionStatus::Ok;
+  result.funnel = space.funnel();
+  result.space_size = space.candidates().size();
+  result.tuned.ok = true;
+  result.tuned.best = tuned.best;
+  result.tuned.best_time_s = tuned.best_time_s;
+  result.tuned.best_measurement = tuned.best_measurement;
+  result.tuned.best_threads = tuned.best_threads;
+}
+
+std::optional<FusionResult> FusionEngine::lookup(const ChainSpec& chain,
+                                                 const std::string& digest) const {
+  std::shared_ptr<const StoredResult> stored;
+  std::optional<TuningRecord> record;
+  {
+    const LockGuard lk(memo_mu_);
+    if (const auto* hit = results_.find(digest)) {  // refreshes LRU recency
+      stored = *hit;
+    } else if (const auto it = file_.find(digest + " " + producer_);
+               it != file_.end()) {
+      // A file record resolves once: stored below, or dropped when stale.
+      record = parse_tuning_record(it->second);
+      file_.erase(it);
+    }
+  }
+  if (record) stored = resolve(chain, *record);
+  if (stored == nullptr) return std::nullopt;
+  FusionResult r = stored->result;
+  r.kernel.emplace(build_schedule(chain, stored->expr, r.tuned.best.tiles,
+                                  opt_.sched),
+                   gpu_);
+  if (!r.kernel->ok()) {  // a record whose winner no longer lowers
+    MCF_LOG(Warn) << "FusionEngine: stale tuning record for " << chain.name()
+                  << " (" << r.kernel->error() << "), re-tuning";
+    return std::nullopt;
+  }
+  if (record) store(digest, std::move(stored));
+  memo_hits_.fetch_add(1, std::memory_order_relaxed);
+  return r;
+}
+
+std::shared_ptr<const FusionEngine::StoredResult> FusionEngine::resolve(
+    const ChainSpec& chain, const TuningRecord& record) const {
+  if (!chain.valid()) return nullptr;
+  const SearchSpace space(chain, opt_.space, opt_.prune, opt_.sched);
+  for (std::size_t e = 0; e < space.expressions().size(); ++e) {
+    if (space.expressions()[e].structure_key() != record.expr_key) continue;
+    CandidateConfig c;
+    c.expr_id = static_cast<int>(e);
+    c.tiles.assign(record.tiles.begin(), record.tiles.end());
+    // Grid membership, not passes_rules: records come off the grid, so a
+    // miss means the space's rules or options changed under the record.
+    if (!space.contains(c)) return nullptr;
+    TunedResult tuned;
+    tuned.ok = tuned.best_measurement.ok = true;
+    tuned.best = std::move(c);
+    tuned.best_time_s = tuned.best_measurement.time_s = record.time_s;
+    return std::make_shared<const StoredResult>(space, tuned);
+  }
+  return nullptr;
+}
+
+void FusionEngine::store(const std::string& digest,
+                         std::shared_ptr<const StoredResult> stored) const {
+  // The MemoLimits byte cap counts an approximation, monotone in size.
+  const std::size_t bytes = sizeof(StoredResult) +
+                            stored->expr.num_nodes() * sizeof(TileExpr::Node);
+  const LockGuard lk(memo_mu_);
+  // A racing tuner of the same digest keeps the incumbent (results are
+  // deterministic per chain, so the payloads match).
+  (void)results_.insert(digest, std::move(stored), bytes);
+  file_.erase(digest + " " + producer_);
 }
 
 FusionResult FusionEngine::fuse(const ChainSpec& chain,
                                 std::shared_ptr<TuningProgress> progress) const {
-  return run_one(chain, std::move(progress));
+  const std::string digest = chain_cache_key(chain);
+  if (auto hit = lookup(chain, digest)) return std::move(*hit);
+  return run_one(chain, digest, std::move(progress));
 }
 
 unsigned FusionEngine::max_workers() const {
@@ -451,12 +528,15 @@ void FusionEngine::worker_loop() {
       os << "queue wait exceeded the " << opt_.queue.deadline_s
          << "s admission deadline";
       r = make_shed_result(FusionStatus::DeadlineExceeded, os.str());
+    } else if (auto hit = lookup(job->chain, job->digest)) {
+      // Stored while this job waited (an earlier job of the same digest).
+      r = std::move(*hit);
     } else {
       {
         const LockGuard lk(job->mu);
         job->started = true;
       }
-      r = run_one(job->chain, job->progress);
+      r = run_one(job->chain, job->digest, job->progress);
     }
     // Release the in-flight slot BEFORE publishing the result: once the
     // last ticket of a burst resolves, stats() must already show
@@ -491,47 +571,21 @@ void FusionEngine::finish(const std::shared_ptr<detail::TicketState>& state,
       completed_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  // Store the result and extract everything the memo publication needs
-  // in ONE state->mu critical section: the old shape re-read
-  // state->result under memo_mu_, which is the wrong lock for that
-  // field (benign only because the same thread had just written it).
-  std::shared_ptr<const FusionResult> aliased;
-  std::size_t bytes = 0;
   {
-    const LockGuard lk(state->mu);
-    state->result = std::move(result);
-    if (!state->memo_digest.empty() && state->result.ok()) {
-      // The aliasing shared_ptr keeps the ticket state (and thus the
-      // result) alive as long as the memo entry does; readers deref it
-      // lock-free, which is sound because the value is frozen once done
-      // flips below.
-      aliased = std::shared_ptr<const FusionResult>(state, &state->result);
-      bytes = approx_result_bytes(state->result);
-    }
-  }
-  if (!state->memo_digest.empty()) {
-    // Publish before signalling done: a fuse_chains waiter that wakes on
-    // done must find the memo entry.  Only Ok results are memoized — a
-    // failed tuning (which may be transient on nondeterministic hardware
-    // backends) must not poison its digest for the engine's lifetime;
-    // waiters of THIS call still see the failure through their tickets,
-    // and the next call re-tunes.  A racing tuner of the same digest
-    // keeps the incumbent (results are deterministic per chain, so the
-    // payloads match).
-    const LockGuard lk(memo_mu_);
-    if (aliased != nullptr) {
-      (void)results_.insert(state->memo_digest, std::move(aliased), bytes);
-    }
+    // run_one stored an Ok result before this point, so a fuse_chains
+    // caller that finds the digest no longer in flight finds it stored.
     // Only this job's own dedup registration is retired: a submit() job
     // sharing a digest with a concurrent fuse_chains job must not erase
     // the batch job's in-flight entry.
-    if (const auto it = inflight_.find(state->memo_digest);
+    const LockGuard lk(memo_mu_);
+    if (const auto it = inflight_.find(state->digest);
         it != inflight_.end() && it->second == state) {
       inflight_.erase(it);
     }
   }
   {
     const LockGuard lk(state->mu);
+    state->result = std::move(result);
     state->done = true;
   }
   state->cv.notify_all();
@@ -563,18 +617,27 @@ FusionTicket FusionEngine::admit(std::shared_ptr<detail::TicketState> state,
             std::chrono::duration<double>(qp.deadline_s));
   }
   state->sheddable = !batch;
-
-  std::shared_ptr<detail::TicketState> evicted;
-  bool admitted = false;
-  bool shutdown = false;
   {
-    UniqueLock lk(queue_mu_);
+    const LockGuard lk(queue_mu_);
     MCF_CHECK(!stop_) << "submit() on a shut-down FusionEngine";
     // Registered until the tail of this function completes: the
     // destructor waits on admitting_ so a submitter woken from the
     // Block wait below never touches a dead engine.
     ++admitting_;
-    if (!queue_full_locked()) {
+  }
+  // A stored digest is answered before the queue bound is checked, so a
+  // hit never blocks and is never shed.  Batch callers looked up already.
+  std::optional<FusionResult> hit;
+  if (!batch) hit = lookup(state->chain, state->digest);
+
+  std::shared_ptr<detail::TicketState> evicted;
+  bool admitted = false;
+  bool shutdown = false;
+  if (!hit) {
+    UniqueLock lk(queue_mu_);
+    if (stop_) {
+      shutdown = true;
+    } else if (!queue_full_locked()) {
       admitted = true;
     } else if (batch || (may_block && qp.overflow == OverflowPolicy::Block)) {
       // Batch (fuse_chains) jobs always wait for a slot: a batch call
@@ -612,7 +675,9 @@ FusionTicket FusionEngine::admit(std::shared_ptr<detail::TicketState> state,
                             "replaced by a newer submission (replace-oldest "
                             "overflow policy)"));
   }
-  if (admitted) {
+  if (hit) {
+    finish(state, std::move(*hit));
+  } else if (admitted) {
     queue_cv_.notify_one();
   } else if (shutdown) {
     finish(state,
@@ -637,19 +702,13 @@ FusionTicket FusionEngine::admit(std::shared_ptr<detail::TicketState> state,
 }
 
 FusionTicket FusionEngine::submit(ChainSpec chain) {
-  auto state = std::make_shared<detail::TicketState>(std::move(chain));
-  // Ok results publish into the digest memo so later fuse_graph /
-  // fuse_chains calls reuse them.  submit() itself never READS the memo:
-  // an explicit submission always tunes (ticket progress counters stay
-  // meaningful), and shed/failed tickets publish nothing.
-  state->memo_digest = chain_cache_key(state->chain);
-  return admit(std::move(state), /*may_block=*/true, /*batch=*/false);
+  return admit(std::make_shared<detail::TicketState>(std::move(chain)),
+               /*may_block=*/true, /*batch=*/false);
 }
 
 FusionTicket FusionEngine::try_submit(ChainSpec chain) {
-  auto state = std::make_shared<detail::TicketState>(std::move(chain));
-  state->memo_digest = chain_cache_key(state->chain);
-  return admit(std::move(state), /*may_block=*/false, /*batch=*/false);
+  return admit(std::make_shared<detail::TicketState>(std::move(chain)),
+               /*may_block=*/false, /*batch=*/false);
 }
 
 GraphFusionReport FusionEngine::fuse_chains(const std::vector<ChainSpec>& chains,
@@ -685,23 +744,27 @@ GraphFusionReport FusionEngine::fuse_chains(const std::vector<ChainSpec>& chains
     cr.chain_desc = chain.to_string();
     cr.occurrences = 1;
 
-    FusionTicket ticket;
+    // The state owns a copy of the chain the result's kernel points at,
+    // so the report stays valid after `chains` is gone.
+    auto state = std::make_shared<detail::TicketState>(chain);
+    FusionTicket ticket(state);
     bool fresh = false;
-    {
+    if (auto hit = lookup(state->chain, digest)) {
+      // Resolved in place: a store hit is not admission work, so it
+      // counts in memo_hits only.
+      const LockGuard lk(state->mu);
+      state->result = std::move(*hit);
+      state->done = true;
+      cr.reused = true;
+    } else {
+      // The in-flight join is batch-only: a ticket shared with submit()
+      // would let one caller's cancel() kill another caller's request.
       const LockGuard lk(memo_mu_);
-      if (auto* hit = results_.find(digest)) {  // refreshes LRU recency
-        cr.result = *hit;
-        cr.reused = true;
-      } else if (const auto inf = inflight_.find(digest);
-                 inf != inflight_.end()) {
-        // Another fuse_chains call is already tuning this digest; attach.
+      if (const auto inf = inflight_.find(digest); inf != inflight_.end()) {
         ticket = FusionTicket(inf->second);
         cr.reused = true;
       } else {
-        auto state = std::make_shared<detail::TicketState>(chain);
-        state->memo_digest = digest;
         inflight_.emplace(digest, state);
-        ticket = FusionTicket(std::move(state));
         fresh = true;
       }
     }
@@ -714,7 +777,7 @@ GraphFusionReport FusionEngine::fuse_chains(const std::vector<ChainSpec>& chains
     rep.chains.push_back(std::move(cr));
     index_by_digest.emplace(digest, idx);
     rep.sub_to_chain.push_back(static_cast<int>(idx));
-    if (ticket.valid()) pending.push_back(Pending{idx, std::move(ticket), fresh});
+    pending.push_back(Pending{idx, std::move(ticket), fresh});
   }
 
   for (Pending& p : pending) {
@@ -744,77 +807,35 @@ GraphFusionReport FusionEngine::fuse_graph(const NetGraph& g) {
   return rep;
 }
 
-FusionResult FusionEngine::fuse_cached_impl(const ChainSpec& chain,
-                                            TuningCache& cache,
-                                            Mutex* cache_mu) const {
-  // `cache_mu` (when set) guards only the cache accesses — never the
-  // tuning run itself, so engine-owned-cache fusions still overlap.
-  const auto locked_resolve = [&](const SearchSpace& space) {
-    if (cache_mu == nullptr) return cache.resolve(chain, gpu_, space);
-    const LockGuard lk(*cache_mu);
-    return cache.resolve(chain, gpu_, space);
-  };
-  if (!chain.valid()) {
-    FusionResult result;
-    result.status = FusionStatus::InvalidChain;
-    result.reason = chain.validation_error();
-    return result;
-  }
-  SearchSpace space(chain, opt_.space, opt_.prune, opt_.sched);
-  if (const auto hit = locked_resolve(space)) {
-    FusionResult result;
-    result.funnel = space.funnel();
-    result.space_size = space.candidates().size();
-    result.kernel.emplace(space.schedule_for(*hit), gpu_);
-    if (result.kernel->ok()) {
-      const KernelMeasurement m = result.kernel->measure();
-      result.tuned.ok = true;
-      result.tuned.best = *hit;
-      result.tuned.best_time_s = m.time_s;
-      result.tuned.best_measurement = m;
-      result.status = FusionStatus::Ok;
-      MCF_LOG(Info) << "FusionEngine: tuning-cache hit for " << chain.name();
-      return result;
-    }
-    MCF_LOG(Warn) << "FusionEngine: stale cache entry for " << chain.name()
-                  << ", re-tuning";
-  }
-  FusionResult result = run_one(chain, nullptr, &space);
-  if (result.ok()) {
-    CachedSchedule entry;
-    entry.expr_key =
-        space.expressions()[static_cast<std::size_t>(result.tuned.best.expr_id)]
-            .structure_key();
-    entry.tiles.assign(result.tuned.best.tiles.begin(),
-                       result.tuned.best.tiles.end());
-    entry.time_s = result.tuned.best_time_s;
-    if (cache_mu == nullptr) {
-      cache.put(chain, gpu_, std::move(entry));
-    } else {
-      const LockGuard lk(*cache_mu);
-      cache.put(chain, gpu_, std::move(entry));
-    }
-  }
-  return result;
-}
-
-FusionResult FusionEngine::fuse_cached(const ChainSpec& chain,
-                                       TuningCache& cache) const {
-  return fuse_cached_impl(chain, cache, nullptr);
-}
-
-FusionResult FusionEngine::fuse_cached(const ChainSpec& chain) {
-  return fuse_cached_impl(chain, tuning_cache_, &cache_mu_);
-}
-
 bool FusionEngine::load_tuning_cache(const std::string& path) {
-  const LockGuard lk(cache_mu_);
-  return tuning_cache_.load(path);
+  std::vector<std::string> lines;
+  bool clean = read_tuning_cache(path, &lines);
+  const LockGuard lk(memo_mu_);
+  for (std::string& line : lines) {
+    const std::optional<TuningRecord> r = parse_tuning_record(line);
+    clean = clean && r.has_value();
+    if (r && (r->producer != producer_ || !results_.contains(r->chain))) {
+      file_[r->chain + " " + r->producer] = std::move(line);
+    }
+  }
+  return clean;
 }
 
 bool FusionEngine::save_tuning_cache(const std::string& path) const {
-  const LockGuard lk(cache_mu_);
-  return tuning_cache_.save(path);
+  std::vector<std::string> lines;
+  {
+    const LockGuard lk(memo_mu_);
+    results_.for_each([&](const std::string& digest,
+                          const std::shared_ptr<const StoredResult>& s) {
+      const TunedResult& t = s->result.tuned;
+      lines.push_back(format_tuning_record(TuningRecord{
+          digest, producer_, s->expr.structure_key(),
+          std::vector<std::int64_t>(t.best.tiles.begin(), t.best.tiles.end()),
+          t.best_time_s}));
+    });
+    for (const auto& [key, line] : file_) lines.push_back(line);
+  }
+  return write_tuning_cache(path, std::move(lines));
 }
 
 std::size_t FusionEngine::result_cache_size() const {
@@ -859,6 +880,7 @@ EngineStats FusionEngine::stats() const {
     s.memo_bytes = results_.bytes();
     s.memo_evictions = results_.evictions();
   }
+  s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   // Worker-pool health is process-wide (the pools live in the measure
   // backends, which engines may share), mirrored here like jit compile
   // stats are mirrored into the graph report.

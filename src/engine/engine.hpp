@@ -2,20 +2,24 @@
 //
 // A long-lived engine owns everything one fusion deployment shares across
 // requests: the GPU spec, the resolved MeasureBackend, the worker pool for
-// concurrent chain tuning, a process-wide TuningCache, and a digest-keyed
-// memo of finished FusionResults.  Three front doors:
+// concurrent chain tuning, and one digest-keyed store of tuned results.
+// Front doors:
 //
 //   * fuse(chain)        — synchronous, runs inline on the caller's thread;
 //                          bit-identical to the pre-engine pipeline
 //                          (pinned by tests/engine/test_regression.cpp).
 //   * submit(chain)      — asynchronous; returns a FusionTicket with
-//                          wait()/ready()/cancel() and live progress
+//     try_submit(chain)    wait()/ready()/cancel() and live progress
 //                          counters fed from the tuner.
 //   * fuse_graph(graph)  — whole-graph batch fusion: partitions the graph,
-//                          deduplicates structurally-identical chains by
+//     fuse_chains(...)     deduplicates structurally-identical chains by
 //                          digest, tunes distinct chains concurrently
 //                          across the worker pool, and assembles a
 //                          GraphFusionReport.
+//
+// One lookup rule: every entry point answers from the store when it holds
+// the chain's digest, and every Ok tuning result is stored.  The store's
+// file image keys each record by the GPU and backend that measured it.
 //
 // Every result carries a FusionStatus (engine/status.hpp) plus a
 // human-readable reason from the layer that failed — no more bool ok.
@@ -37,6 +41,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -90,9 +95,9 @@ struct QueuePolicy {
   OverflowPolicy overflow = OverflowPolicy::Reject;
 };
 
-/// Byte/entry caps for the engine's digest-keyed result memo.  0 =
-/// unbounded.  Eviction is LRU; an evicted digest simply re-tunes on the
-/// next request (deterministically identical result — pinned by
+/// Byte/entry caps for the engine's digest-keyed result store (the memo).
+/// 0 = unbounded.  Eviction is LRU; an evicted digest simply re-tunes on
+/// the next request (deterministically identical result — pinned by
 /// tests/engine/test_fuse_graph.cpp).  The newest entry is never evicted,
 /// so a single result larger than max_bytes still memoizes (the memo
 /// holds at most that one entry).
@@ -128,8 +133,9 @@ struct FusionEngineOptions {
 /// work) counts in `submitted` and lands in exactly one of
 /// completed/rejected/cancelled/deadline_exceeded — the stress suite pins
 /// the identity submitted == completed + rejected + cancelled +
-/// deadline_exceeded once all tickets resolved.  The synchronous fuse()
-/// path never touches the queue and is not counted.
+/// deadline_exceeded once all tickets resolved.  A submission answered
+/// from the store at admission counts in submitted and completed.  The
+/// synchronous fuse() path never touches the queue and is not counted.
 struct EngineStats {
   std::size_t queued = 0;   ///< jobs waiting for a worker (instantaneous)
   std::size_t busy = 0;     ///< workers currently running a job
@@ -145,6 +151,7 @@ struct EngineStats {
   std::size_t memo_entries = 0;  ///< digests currently memoized
   std::size_t memo_bytes = 0;    ///< approximate memoized payload bytes
   std::uint64_t memo_evictions = 0;  ///< results LRU-evicted so far
+  std::uint64_t memo_hits = 0;  ///< requests answered from the store
   // Sandbox worker-pool health (process-wide, like the jit compile
   // stats — every engine in the process shares the pools' counters; see
   // exec/sandbox.hpp).  All zero when isolation is never used.
@@ -161,6 +168,9 @@ struct EngineStats {
   std::uint64_t jit_modules_opened = 0;  ///< dlopen()s performed
   std::uint64_t jit_modules_closed = 0;  ///< dlclose()s on last release
   std::size_t jit_modules_open = 0;      ///< resident modules (gauge)
+
+  /// Every field, keyed by its name: the one EngineStats JSON writer.
+  [[nodiscard]] std::string to_json() const;
 };
 
 /// Everything the fusion pipeline produces for one chain.
@@ -186,13 +196,12 @@ namespace detail {
 /// Shared state between a FusionTicket and the engine worker running it.
 struct TicketState {
   explicit TicketState(ChainSpec c)
-      : chain(std::move(c)), progress(std::make_shared<TuningProgress>()) {}
+      : chain(std::move(c)), digest(chain_cache_key(chain)),
+        progress(std::make_shared<TuningProgress>()) {}
 
   const ChainSpec chain;
+  const std::string digest;  ///< chain_cache_key(chain): the store key
   const std::shared_ptr<TuningProgress> progress;
-  /// Set when the result must also be published to the engine's
-  /// digest-keyed memo (fuse_graph path).
-  std::string memo_digest;
   /// Queue-wait deadline (QueuePolicy::deadline_s); checked by the worker
   /// at pick-up time.  Batch (fuse_chains) jobs are exempt from
   /// ReplaceOldest shedding but not from the deadline.
@@ -273,8 +282,8 @@ struct GraphChainReport {
   std::string chain_name;  ///< representative (first occurrence) name
   std::string chain_desc;  ///< ChainSpec::to_string of the representative
   int occurrences = 0;     ///< how many subgraphs share this digest
-  /// True when the result came from the engine's memo (tuned by an
-  /// earlier fuse_graph/fuse_chains call) instead of this call.
+  /// True when this call did not tune the chain: the result came from
+  /// the engine's store, or from a concurrent call tuning the same digest.
   bool reused = false;
   std::shared_ptr<const FusionResult> result;
 };
@@ -324,17 +333,19 @@ class FusionEngine {
 
   /// Synchronous single-chain fusion, inline on the calling thread.
   /// `progress` optionally attaches an observation/cancellation channel.
+  /// A store hit answers without tuning; the kernel of every result is
+  /// built for `chain`, so it stays valid while `chain` does.
   [[nodiscard]] FusionResult fuse(
       const ChainSpec& chain,
       std::shared_ptr<TuningProgress> progress = nullptr) const;
 
   /// Asynchronous submission onto the engine's worker pool, subject to
-  /// the configured QueuePolicy.  With a full bounded queue the call
-  /// sheds or blocks per QueuePolicy::overflow; a shed submission still
-  /// returns a valid ticket, already resolved as Rejected (callers
-  /// branch on get().status, never on ticket validity).  An Ok result is
-  /// published to the digest memo (so fuse_graph reuses it), but submit
-  /// never reads the memo — an explicit submission always tunes.
+  /// the configured QueuePolicy.  A digest the store holds is answered
+  /// at admission — the ticket is Ok at once, never started, even when
+  /// the queue is full.  Otherwise a full bounded queue sheds or blocks
+  /// per QueuePolicy::overflow; a shed submission still returns a valid
+  /// ticket, already resolved as Rejected (callers branch on
+  /// get().status, never on ticket validity).
   [[nodiscard]] FusionTicket submit(ChainSpec chain);
 
   /// Non-blocking submission: like submit(), but when the queue is full
@@ -343,7 +354,7 @@ class FusionEngine {
   [[nodiscard]] FusionTicket try_submit(ChainSpec chain);
 
   /// Whole-graph batch fusion: partition -> digest-dedup -> concurrent
-  /// tuning of distinct chains -> report.  Results are memoized in the
+  /// tuning of distinct chains -> report.  Results are stored in the
   /// engine, so repeated calls (or shared chains across graphs) tune once.
   [[nodiscard]] GraphFusionReport fuse_graph(const NetGraph& g);
 
@@ -352,19 +363,16 @@ class FusionEngine {
   [[nodiscard]] GraphFusionReport fuse_chains(const std::vector<ChainSpec>& chains,
                                               const std::string& label = "");
 
-  /// Like fuse(), but consults `cache` first (a valid hit skips tuning
-  /// entirely — zero measurements) and records the winner on a miss.
-  [[nodiscard]] FusionResult fuse_cached(const ChainSpec& chain,
-                                         TuningCache& cache) const;
-  /// fuse_cached against the engine-owned process-wide cache.
-  [[nodiscard]] FusionResult fuse_cached(const ChainSpec& chain);
-
-  /// Engine-owned persistent tuning cache (guarded; load/save under lock).
+  /// The store's file image (search/tuning_cache.hpp).  Only records
+  /// this GPU, backend, measure options and host produced are served;
+  /// the rest are kept for save.  load is false when the file is absent,
+  /// unversioned (nothing loads) or partly malformed; save (atomic) is
+  /// false, with `path` untouched, when it cannot write.
   bool load_tuning_cache(const std::string& path);
   [[nodiscard]] bool save_tuning_cache(const std::string& path) const;
 
-  /// Distinct chain digests with a memoized successful result (failures
-  /// are reported but never memoized — the next request re-tunes).
+  /// Distinct chain digests with a stored successful result (failures
+  /// are reported but never stored — the next request re-tunes).
   [[nodiscard]] std::size_t result_cache_size() const;
 
   /// Point-in-time observability snapshot (queue depth, admission
@@ -385,23 +393,32 @@ class FusionEngine {
   [[nodiscard]] static FusionEngineOptions chimera_options();
 
  private:
-  /// The single-chain pipeline (space -> prune -> tune -> compile) plus
-  /// status/reason mapping.
-  /// `prebuilt` (nullable) reuses a SearchSpace the caller already built
-  /// for this chain with this engine's options (fuse_cached's miss path).
-  [[nodiscard]] FusionResult run_one(const ChainSpec& chain,
-                                     std::shared_ptr<TuningProgress> progress,
-                                     const SearchSpace* prebuilt = nullptr) const;
+  /// A stored Ok result: what a hit needs to answer without tuning.
+  struct StoredResult {
+    /// The stored form of `tuned`, an Ok tuning over `space`.
+    StoredResult(const SearchSpace& space, const TunedResult& tuned);
+    FusionResult result;  ///< no kernel, zero tuning stats
+    TileExpr expr;        ///< the winner's; a hit rebuilds its kernel
+  };
 
-  /// fuse_cached over any cache; `cache_mu` (nullable) guards only the
-  /// resolve/put calls, never the tuning run.  Conditional locking
-  /// through a nullable mutex pointer is invisible to the static
-  /// analysis, hence the escape hatch (the runtime validator still sees
-  /// every acquisition).
-  [[nodiscard]] FusionResult fuse_cached_impl(const ChainSpec& chain,
-                                              TuningCache& cache,
-                                              Mutex* cache_mu) const
-      MCF_NO_THREAD_SAFETY_ANALYSIS;
+  /// The single-chain pipeline (space -> prune -> tune -> compile) plus
+  /// status/reason mapping; an Ok result is stored under `digest`.
+  [[nodiscard]] FusionResult run_one(const ChainSpec& chain,
+                                     const std::string& digest,
+                                     std::shared_ptr<TuningProgress> progress) const;
+
+  /// The one store lookup every entry point makes before tuning: the
+  /// result stored under `digest`, its kernel built for `chain`.  A file
+  /// record resolves on its first lookup, or is dropped.  Never called
+  /// under engine.queue.
+  [[nodiscard]] std::optional<FusionResult> lookup(const ChainSpec& chain,
+                                                   const std::string& digest) const;
+  /// A file record as a stored result; null when it no longer fits the
+  /// rebuilt search space.
+  [[nodiscard]] std::shared_ptr<const StoredResult> resolve(
+      const ChainSpec& chain, const TuningRecord& record) const;
+  void store(const std::string& digest,
+             std::shared_ptr<const StoredResult> stored) const;
 
   /// Spawns one worker when the outstanding job count exceeds the
   /// current worker count, up to the jobs cap — so N submissions cost
@@ -448,17 +465,20 @@ class FusionEngine {
   std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> deadline_exceeded_{0};
 
-  // Digest-keyed LRU memo of finished results (bounded by opt_.memo;
-  // support/lru_map.hpp) + in-flight dedup.
+  // The result store: a digest-keyed LRU memo (bounded by opt_.memo;
+  // support/lru_map.hpp), the loaded file records not in it, and
+  // fuse_chains' in-flight dedup.
   mutable Mutex memo_mu_{"engine.memo"};
-  LruMap<std::string, std::shared_ptr<const FusionResult>> results_
+  mutable LruMap<std::string, std::shared_ptr<const StoredResult>> results_
       MCF_GUARDED_BY(memo_mu_);
+  /// By record key ("<chain> <producer>"): this engine's records resolve
+  /// on first lookup; the others are only written back.
+  mutable std::map<std::string, std::string> file_ MCF_GUARDED_BY(memo_mu_);
   std::unordered_map<std::string, std::shared_ptr<detail::TicketState>>
       inflight_ MCF_GUARDED_BY(memo_mu_);
-
-  // Engine-owned persistent tuning cache.
-  mutable Mutex cache_mu_{"engine.tuning-cache"};
-  mutable TuningCache tuning_cache_ MCF_GUARDED_BY(cache_mu_);
+  mutable std::atomic<std::uint64_t> memo_hits_{0};
+  /// TuningRecord::producer of every record this engine writes or serves.
+  std::string producer_;
 };
 
 }  // namespace mcf

@@ -603,6 +603,13 @@ std::string cache_dir() {
   return "/tmp/mcfuser-jit-" + std::to_string(::getuid());
 }
 
+std::uint64_t host_key() {
+  std::uint64_t h = hash_string(host_cpu_fingerprint());
+  h = hash_combine(h, hash_string(kCompileFlags));
+  h = hash_combine(h, hash_string(kLinkLibs));
+  return hash_combine(h, kEmitterVersion);
+}
+
 CompileStats stats_snapshot() {
   Registry& reg = Registry::instance();
   CompileStats s;

@@ -87,6 +87,11 @@ struct Toolchain {
 /// /tmp/mcfuser-jit-<uid>.
 [[nodiscard]] std::string cache_dir();
 
+/// Hash of what a native kernel's speed depends on besides its schedule:
+/// the CPU fingerprint, compile flags, link libraries and emitter version
+/// every kernel key folds in.  Keys wall-clock tuning records by host.
+[[nodiscard]] std::uint64_t host_key();
+
 /// Process-wide compilation counters (monotonic; report deltas).
 /// Surfaced in GraphFusionReport::to_json and the CLI --json output.
 struct CompileStats {

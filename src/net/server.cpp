@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <sstream>
 
 #include "net/protocol.hpp"
 #include "support/framing.hpp"
@@ -402,7 +403,9 @@ void FusionServer::handle_connection(Conn* conn) {
         break;
       }
       case MsgType::StatsQuery:
-        open = send_frame(fd, encode_stats_result(stats_json()));
+        open = send_frame(
+            fd, encode_stats_result("{\"engine\":" + engine_.stats().to_json() +
+                                    ",\"server\":" + stats().to_json() + "}"));
         break;
       case MsgType::FuseChain:
         open = handle_fuse(fd, payload);
@@ -489,32 +492,18 @@ bool FusionServer::handle_fuse(int fd, const std::string& payload) {
   return send_frame(fd, encode_fuse_response(resp));
 }
 
-std::string FusionServer::stats_json() const {
-  const EngineStats e = engine_.stats();
-  const ServerStats s = stats();
-  std::string out = "{\"engine\": {";
-  out += "\"queued\": " + std::to_string(e.queued);
-  out += ", \"busy\": " + std::to_string(e.busy);
-  out += ", \"submitted\": " + std::to_string(e.submitted);
-  out += ", \"completed\": " + std::to_string(e.completed);
-  out += ", \"rejected\": " + std::to_string(e.rejected);
-  out += ", \"cancelled\": " + std::to_string(e.cancelled);
-  out += ", \"deadline_exceeded\": " + std::to_string(e.deadline_exceeded);
-  out += ", \"memo_entries\": " + std::to_string(e.memo_entries);
-  out += "}, \"server\": {";
-  out += "\"accepted\": " + std::to_string(s.accepted);
-  out += ", \"active\": " + std::to_string(s.active);
-  out += ", \"overload_sheds\": " + std::to_string(s.overload_sheds);
-  out += ", \"protocol_errors\": " + std::to_string(s.protocol_errors);
-  out += ", \"version_mismatches\": " + std::to_string(s.version_mismatches);
-  out += ", \"oversized_frames\": " + std::to_string(s.oversized_frames);
-  out += ", \"idle_closes\": " + std::to_string(s.idle_closes);
-  out += ", \"io_timeouts\": " + std::to_string(s.io_timeouts);
-  out += ", \"requests\": " + std::to_string(s.requests);
-  out += ", \"requests_ok\": " + std::to_string(s.requests_ok);
-  out += ", \"requests_shed\": " + std::to_string(s.requests_shed);
-  out += "}}";
-  return out;
+std::string ServerStats::to_json() const {
+  std::ostringstream os;
+  os << "{\"accepted\":" << accepted << ",\"active\":" << active
+     << ",\"overload_sheds\":" << overload_sheds
+     << ",\"protocol_errors\":" << protocol_errors
+     << ",\"version_mismatches\":" << version_mismatches
+     << ",\"oversized_frames\":" << oversized_frames
+     << ",\"idle_closes\":" << idle_closes
+     << ",\"io_timeouts\":" << io_timeouts << ",\"requests\":" << requests
+     << ",\"requests_ok\":" << requests_ok
+     << ",\"requests_shed\":" << requests_shed << "}";
+  return os.str();
 }
 
 }  // namespace net

@@ -88,6 +88,9 @@ struct ServerStats {
   std::uint64_t requests = 0;          ///< FuseChain requests admitted
   std::uint64_t requests_ok = 0;       ///< ... resolved FusionStatus::Ok
   std::uint64_t requests_shed = 0;     ///< ... resolved Rejected (admission)
+
+  /// Every field as one JSON object, keys named as the fields.
+  [[nodiscard]] std::string to_json() const;
 };
 
 class FusionServer {
@@ -129,7 +132,6 @@ class FusionServer {
   /// connection.
   [[nodiscard]] bool handle_fuse(int fd, const std::string& payload);
   [[nodiscard]] bool send_frame(int fd, const std::string& frame);
-  [[nodiscard]] std::string stats_json() const;
   void reap_finished_locked() MCF_REQUIRES(mu_);
 
   FusionEngine& engine_;

@@ -1,5 +1,8 @@
 #include "search/tuning_cache.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
@@ -7,7 +10,6 @@
 #include <sstream>
 
 #include "support/atomic_file.hpp"
-#include "support/logging.hpp"
 
 namespace mcf {
 
@@ -34,107 +36,70 @@ std::string chain_cache_key(const ChainSpec& chain) {
 }
 
 namespace {
-std::string record_key(const ChainSpec& chain, const GpuSpec& gpu) {
-  return chain_cache_key(chain) + "|" + gpu.name;
+
+/// Whole-token number parse: false on trailing junk or overflow.
+template <typename T>
+bool parse_number(std::string_view tok, T* out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
+
 }  // namespace
 
-bool TuningCache::load(const std::string& path) {
+std::optional<TuningRecord> parse_tuning_record(std::string_view line) {
+  std::istringstream is{std::string(line)};
+  std::vector<std::string> tok;
+  for (std::string t; is >> t;) tok.push_back(std::move(t));
+  if (tok.size() != 8) return std::nullopt;
+  TuningRecord r;
+  r.chain = tok[0];
+  r.producer = tok[1] + " " + tok[2] + " " + tok[3] + " " + tok[4];
+  r.expr_key = tok[5];
+  std::istringstream tiles(tok[6]);
+  for (std::string t; std::getline(tiles, t, ',');) {
+    std::int64_t tile = 0;
+    if (!parse_number(t, &tile) || tile <= 0) return std::nullopt;
+    r.tiles.push_back(tile);
+  }
+  if (tok[6].back() == ',' || !parse_number(tok[7], &r.time_s) ||
+      !(r.time_s > 0.0 && std::isfinite(r.time_s))) {
+    return std::nullopt;
+  }
+  return r;
+}
+
+std::string format_tuning_record(const TuningRecord& r) {
+  std::ostringstream os;
+  // max_digits10: times round-trip bit-exactly through the text format.
+  os << std::setprecision(std::numeric_limits<double>::max_digits10);
+  os << r.chain << " " << r.producer << " " << r.expr_key << " ";
+  for (std::size_t i = 0; i < r.tiles.size(); ++i) {
+    os << (i ? "," : "") << r.tiles[i];
+  }
+  os << " " << r.time_s;
+  return os.str();
+}
+
+bool read_tuning_cache(const std::string& path,
+                       std::vector<std::string>* lines) {
   std::ifstream f(path);
-  if (!f) return false;
-  bool clean = true;
   std::string line;
+  if (!std::getline(f, line) || line != kTuningCacheHeader) return false;
   while (std::getline(f, line)) {
-    if (line.empty() || line.front() == '#') continue;
-    std::istringstream is(line);
-    std::string chain_key;
-    std::string gpu_name;
-    CachedSchedule entry;
-    std::string tiles;
-    if (!(is >> chain_key >> gpu_name >> entry.expr_key >> tiles >>
-          entry.time_s)) {
-      clean = false;
-      continue;
-    }
-    std::istringstream ts(tiles);
-    std::string tok;
-    bool tiles_ok = true;
-    while (std::getline(ts, tok, ',')) {
-      std::size_t used = 0;
-      std::int64_t value = 0;
-      try {
-        value = std::stoll(tok, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      if (used != tok.size() || tok.empty()) {
-        tiles_ok = false;  // non-numeric tile token: skip the whole line
-        break;
-      }
-      entry.tiles.push_back(value);
-    }
-    if (!tiles_ok) {
-      clean = false;
-      continue;
-    }
-    entries_[chain_key + "|" + gpu_name] = std::move(entry);
+    // A last line cut short of its newline: never trust its numbers.
+    if (f.eof()) return false;
+    if (!line.empty() && line.front() != '#') lines->push_back(line);
   }
-  return clean;
+  return true;
 }
 
-bool TuningCache::save(const std::string& path) const {
-  std::ostringstream f;
-  // max_digits10: times round-trip bit-exactly through the text format
-  // (the golden round-trip test pins this).
-  f << std::setprecision(std::numeric_limits<double>::max_digits10);
-  f << "# mcfuser tuning cache: chain gpu expr tiles time_s\n";
-  for (const auto& [key, entry] : entries_) {
-    const auto sep = key.find('|');
-    f << key.substr(0, sep) << " " << key.substr(sep + 1) << " "
-      << entry.expr_key << " ";
-    for (std::size_t i = 0; i < entry.tiles.size(); ++i) {
-      if (i) f << ",";
-      f << entry.tiles[i];
-    }
-    f << " " << entry.time_s << "\n";
-  }
-  // tmp + rename: a crash mid-save leaves the previous cache intact.
-  return write_file_atomic(path, f.str());
-}
-
-void TuningCache::put(const ChainSpec& chain, const GpuSpec& gpu,
-                      CachedSchedule entry) {
-  entries_[record_key(chain, gpu)] = std::move(entry);
-}
-
-std::optional<CachedSchedule> TuningCache::get(const ChainSpec& chain,
-                                               const GpuSpec& gpu) const {
-  const auto it = entries_.find(record_key(chain, gpu));
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<CandidateConfig> TuningCache::resolve(
-    const ChainSpec& chain, const GpuSpec& gpu,
-    const SearchSpace& space) const {
-  const auto entry = get(chain, gpu);
-  if (!entry) return std::nullopt;
-  for (int e = 0; e < static_cast<int>(space.expressions().size()); ++e) {
-    if (space.expressions()[static_cast<std::size_t>(e)].structure_key() !=
-        entry->expr_key) {
-      continue;
-    }
-    CandidateConfig c;
-    c.expr_id = e;
-    c.tiles.assign(entry->tiles.begin(), entry->tiles.end());
-    if (static_cast<int>(c.tiles.size()) != chain.num_loops()) return std::nullopt;
-    // Grid membership, not passes_rules: every entry this cache records
-    // came off the enumeration grid, so a miss means the space's rules or
-    // options changed under the entry — reject it and re-tune.
-    if (!space.contains(c)) return std::nullopt;
-    return c;
-  }
-  return std::nullopt;
+bool write_tuning_cache(const std::string& path,
+                        std::vector<std::string> lines) {
+  std::sort(lines.begin(), lines.end());
+  std::string out = std::string(kTuningCacheHeader) + "\n";
+  for (const std::string& line : lines) out += line + "\n";
+  return write_file_atomic(path, out);
 }
 
 }  // namespace mcf

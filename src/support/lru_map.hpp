@@ -91,6 +91,12 @@ class LruMap {
     return true;
   }
 
+  /// Visits every (key, value), most recent first; recency is untouched.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const K& key : lru_) f(key, map_.find(key)->second.value);
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
   [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }

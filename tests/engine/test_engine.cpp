@@ -84,6 +84,12 @@ class GatedBackend : public MeasureBackend {
     open_ = true;
     cv_.notify_all();
   }
+  /// Re-arms the gate: the next measure() blocks again.
+  void close() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    open_ = false;
+    entered_ = false;
+  }
 
  private:
   TimingSimulator sim_;
@@ -565,6 +571,52 @@ TEST(FusionEngineTest, DestructionUnblocksBlockPolicySubmitters) {
 
 // ---- stress: many producers vs a tiny bounded queue -------------------------
 
+TEST(FusionEngineAdmission, StoredDigestIsAnsweredAtAdmission) {
+  FusionEngineOptions opts = cheap_options();
+  opts.jobs = 1;
+  opts.queue.max_queued = 1;
+  opts.queue.overflow = OverflowPolicy::Reject;
+  auto gated = std::make_shared<GatedBackend>(a100());
+  opts.tuner.backend = gated;
+  FusionEngine engine(a100(), opts);
+
+  // Tune the digest, then re-arm the gate.
+  gated->release();
+  ASSERT_EQ(engine.fuse(small_chain("tuned")).status, FusionStatus::Ok);
+  gated->close();
+  const std::uint64_t hits_before = engine.stats().memo_hits;
+
+  // Fill the only worker and the queue with other digests.
+  FusionTicket busy = engine.submit(ChainSpec::gemm_chain("busy", 1, 128, 96, 64, 80));
+  gated->wait_entered();
+  FusionTicket queued = engine.submit(ChainSpec::gemm_chain("queued", 3, 128, 96, 64, 80));
+  FusionTicket shed = engine.submit(ChainSpec::gemm_chain("shed", 4, 128, 96, 64, 80));
+  EXPECT_EQ(shed.get().status, FusionStatus::Rejected);  // the queue is full
+
+  // The stored digest, under other names, is answered at admission:
+  // resolved at once, never started, never blocked or shed.
+  FusionTicket hit = engine.submit(small_chain("again"));
+  FusionTicket tried = engine.try_submit(small_chain("tried"));
+  for (const FusionTicket* t : {&hit, &tried}) {
+    EXPECT_TRUE(t->ready());
+    EXPECT_EQ(t->get().status, FusionStatus::Ok);
+    EXPECT_EQ(t->get().tuned.stats.measurements, 0);
+    EXPECT_FALSE(t->progress().started);
+    EXPECT_EQ(&t->get().kernel->schedule().chain(), &t->chain());
+  }
+  EXPECT_EQ(engine.stats().memo_hits, hits_before + 2);
+
+  gated->release();
+  EXPECT_EQ(busy.get().status, FusionStatus::Ok);
+  EXPECT_EQ(queued.get().status, FusionStatus::Ok);
+  const EngineStats s = engine.stats();
+  EXPECT_EQ(s.submitted, 5u);
+  EXPECT_EQ(s.completed, 4u);
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.submitted,
+            s.completed + s.rejected + s.cancelled + s.deadline_exceeded);
+}
+
 TEST(FusionEngineStress, ManyProducersTinyQueueEveryTicketResolvesOnce) {
   FusionEngineOptions opts = cheap_options();
   opts.jobs = 2;
@@ -593,9 +645,11 @@ TEST(FusionEngineStress, ManyProducersTinyQueueEveryTicketResolvesOnce) {
   for (int t = 0; t < kThreads; ++t) {
     producers.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
+        // A distinct digest per ticket (the batch dimension differs), so
+        // every submission reaches the queue instead of the store.
         ChainSpec c = ChainSpec::gemm_chain(
-            "s" + std::to_string(t) + "_" + std::to_string(i), 1,
-            64 + 16 * (i % 4), 64, 32, 32);
+            "s" + std::to_string(t) + "_" + std::to_string(i),
+            1 + t * kPerThread + i, 64 + 16 * (i % 4), 64, 32, 32);
         tickets[static_cast<std::size_t>(t)].push_back(
             (i % 2 == 0) ? engine.submit(std::move(c))
                          : engine.try_submit(std::move(c)));
@@ -659,10 +713,12 @@ TEST(FusionEngineStress, BlockPolicyCompletesEverythingWithinBounds) {
   for (int t = 0; t < kThreads; ++t) {
     producers.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
+        // A distinct digest per ticket: each one goes through the queue.
         tickets[static_cast<std::size_t>(t)].push_back(engine.submit(
             ChainSpec::gemm_chain("b" + std::to_string(t) + "_" +
                                       std::to_string(i),
-                                  1, 64 + 16 * (i % 3), 64, 32, 32)));
+                                  1 + t * kPerThread + i, 64 + 16 * (i % 3),
+                                  64, 32, 32)));
       }
     });
   }
@@ -678,16 +734,20 @@ TEST(FusionEngineStress, BlockPolicyCompletesEverythingWithinBounds) {
   EXPECT_EQ(s.rejected, 0u);
 }
 
-TEST(FusionEngineTest, FuseCachedHitSkipsTuning) {
+TEST(FusionEngineTest, RepeatFuseIsAStoreHit) {
   const FusionEngine engine(a100());
-  TuningCache cache;
-  const FusionResult first = engine.fuse_cached(small_chain(), cache);
+  const FusionResult first = engine.fuse(small_chain());
   ASSERT_EQ(first.status, FusionStatus::Ok);
   EXPECT_GT(first.tuned.stats.measurements, 0);
-  const FusionResult second = engine.fuse_cached(small_chain(), cache);
+  const ChainSpec renamed = small_chain("renamed");
+  const FusionResult second = engine.fuse(renamed);
   ASSERT_EQ(second.status, FusionStatus::Ok);
   EXPECT_EQ(second.tuned.stats.measurements, 0);  // zero tuning on a hit
   EXPECT_EQ(second.tuned.best.tiles, first.tuned.best.tiles);
+  EXPECT_EQ(second.tuned.best_time_s, first.tuned.best_time_s);
+  // The hit's kernel is built for the caller's chain.
+  EXPECT_EQ(&second.kernel->schedule().chain(), &renamed);
+  EXPECT_EQ(engine.stats().memo_hits, 1u);
 }
 
 }  // namespace

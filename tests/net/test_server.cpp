@@ -385,8 +385,10 @@ TEST(NetServer, EngineQueueOverflowShedsAsRejected) {
       ClientOptions copt;
       copt.max_retries = 0;
       FusionClient client(svc.endpoint(), copt);
-      const RpcResult res =
-          client.fuse(small_chain("flood-" + std::to_string(i)));
+      // A distinct digest per client (the batch dimension differs): every
+      // request needs the one engine slot, none is a store hit.
+      const RpcResult res = client.fuse(ChainSpec::gemm_chain(
+          "flood-" + std::to_string(i), 2 + i, 128, 96, 64, 80));
       if (res.status != RpcStatus::Ok) {
         other.fetch_add(1);
         return;
@@ -449,8 +451,10 @@ TEST(NetServer, DrainMidFloodKeepsTheAccountingIdentity) {
         // Any outcome is legal mid-drain (Ok result, Draining refusal,
         // connect failure once the listener is gone) — what must hold
         // is: no crash, and the identity after the join.
-        (void)client.fuse(
-            small_chain("drain-" + std::to_string(i) + "-" + std::to_string(n)));
+        // A distinct digest per request keeps real work in flight.
+        (void)client.fuse(ChainSpec::gemm_chain(
+            "drain-" + std::to_string(i) + "-" + std::to_string(n),
+            2 + i * 50 + n, 128, 96, 64, 80));
         ++n;
         sent.fetch_add(1);
       }

@@ -505,19 +505,15 @@ int cmd_fuse(const Args& args) {
                 gpu.name.c_str(), opts.backend.c_str());
   }
 
-  const FusionEngine engine(gpu, opts);
-  FusionResult result;
-  TuningCache cache;
+  FusionEngine engine(gpu, opts);
   const jit::CompileStats jit_before = jit::stats_snapshot();
+  // --cache FILE: the engine's result store, loaded before and saved
+  // after.  It answers only records this GPU and backend measured.
   const std::string cache_path = args.str("cache", "");
-  if (!cache_path.empty()) {
-    cache.load(cache_path);
-    result = engine.fuse_cached(chain, cache);
-    if (!cache.save(cache_path)) {
-      std::fprintf(stderr, "warning: could not write %s\n", cache_path.c_str());
-    }
-  } else {
-    result = engine.fuse(chain);
+  if (!cache_path.empty()) (void)engine.load_tuning_cache(cache_path);
+  const FusionResult result = engine.fuse(chain);
+  if (!cache_path.empty() && !engine.save_tuning_cache(cache_path)) {
+    std::fprintf(stderr, "warning: could not write %s\n", cache_path.c_str());
   }
   if (json) {
     print_chain_json(chain, result, opts.backend,
@@ -700,30 +696,9 @@ int cmd_serve(const Args& args) {
                                                st.cancelled +
                                                st.deadline_exceeded;
   if (args.has("json")) {
-    std::printf(
-        "{\"identity_ok\":%s,\"engine\":{\"submitted\":%llu,"
-        "\"completed\":%llu,\"rejected\":%llu,\"cancelled\":%llu,"
-        "\"deadline_exceeded\":%llu},\"server\":{\"accepted\":%llu,"
-        "\"requests\":%llu,\"requests_ok\":%llu,\"requests_shed\":%llu,"
-        "\"overload_sheds\":%llu,\"protocol_errors\":%llu,"
-        "\"version_mismatches\":%llu,\"oversized_frames\":%llu,"
-        "\"idle_closes\":%llu,\"io_timeouts\":%llu}}\n",
-        identity_ok ? "true" : "false",
-        static_cast<unsigned long long>(st.submitted),
-        static_cast<unsigned long long>(st.completed),
-        static_cast<unsigned long long>(st.rejected),
-        static_cast<unsigned long long>(st.cancelled),
-        static_cast<unsigned long long>(st.deadline_exceeded),
-        static_cast<unsigned long long>(ss.accepted),
-        static_cast<unsigned long long>(ss.requests),
-        static_cast<unsigned long long>(ss.requests_ok),
-        static_cast<unsigned long long>(ss.requests_shed),
-        static_cast<unsigned long long>(ss.overload_sheds),
-        static_cast<unsigned long long>(ss.protocol_errors),
-        static_cast<unsigned long long>(ss.version_mismatches),
-        static_cast<unsigned long long>(ss.oversized_frames),
-        static_cast<unsigned long long>(ss.idle_closes),
-        static_cast<unsigned long long>(ss.io_timeouts));
+    std::printf("{\"identity_ok\":%s,\"engine\":%s,\"server\":%s}\n",
+                identity_ok ? "true" : "false", st.to_json().c_str(),
+                ss.to_json().c_str());
   } else {
     std::fprintf(stderr,
                  "mcfuser serve: drained; %llu conns, %llu requests "
@@ -736,14 +711,9 @@ int cmd_serve(const Args& args) {
   }
   if (!identity_ok) {
     std::fprintf(stderr,
-                 "mcfuser serve: accounting identity broken: submitted=%llu "
-                 "!= completed=%llu + rejected=%llu + cancelled=%llu + "
-                 "deadline_exceeded=%llu\n",
-                 static_cast<unsigned long long>(st.submitted),
-                 static_cast<unsigned long long>(st.completed),
-                 static_cast<unsigned long long>(st.rejected),
-                 static_cast<unsigned long long>(st.cancelled),
-                 static_cast<unsigned long long>(st.deadline_exceeded));
+                 "mcfuser serve: accounting identity broken (submitted != "
+                 "completed + rejected + cancelled + deadline_exceeded): %s\n",
+                 st.to_json().c_str());
   }
   return identity_ok ? 0 : 1;
 }

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Serve-mode smoke: start `mcfuser serve` on a Unix socket, hammer it
-# with concurrent client fuse requests, SIGTERM it mid-flood, and assert
-# (a) the drain exits 0 and (b) the EngineStats accounting identity
-# (submitted == completed + rejected + cancelled + deadline_exceeded)
-# survived — the server's --json exit report carries the verdict.
+# Serve-mode smoke: start `mcfuser serve` on a Unix socket, check that a
+# repeated chain is a store hit (memo_hits in `fuse --connect --stats`),
+# hammer it with concurrent client fuse requests, SIGTERM it mid-flood,
+# and assert (a) the drain exits 0 and (b) the EngineStats accounting
+# identity (submitted == completed + rejected + cancelled +
+# deadline_exceeded) survived — the server's --json exit report carries
+# the verdict.
 #
 # Usage: serve_smoke.sh /path/to/mcfuser
 # Runs under ctest (tools_serve_smoke) in the Release and sanitizer CI
@@ -30,6 +32,12 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -S "$SOCK" ] || { echo "FAIL: server never bound $SOCK"; exit 1; }
+
+# One chain twice: the second request must be a store hit.
+for _ in 1 2; do "$BIN" fuse --connect "$SOCK" --m 64 --n 64 --k 32 --h 32 >/dev/null 2>&1; done
+STATS="$("$BIN" fuse --connect "$SOCK" --stats 2>&1)"
+printf '%s' "$STATS" | grep -Eq '"memo_hits":[1-9]' ||
+  { echo "FAIL: a repeated chain was not answered from the store: $STATS"; exit 1; }
 
 # Concurrent flood: client failures are expected once the drain begins
 # (that is the point); only the server's own verdict matters.
