@@ -822,31 +822,36 @@ void run_compiled(KernelFn fn, const Schedule& s, const Tensor& a,
   std::vector<const float*> wptrs;
   wptrs.reserve(weights.size());
   for (const Tensor& w : weights) wptrs.push_back(w.data().data());
-  const float* ap = a.data().data();
-  float* op = out.data().data();
-  const std::int64_t n_blocks = s.num_blocks();
+  run_blocks(fn, a.data().data(), wptrs.data(), out.data().data(),
+             s.num_blocks(),
+             static_cast<std::size_t>(cpp_kernel_scratch_floats(s)), scratch,
+             threads);
+}
 
+void run_blocks(KernelFn fn, const float* a, const float* const* weights,
+                float* out, std::int64_t n_blocks, std::size_t scratch_floats,
+                std::vector<std::vector<float>>& scratch, int threads) {
   // Blocks write disjoint output tiles, so contiguous block ranges fan
   // out across the pool; one lazily-allocated, caller-owned scratch
-  // arena per worker slot — exactly the interpreter's execution
-  // geometry, minus per-call allocation (the arenas persist across
-  // sampling repeats).  The chunking is deterministic in the block
-  // order and, because per-block work is independent, the OUTPUT is
-  // bit-identical for every thread count — the sandbox workers replay
-  // the same geometry from RunRequest::threads.
+  // arena per worker slot — the interpreter's execution geometry, minus
+  // per-call allocation (the arenas persist across sampling repeats).
+  // Uncapped, 4 ranges per slot let the threads that start first take
+  // over the share of a worker that wakes late, as a GPU hands blocks to
+  // whichever SM frees up; capped at T, T ranges keep the run on at most
+  // T threads.  Per-block work is independent, so the OUTPUT is
+  // bit-identical for every range count.
   ThreadPool& pool = ThreadPool::global();
   if (scratch.size() < pool.concurrency()) scratch.resize(pool.concurrency());
-  const auto need = static_cast<std::size_t>(cpp_kernel_scratch_floats(s));
   const std::int64_t want =
-      threads > 0 ? threads : static_cast<std::int64_t>(pool.concurrency());
-  const std::int64_t n_chunks =
+      threads > 0 ? threads : 4 * static_cast<std::int64_t>(pool.concurrency());
+  const std::int64_t n_ranges =
       std::max<std::int64_t>(1, std::min<std::int64_t>(want, n_blocks));
-  pool.parallel_for_slots(n_chunks, [&](unsigned slot, std::int64_t c) {
+  pool.parallel_for_slots(n_ranges, [&](unsigned slot, std::int64_t r) {
     std::vector<float>& sc = scratch[slot];
-    if (sc.size() != need) sc.assign(need, 0.0f);
-    const std::int64_t begin = c * n_blocks / n_chunks;
-    const std::int64_t end = (c + 1) * n_blocks / n_chunks;
-    if (begin < end) fn(ap, wptrs.data(), op, sc.data(), begin, end);
+    if (sc.size() != scratch_floats) sc.assign(scratch_floats, 0.0f);
+    const std::int64_t begin = r * n_blocks / n_ranges;
+    const std::int64_t end = (r + 1) * n_blocks / n_ranges;
+    if (begin < end) fn(a, weights, out, sc.data(), begin, end);
   });
 }
 

@@ -217,19 +217,28 @@ void prepare_kernels(std::span<const Schedule* const> batch,
                      const std::string& gpu_key, const Toolchain& tc);
 
 /// Executes a resolved kernel over all blocks of `s` (Interpreter::run's
-/// tensor contract), fanning contiguous block ranges out across the
-/// global thread pool.  `threads` caps the fan-out: <= 0 uses the full
-/// pool concurrency, 1 runs single-threaded on the calling thread, T > 1
-/// splits the blocks into min(T, n_blocks) deterministic contiguous
-/// chunks (per-block work is independent, so results are bit-identical
-/// for every T).  `scratch` is the caller-owned per-slot workspace:
-/// arenas allocate lazily on first use and are REUSED across calls, so
-/// repeat invocations (sampling loops) pay no allocation.  Concurrent
-/// callers must pass distinct scratch vectors.  The caller must hold a
-/// ModuleRef for `fn`'s module for the duration of the call.
+/// tensor contract) through run_blocks.  `threads` caps the fan-out:
+/// <= 0 cuts the blocks into up to 4 x pool concurrency() contiguous
+/// ranges that the calling thread and the pool workers claim as each
+/// frees up, 1 runs single-threaded on the calling thread, T > 1 cuts
+/// min(T, n_blocks) ranges so at most T threads take part (per-block work
+/// is independent, so results are bit-identical for every T).  `scratch`
+/// is the caller-owned per-slot workspace: arenas allocate lazily on
+/// first use and are REUSED across calls, so repeat invocations (sampling
+/// loops) pay no allocation.  Concurrent callers must pass distinct
+/// scratch vectors.  The caller must hold a ModuleRef for `fn`'s module
+/// for the duration of the call.
 void run_compiled(KernelFn fn, const Schedule& s, const Tensor& a,
                   std::span<const Tensor> weights, Tensor& out,
                   std::vector<std::vector<float>>& scratch, int threads = 0);
+
+/// The one block fan-out, shared by run_compiled and the sandbox worker:
+/// runs `fn` over blocks [0, n_blocks) in contiguous ranges across the
+/// global pool with one `scratch_floats` arena per slot, cut as
+/// run_compiled documents for `threads`.
+void run_blocks(KernelFn fn, const float* a, const float* const* weights,
+                float* out, std::int64_t n_blocks, std::size_t scratch_floats,
+                std::vector<std::vector<float>>& scratch, int threads);
 
 }  // namespace jit
 

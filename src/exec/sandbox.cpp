@@ -17,11 +17,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "exec/jit.hpp"
 #include "support/env.hpp"
 #include "support/framing.hpp"
 #include "support/lru_map.hpp"
 #include "support/mutex.hpp"
-#include "support/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 
 extern char** environ;
@@ -620,8 +620,6 @@ std::shared_ptr<WorkerInputs> build_inputs(const RunRequest& req) {
 
 int worker_main(int request_fd, int response_fd) {
   ::signal(SIGPIPE, SIG_IGN);
-  using KernelFn = void (*)(const float*, const float* const*, float*, float*,
-                            long long, long long);
   std::unordered_map<std::string, void*> handles;
   std::unordered_map<std::string, std::shared_ptr<WorkerInputs>> inputs;
   std::vector<std::vector<float>> scratch;
@@ -658,14 +656,14 @@ int worker_main(int request_fd, int response_fd) {
       if (handle == nullptr) {
         handle = ::dlopen(req.so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
       }
-      KernelFn fn = nullptr;
+      jit::KernelFn fn = nullptr;
       if (handle == nullptr) {
         handles.erase(req.so_path);
         const char* dlerr = ::dlerror();
         resp.status = kDlopenFailed;
         resp.reason = "worker dlopen failed: " +
                       std::string(dlerr != nullptr ? dlerr : req.so_path);
-      } else if ((fn = reinterpret_cast<KernelFn>(
+      } else if ((fn = reinterpret_cast<jit::KernelFn>(
                       ::dlsym(handle, req.symbol.c_str()))) == nullptr) {
         resp.status = kSymbolMissing;
         resp.reason =
@@ -689,33 +687,13 @@ int worker_main(int request_fd, int response_fd) {
         std::vector<const float*> wptrs;
         wptrs.reserve(in.weights.size());
         for (const Tensor& t : in.weights) wptrs.push_back(t.data().data());
-        const float* ap = in.a.data().data();
-        float* op = in.out.data().data();
-        const auto need = static_cast<std::size_t>(req.scratch_floats);
-
-        // Same execution geometry as jit::run_compiled: contiguous block
-        // chunks fan out across the pool (req.threads caps the fan-out,
-        // mirroring the host's MeasureOptions::exec_threads), one
-        // reusable scratch arena per worker slot.
-        ThreadPool& pool = ThreadPool::global();
-        if (scratch.size() < pool.concurrency()) {
-          scratch.resize(pool.concurrency());
-        }
-        const std::int64_t want =
-            req.threads > 0 ? req.threads
-                            : static_cast<std::int64_t>(pool.concurrency());
-        const std::int64_t n_chunks = std::max<std::int64_t>(
-            1, std::min<std::int64_t>(want, req.n_blocks));
-        const std::int64_t n_blocks = req.n_blocks;
+        // req.threads caps the fan-out, mirroring the host's
+        // MeasureOptions::exec_threads.
         const auto run_once = [&] {
-          pool.parallel_for_slots(
-              n_chunks, [&](unsigned slot_idx, std::int64_t c) {
-                std::vector<float>& sc = scratch[slot_idx];
-                if (sc.size() != need) sc.assign(need, 0.0f);
-                const std::int64_t begin = c * n_blocks / n_chunks;
-                const std::int64_t end = (c + 1) * n_blocks / n_chunks;
-                if (begin < end) fn(ap, wptrs.data(), op, sc.data(), begin, end);
-              });
+          jit::run_blocks(fn, in.a.data().data(), wptrs.data(),
+                          in.out.data().data(), req.n_blocks,
+                          static_cast<std::size_t>(req.scratch_floats),
+                          scratch, req.threads);
         };
         for (int i = 0; i < req.warmup; ++i) run_once();
         resp.samples.reserve(static_cast<std::size_t>(req.repeats));

@@ -123,9 +123,9 @@ struct RunRequest {
   /// Input seed; ExecBackend always sends detail::kMeasureDataSeed, the
   /// seeding ExecMeasureState::data uses in-process.
   std::uint64_t data_seed = 1;
-  /// Block fan-out cap (MeasureOptions::exec_threads): the worker replays
-  /// the host's jit::run_compiled chunking geometry.  <= 0 = the worker's
-  /// full pool concurrency.
+  /// Block fan-out cap (MeasureOptions::exec_threads): the worker runs
+  /// the host's fan-out, jit::run_blocks.  <= 0 = uncapped, over the
+  /// worker's own pool.
   int threads = 0;
 };
 

@@ -1,16 +1,24 @@
 // Minimal work-stealing-free thread pool used by the functional interpreter
-// (one task per simulated thread block), the reference tensor ops, and the
-// tuner's batched candidate evaluation.
+// (one task per simulated thread block), the jit's block fan-out, the
+// reference tensor ops, and the tuner's batched candidate evaluation.
 //
 // Design notes (C++ Core Guidelines CP.*): the pool owns its threads (RAII),
 // tasks are plain std::function<void()>, parallel_for blocks until all
 // chunks complete and rethrows the first captured exception.
 //
-// Worker slots: every pool worker has a fixed index in [0, size()); the
-// calling thread (which runs work inline when the pool is too small or the
-// call is nested) uses slot size().  parallel_for_slots hands the slot to
-// the body so callers can keep per-worker scratch state — at most one task
-// runs per slot at any time within a single parallel_for_slots call.
+// Fan-out: a call cuts its range into chunks that threads claim from an
+// atomic counter.  The calling thread claims chunks too, so a call never
+// waits for a worker to wake, and the pool wakes one worker per helper it
+// can use (at most chunks - 1), not all of them.
+//
+// Worker slots: every pool worker has a fixed index in [0, size()); a
+// caller from outside the pool uses slot size() on every call, whether it
+// drains beside the workers or runs the whole range inline (a one-chunk
+// call, a one-worker pool).  Nested calls from inside a chunk run inline
+// on the slot of the thread that runs that chunk.  parallel_for_slots
+// hands the slot to the body so callers can keep per-worker scratch state
+// — at most one task runs per slot at any time within a single
+// parallel_for_slots call.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +47,10 @@ class ThreadPool {
   /// the pool workers plus the calling thread.
   [[nodiscard]] unsigned concurrency() const noexcept { return size() + 1; }
 
-  /// Runs body(i) for i in [0, n) across the pool; blocks until done.
-  /// Chunked adaptively (at least `grain` items per chunk); rethrows the
-  /// first exception raised by any chunk.
+  /// Runs body(i) for i in [0, n) across the pool and the calling thread;
+  /// blocks until done.  Chunked adaptively (up to 4 chunks per slot, at
+  /// least `grain` items per chunk); rethrows the first exception raised
+  /// by any chunk.  A call of c chunks runs on at most c threads.
   void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& body,
                     std::int64_t grain = 1);
 

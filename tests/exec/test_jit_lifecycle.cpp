@@ -270,7 +270,7 @@ TEST(JitLifecycle, RunNativeIsBitIdenticalForEveryThreadCount) {
   }
   Tensor base = in.out();
   ASSERT_TRUE(kernel.run_native(in.a, in.w, base, 1));
-  for (const int t : {2, 3, 4, 7, 16}) {
+  for (const int t : {0, 2, 3, 4, 7, 16}) {
     Tensor out = in.out();
     ASSERT_TRUE(kernel.run_native(in.a, in.w, out, t));
     // Chunked fan-out must not change the result AT ALL: each block's

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace mcf {
@@ -146,6 +150,66 @@ TEST(ThreadPool, NestedCallReusesWorkerSlot) {
     });
   });
   EXPECT_TRUE(ok.load());
+}
+
+TEST(ThreadPool, CallerRunsChunksWhileWorkersAreBusy) {
+  // The caller drains its own call's chunks on slot size(): with every
+  // worker held on a gate, the call must still run every index, all on
+  // the caller slot, before a watchdog opens the gate.  A caller that
+  // parks until a worker takes its chunks cannot return before then.
+  ThreadPool pool(2);
+  std::atomic<bool> gate_open{false};
+  std::atomic<unsigned> workers_held{0};
+  std::thread holder([&] {
+    pool.parallel_for_slots(pool.concurrency(), [&](unsigned slot, std::int64_t) {
+      if (slot < pool.size()) workers_held.fetch_add(1);
+      while (!gate_open.load()) std::this_thread::yield();
+    });
+  });
+  std::thread watchdog([&] {
+    for (int i = 0; i < 200 && !gate_open.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    gate_open = true;
+  });
+  while (workers_held.load() < pool.size() && !gate_open.load()) {
+    std::this_thread::yield();
+  }
+
+  std::vector<unsigned> slots(8, 1234u);
+  std::vector<char> ran_while_held(8, 0);
+  pool.parallel_for_slots(8, [&](unsigned slot, std::int64_t i) {
+    slots[static_cast<std::size_t>(i)] = slot;
+    ran_while_held[static_cast<std::size_t>(i)] = gate_open.load() ? 0 : 1;
+  });
+  gate_open = true;
+  watchdog.join();
+  holder.join();
+  EXPECT_EQ(workers_held.load(), pool.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i], pool.size()) << "index " << i;
+    EXPECT_TRUE(ran_while_held[i]) << "index " << i << " ran after the watchdog";
+  }
+}
+
+TEST(ThreadPool, ChunkCountCapsParticipatingThreads) {
+  // A call of c chunks runs on at most c threads: jit::run_compiled's
+  // `threads = T` cap rests on this.
+  ThreadPool pool(4);
+  for (std::int64_t chunks = 1; chunks <= 6; ++chunks) {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    std::set<unsigned> slots;
+    pool.parallel_for_slots(chunks, [&](unsigned slot, std::int64_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      const std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+      slots.insert(slot);
+    });
+    EXPECT_LE(ids.size(), static_cast<std::size_t>(chunks)) << "chunks=" << chunks;
+    EXPECT_EQ(slots.size(), ids.size()) << "chunks=" << chunks;
+    for (const unsigned s : slots) EXPECT_LT(s, pool.concurrency());
+  }
 }
 
 }  // namespace
