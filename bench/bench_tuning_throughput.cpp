@@ -10,11 +10,13 @@
 //                   kernel time, measure() call cost, and the rank
 //                   correlation between the two backends' times.
 //   * jit:          the native-codegen path (exec/jit): the same
-//                   schedules compiled to real machine code and timed
-//                   against the interpreter's GFLOP/s — the gate is a
-//                   >= 3x geomean advantage on the fig7-mini family,
-//                   both sides on ONE thread so it prices codegen alone
-//                   (the full-pool jit GFLOP/s is reported next to it).
+//                   schedules compiled to real machine code (one
+//                   jit::resolve_kernel each, then jit::run_compiled with
+//                   one reused scratch) and timed against the
+//                   interpreter's GFLOP/s — the gate is a >= 3x geomean
+//                   advantage on the fig7-mini family, both sides on ONE
+//                   thread so it prices codegen alone (the full-pool jit
+//                   GFLOP/s is reported next to it).
 //                   Also reports the module lifecycle counters and a
 //                   dlopen-churn soak: 256 resolves of distinct keys
 //                   through a small kernel cap, gated on the resident
@@ -99,8 +101,8 @@ struct JitRow {
   std::string tiles;
   std::int64_t blocks = 0;
   double interp_t1_gflops = 0.0;  ///< single-thread interpreter
-  double jit_t1_gflops = 0.0;     ///< run(..., threads = 1)
-  double jit_gflops = 0.0;        ///< run(..., threads = 0): the full pool
+  double jit_t1_gflops = 0.0;     ///< run_compiled(..., threads = 1)
+  double jit_gflops = 0.0;        ///< run_compiled(..., threads = 0): full pool
   /// The gated ratio: both sides on one thread, so a many-core host's
   /// block fan-out cannot move it.
   [[nodiscard]] double vs_interp() const {
@@ -157,26 +159,19 @@ InterpRow bench_interp(const ChainSpec& chain, const SearchSpace& space,
   const CandidateConfig& cand = cands[cand_index];
   const Schedule s = space.schedule_for(cand);
 
-  Tensor a(Shape{chain.batch(), chain.m(), chain.inner().front()});
+  const jit::KernelInputs in =
+      jit::seeded_inputs(chain.batch(), chain.m(), chain.inner(), 1);
   Tensor out(Shape{chain.batch(), chain.m(), chain.inner().back()});
-  a.fill_random(1);
-  std::vector<Tensor> w;
-  for (int op = 0; op < chain.num_ops(); ++op) {
-    Tensor t(Shape{chain.batch(), chain.inner()[static_cast<std::size_t>(op)],
-                   chain.inner()[static_cast<std::size_t>(op) + 1]});
-    t.fill_random(static_cast<std::uint64_t>(op) + 2);
-    w.push_back(std::move(t));
-  }
 
   // Each configuration is timed back to back after its own warm-up run,
   // so neither inherits the other's cache state.
   constexpr int kRepeats = 7;
   const auto best_wall = [&](const Interpreter& interp) {
-    ExecutionCounters counters = interp.run(a, w, out);
+    ExecutionCounters counters = interp.run(in.a, in.weights, out);
     std::vector<double> times;
     for (int r = 0; r < kRepeats; ++r) {
       const auto t0 = clk::now();
-      counters = interp.run(a, w, out);
+      counters = interp.run(in.a, in.weights, out);
       times.push_back(secs(t0, clk::now()));
     }
     return std::make_pair(best_of(times), counters);
@@ -198,6 +193,20 @@ InterpRow bench_interp(const ChainSpec& chain, const SearchSpace& space,
   return row;
 }
 
+/// The native kernel of `s`, resolved once; exits on failure.  The
+/// returned kernel pins its module for as long as the caller holds it.
+jit::ResolvedKernel resolve_or_exit(const Schedule& s, const char* what) {
+  std::string err;
+  jit::ResolvedKernel kernel =
+      jit::resolve_kernel(s, "bench", jit::detect_toolchain(), &err);
+  if (!kernel.ok()) {
+    std::fprintf(stderr, "%s: compile failed on %s: %s\n", what,
+                 s.chain().name().c_str(), err.c_str());
+    std::exit(1);
+  }
+  return kernel;
+}
+
 /// Times the natively compiled kernel on the interp row's schedule, on one
 /// thread and on the full pool; the executed-FLOP count (and hence the
 /// GFLOP/s denominator) is identical by construction, so the one-thread
@@ -210,31 +219,23 @@ JitRow bench_jit(const ChainSpec& chain, const Schedule& s,
   row.blocks = interp_row.blocks;
   row.interp_t1_gflops = interp_row.t1_gflops;
 
-  const JitKernel kernel(s, "bench");
-  if (!kernel.ok()) {
-    std::fprintf(stderr, "jit bench: compile failed on %s: %s\n",
-                 row.name.c_str(), kernel.error().c_str());
-    std::exit(1);
-  }
-  Tensor a(Shape{chain.batch(), chain.m(), chain.inner().front()});
+  const jit::ResolvedKernel kernel = resolve_or_exit(s, "jit bench");
+  const jit::KernelInputs in =
+      jit::seeded_inputs(chain.batch(), chain.m(), chain.inner(), 1);
   Tensor out(Shape{chain.batch(), chain.m(), chain.inner().back()});
-  a.fill_random(1);
-  std::vector<Tensor> w;
-  for (int op = 0; op < chain.num_ops(); ++op) {
-    Tensor t(Shape{chain.batch(), chain.inner()[static_cast<std::size_t>(op)],
-                   chain.inner()[static_cast<std::size_t>(op) + 1]});
-    t.fill_random(static_cast<std::uint64_t>(op) + 2);
-    w.push_back(std::move(t));
-  }
+  std::vector<std::vector<float>> scratch;  // reused by every run
+  const auto run = [&](int threads) {
+    jit::run_compiled(kernel.fn, s, in.a, in.weights, out, scratch, threads);
+  };
   // As for the interpreter: each thread count back to back after its own
   // warm-up run (scratch allocation, icache).
   constexpr int kRepeats = 7;
   const auto best_wall = [&](int threads) {
-    kernel.run(a, w, out, threads);
+    run(threads);
     std::vector<double> wall;
     for (int r = 0; r < kRepeats; ++r) {
       const auto t0 = clk::now();
-      kernel.run(a, w, out, threads);
+      run(threads);
       wall.push_back(secs(t0, clk::now()));
     }
     return best_of(wall);
@@ -281,32 +282,24 @@ JitMtRow bench_jit_mt(const ChainSpec& chain, const Schedule& s,
   row.tiles = interp_row.tiles;
   row.blocks = interp_row.blocks;
 
-  const JitKernel kernel(s, "bench");
-  if (!kernel.ok()) {
-    std::fprintf(stderr, "jit-mt bench: compile failed on %s: %s\n",
-                 row.name.c_str(), kernel.error().c_str());
-    std::exit(1);
-  }
-  Tensor a(Shape{chain.batch(), chain.m(), chain.inner().front()});
+  const jit::ResolvedKernel kernel = resolve_or_exit(s, "jit-mt bench");
+  const jit::KernelInputs in =
+      jit::seeded_inputs(chain.batch(), chain.m(), chain.inner(), 1);
   Tensor out(Shape{chain.batch(), chain.m(), chain.inner().back()});
-  a.fill_random(1);
-  std::vector<Tensor> w;
-  for (int op = 0; op < chain.num_ops(); ++op) {
-    Tensor t(Shape{chain.batch(), chain.inner()[static_cast<std::size_t>(op)],
-                   chain.inner()[static_cast<std::size_t>(op) + 1]});
-    t.fill_random(static_cast<std::uint64_t>(op) + 2);
-    w.push_back(std::move(t));
-  }
+  std::vector<std::vector<float>> scratch;  // reused by every run
+  const auto run = [&](int threads) {
+    jit::run_compiled(kernel.fn, s, in.a, in.weights, out, scratch, threads);
+  };
   constexpr int kRepeats = 7;
-  kernel.run(a, w, out, 1);  // warm-up (scratch arenas, icache)
-  kernel.run(a, w, out, 0);
+  run(1);  // warm-up (scratch arenas, icache)
+  run(0);
   std::vector<double> t1_wall;
   std::vector<double> mt_wall;
   for (int r = 0; r < kRepeats; ++r) {
     const auto t0 = clk::now();
-    kernel.run(a, w, out, 1);
+    run(1);
     const auto t1 = clk::now();
-    kernel.run(a, w, out, 0);  // 0 = the full worker-slot pool
+    run(0);  // 0 = the full worker-slot pool
     const auto t2 = clk::now();
     t1_wall.push_back(secs(t0, t1));
     mt_wall.push_back(secs(t1, t2));

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "engine/engine.hpp"
+#include "exec/jit.hpp"
 #include "graph/bert.hpp"
 
 int main() {
@@ -86,18 +87,11 @@ int main() {
   const FusionResult& deploy = tickets.front().get();
   if (deploy.ok()) {
     const ChainSpec& chain = tickets.front().chain();
-    Tensor a(Shape{chain.batch(), chain.m(), chain.inner().front()});
+    const jit::KernelInputs in =
+        jit::seeded_inputs(chain.batch(), chain.m(), chain.inner(), 7);
     Tensor out(Shape{chain.batch(), chain.m(), chain.inner().back()});
-    a.fill_random(7);
-    std::vector<Tensor> w;
-    for (int op = 0; op < chain.num_ops(); ++op) {
-      Tensor t(Shape{chain.batch(), chain.inner()[static_cast<std::size_t>(op)],
-                     chain.inner()[static_cast<std::size_t>(op) + 1]});
-      t.fill_random(8 + static_cast<std::uint64_t>(op));
-      w.push_back(std::move(t));
-    }
-    const bool native = deploy.kernel->run_native(a, w, out);
-    if (!native) (void)deploy.kernel->run(a, w, out);
+    const bool native = deploy.kernel->run_native(in.a, in.weights, out);
+    if (!native) (void)deploy.kernel->run(in.a, in.weights, out);
     std::printf("\nexecuted %s via %s: out[0,0,0] = %.4f\n",
                 chain.name().c_str(), native ? "jit native code" : "interpreter",
                 out.at(0, 0, 0));

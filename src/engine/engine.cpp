@@ -403,7 +403,6 @@ FusionEngine::StoredResult::StoredResult(const SearchSpace& space,
   result.tuned.best = tuned.best;
   result.tuned.best_time_s = tuned.best_time_s;
   result.tuned.best_measurement = tuned.best_measurement;
-  result.tuned.best_threads = tuned.best_threads;
 }
 
 std::optional<FusionResult> FusionEngine::lookup(const ChainSpec& chain,

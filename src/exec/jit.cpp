@@ -86,12 +86,14 @@ constexpr const char* kLinkLibs = "-lc";
   return os.str();
 }
 
-/// In-memory entry cap of the resolved-kernel map and the negative cache
+/// In-memory entry cap of the loaded-kernel map and the negative cache
 /// (each).  The maps hold only pointers/strings, but under a flood of
 /// millions of distinct schedules an unbounded registry is still an OOM
-/// vector — evicted entries re-resolve from the on-disk cache (a dlsym,
-/// counted as a disk hit), so the cap trades a cheap lookup for bounded
-/// memory.  MCFUSER_JIT_KERNEL_CAP overrides; 0 = unbounded.
+/// vector, and each loaded entry pins its module's mapping — evicted
+/// entries re-resolve from the on-disk cache (an idx read, counted as a
+/// disk hit, plus a load), so the cap trades a cheap lookup for bounded
+/// memory.  A sandbox worker's registry obeys the same cap.
+/// MCFUSER_JIT_KERNEL_CAP overrides; 0 = unbounded.
 [[nodiscard]] std::size_t kernel_map_cap() {
   static const std::size_t cap = env::size("MCFUSER_JIT_KERNEL_CAP", 4096);
   return cap;
@@ -105,12 +107,12 @@ constexpr const char* kLinkLibs = "-lc";
 std::atomic<std::int64_t> g_modules_opened{0};
 std::atomic<std::int64_t> g_modules_closed{0};
 
-/// Process-wide kernel registry: resolved entry points and negative
+/// Process-wide kernel registry: loaded entry points and negative
 /// results (both LRU-bounded by kernel_map_cap(); support/lru_map.hpp),
 /// weak per-path module handles (a path's module is shared while ANY
-/// strong reference exists — registry entry, JitKernel, in-flight run —
-/// and dlclose()d by ~JitModule on last release), and the compile
-/// counters.  All members require holding `mu`.
+/// strong reference exists — registry entry, held ResolvedKernel,
+/// in-flight run — and dlclose()d by ~JitModule on last release), and the
+/// compile counters.  All members require holding `mu`.
 struct Registry {
   Mutex mu{"jit.registry"};
   LruMap<std::uint64_t, ResolvedKernel> fns MCF_GUARDED_BY(mu);
@@ -305,47 +307,88 @@ struct CommandResult {
   return r;
 }
 
-/// dlopen (module memoized per path while alive, caller holds the
-/// registry lock) + dlsym.  Returns the entry point together with the
-/// ModuleRef that keeps it executable; !ok() on failure.
-[[nodiscard]] ResolvedKernel load_symbol_locked(Registry& reg,
-                                                const std::string& so_path,
-                                                const std::string& symbol,
-                                                std::string* error) {
-  ModuleRef module;
-  if (const auto it = reg.handles.find(so_path); it != reg.handles.end()) {
-    module = it->second.lock();
-  }
-  if (module == nullptr) {
-    // Lazy prune: dlopen is the slow path anyway, so sweep out weak
-    // entries whose modules have since closed (keeps the map bounded by
-    // the RESIDENT module count, not by every path ever loaded).
-    std::erase_if(reg.handles,
-                  [](const auto& kv) { return kv.second.expired(); });
-    void* handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
-    if (handle == nullptr) {
-      if (error != nullptr) {
-        const char* why = ::dlerror();
-        *error = "dlopen failed: " + std::string(why != nullptr ? why : "?");
-      }
-      return {};
+constexpr const char* kNotLowerable =
+    "schedule is not lowerable (invalid or Rule-2 incomplete)";
+
+[[nodiscard]] bool lowerable(const Schedule& s) {
+  return s.valid() && s.consume_complete();
+}
+
+/// Negative-caches `key` with `why` and counts a compile/load failure.
+void record_failure(std::uint64_t key, std::string why) {
+  Registry& reg = Registry::instance();
+  const LockGuard lock(reg.mu);
+  reg.stats.failures += 1;
+  (void)reg.failed.insert(key, std::move(why));
+  reg.sync_evictions_locked();
+}
+
+/// The negative cache, then the `<key>.idx` file: ok() when `ek` is
+/// published on disk, error set when it failed before, neither (not
+/// settled) when it still needs a compile.  An idx whose shared object is
+/// gone (partial cache wipe, foreign cleanup) is dropped, so the compile
+/// republishes both instead of every resolve probing the dangling entry.
+[[nodiscard]] KernelArtifact published(const EmittedKernel& ek) {
+  KernelArtifact art;
+  art.key = ek.key;
+  art.symbol = ek.symbol;
+  {
+    Registry& reg = Registry::instance();
+    const LockGuard lock(reg.mu);
+    if (const std::string* why = reg.failed.find(ek.key)) {
+      art.error = *why;
+      return art;
     }
-    module = std::make_shared<const JitModule>(handle);
-    reg.handles[so_path] = module;
   }
-  void* sym = ::dlsym(module->handle(), symbol.c_str());
-  if (sym == nullptr) {
-    if (error != nullptr) {
-      *error = "symbol " + symbol + " missing from " + so_path;
+  const fs::path dir = cache_dir();
+  std::ifstream idx(dir / (hex64(ek.key) + ".idx"));
+  std::string so_name;
+  std::string symbol;
+  if (!(idx >> so_name >> symbol)) return art;
+  const fs::path so = dir / so_name;
+  std::error_code ec;
+  if (!fs::exists(so, ec)) {
+    invalidate_kernel(ek.key, "shared object " + so_name + " missing");
+    return art;
+  }
+  art.so_path = so.string();
+  art.symbol = std::move(symbol);
+  return art;
+}
+
+[[nodiscard]] bool settled(const KernelArtifact& art) {
+  return art.ok() || !art.error.empty();
+}
+
+/// The resolution path up to the compile: the verifier gate, then
+/// published(), counting a disk hit when the idx answers.  A schedule the
+/// static analyzer proves out-of-bounds is never handed to the compiler,
+/// and the gate runs BEFORE the cache probe, so even a poisoned disk
+/// cache cannot hand back a kernel it rejects.
+[[nodiscard]] KernelArtifact probe(const Schedule& s, const EmittedKernel& ek) {
+  Registry& reg = Registry::instance();
+  if (verify::verify_enabled()) {
+    if (std::string verr = verify::verify_gate_error(s); !verr.empty()) {
+      const LockGuard lock(reg.mu);
+      (void)reg.failed.insert(ek.key, verr);
+      reg.sync_evictions_locked();
+      KernelArtifact art;
+      art.key = ek.key;
+      art.error = std::move(verr);
+      return art;
     }
-    return {};
   }
-  return ResolvedKernel{reinterpret_cast<KernelFn>(sym), std::move(module)};
+  KernelArtifact art = published(ek);
+  if (art.ok()) {
+    const LockGuard lock(reg.mu);
+    ++reg.stats.disk_hits;
+  }
+  return art;
 }
 
 /// One compiler invocation over `pending` (caller holds the compile
-/// mutex).  On success publishes entry points + per-kernel idx files
-/// and returns empty; on failure returns the diagnostic WITHOUT
+/// mutex).  On success publishes the shared object plus one idx file per
+/// kernel and returns empty; on failure returns the diagnostic WITHOUT
 /// touching the negative cache — the caller decides (a multi-kernel
 /// batch retries kernels individually first, so one broken kernel
 /// cannot poison its wave-mates).  All intermediate files carry a
@@ -414,39 +457,30 @@ struct CommandResult {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  if (fail.empty()) {
+    // Per-kernel index entry: key -> (shared object, symbol), how every
+    // resolve — in this process or a later one — finds the kernel.
+    // Published atomically for the same cross-process consistency; a
+    // failed write fails this resolve and the next one recompiles.
+    for (const EmittedKernel& p : pending) {
+      (void)write_file_atomic((dir / (hex64(p.key) + ".idx")).string(),
+                              tu_name + ".so " + p.symbol + "\n");
+    }
+  } else {
+    fs::remove(so_tmp, ec);
+  }
 
   const LockGuard lock(reg.mu);
   reg.stats.compile_wall_s += wall;
-  if (!fail.empty()) {
-    fs::remove(so_tmp, ec);
-    return fail;
-  }
+  if (!fail.empty()) return fail;
   reg.stats.tus_compiled += 1;
+  reg.stats.kernels_compiled += static_cast<std::int64_t>(pending.size());
   // The rename above replaced the file at so_path with a NEW inode: a
   // memoized module for that path (from a previous publish of the same
-  // TU name) still maps the old object.  Drop the weak entry so this
-  // batch dlopen()s the fresh object — existing strong references keep
-  // the stale module alive and executable until they release.
+  // TU name) still maps the old object.  Drop the weak entry so the next
+  // load dlopen()s the fresh object — existing strong references keep
+  // the old module alive and executable until they release.
   reg.handles.erase(so_path.string());
-  for (const EmittedKernel& p : pending) {
-    std::string err;
-    ResolvedKernel rk = load_symbol_locked(reg, so_path.string(), p.symbol, &err);
-    if (!rk.ok()) {
-      reg.stats.failures += 1;
-      (void)reg.failed.insert(p.key, std::move(err));
-      reg.sync_evictions_locked();
-      continue;
-    }
-    reg.stats.kernels_compiled += 1;
-    (void)reg.fns.insert(p.key, std::move(rk));
-    reg.sync_evictions_locked();
-    // Per-kernel index entry: key -> (shared object, symbol), so any
-    // later process resolves this kernel without recompiling.  Published
-    // atomically for the same cross-process consistency; a failed write
-    // only costs a later recompile.
-    (void)write_file_atomic((dir / (hex64(p.key) + ".idx")).string(),
-                            tu_name + ".so " + p.symbol + "\n");
-  }
   return {};
 }
 
@@ -458,110 +492,57 @@ struct CommandResult {
 /// Concurrency: a process-wide mutex serializes compilation (two
 /// threads racing to compile the same key would otherwise clobber the
 /// shared TU paths and negative-cache a corrupted compile), and after
-/// taking it every already-resolved kernel is dropped from the batch.
+/// taking it every kernel a racing compile published (or failed) is
+/// dropped from the batch.
 void compile_batch_tu(std::vector<EmittedKernel> pending, const Toolchain& tc) {
   static Mutex compile_mu{"jit.compile"};
   const LockGuard compile_lock(compile_mu);
-  Registry& reg = Registry::instance();
-  {
-    const LockGuard lock(reg.mu);
-    std::erase_if(pending, [&](const EmittedKernel& p) {
-      return reg.fns.contains(p.key) || reg.failed.contains(p.key);
-    });
-  }
+  std::erase_if(pending,
+                [](const EmittedKernel& p) { return settled(published(p)); });
   if (pending.empty()) return;
 
   std::string fail = compile_tu_locked(pending, tc);
   if (fail.empty()) return;
-  if (pending.size() > 1) {
-    // Isolate the offender: one TU per kernel.
-    for (const EmittedKernel& p : pending) {
-      fail = compile_tu_locked({p}, tc);
-      if (!fail.empty()) {
-        const LockGuard lock(reg.mu);
-        reg.stats.failures += 1;
-        (void)reg.failed.insert(p.key, fail);
-        reg.sync_evictions_locked();
-      }
-    }
+  if (pending.size() == 1) {
+    record_failure(pending.front().key, std::move(fail));
     return;
   }
-  const LockGuard lock(reg.mu);
-  reg.stats.failures += 1;
-  (void)reg.failed.insert(pending.front().key, std::move(fail));
-  reg.sync_evictions_locked();
+  // Isolate the offender: one TU per kernel.
+  for (const EmittedKernel& p : pending) {
+    fail = compile_tu_locked({p}, tc);
+    if (!fail.empty()) record_failure(p.key, std::move(fail));
+  }
 }
 
-/// Host-side stale-artifact healing (the in-process mirror of the
-/// sandbox worker's poisoned-artifact path): a `<key>.idx` pointing at a
-/// deleted, truncated or otherwise unloadable `tu_*.so` must cost ONE
-/// recompile, not surface a hard dlopen failure or poison the negative
-/// cache.  Removes the idx so no process keeps probing the corpse; the
-/// recompile republishes both files via tmp+rename.
-void heal_stale_artifact(std::uint64_t key, const std::string& why) {
-  std::error_code ec;
-  fs::remove(fs::path(cache_dir()) / (hex64(key) + ".idx"), ec);
-  MCF_LOG(Warn) << "jit: cached artifact for key " << hex64(key)
-                << " is stale (" << why << "); evicted, recompiling";
+/// The whole resolution path for an emitted, lowerable schedule: probe(),
+/// then a compile when nothing is published yet.  `compiled` (nullable)
+/// is set when this call compiled: loading the kernel one just built is
+/// no cache hit, and an artifact that will not load right after its
+/// compile is a failure, not a stale cache entry.
+[[nodiscard]] KernelArtifact resolve_emitted(const Schedule& s,
+                                             const EmittedKernel& ek,
+                                             const Toolchain& tc,
+                                             bool* compiled) {
+  KernelArtifact art = probe(s, ek);
+  if (settled(art)) return art;
+  compile_batch_tu({ek}, tc);
+  art = published(ek);
+  if (!settled(art)) {
+    art.error = "kernel artifact did not resolve after compilation";
+  }
+  if (compiled != nullptr) *compiled = true;
+  return art;
 }
 
-/// In-memory or on-disk hit; !ok() on miss.  `miss_reason` (nullable)
-/// receives a previously recorded compile failure.  `count_hits` is
-/// false on the lookup right after a fresh compile — resolving the
-/// kernel one just built is not a cache hit.
-[[nodiscard]] ResolvedKernel try_cached(std::uint64_t key,
-                                        std::string* miss_reason,
-                                        bool count_hits = true) {
+/// The loaded kernel for `key`, counted as an in-memory hit; !ok() when
+/// none is loaded.
+[[nodiscard]] ResolvedKernel find_loaded(std::uint64_t key) {
   Registry& reg = Registry::instance();
-  {
-    const LockGuard lock(reg.mu);
-    if (const ResolvedKernel* rk = reg.fns.find(key)) {
-      if (count_hits) ++reg.stats.mem_hits;
-      return *rk;
-    }
-    if (const std::string* why = reg.failed.find(key)) {
-      if (miss_reason != nullptr) *miss_reason = *why;
-      return {};
-    }
-  }
-  // Disk probe outside the lock (filesystem I/O).
-  const fs::path dir = cache_dir();
-  std::ifstream idx(dir / (hex64(key) + ".idx"));
-  std::string so_name;
-  std::string symbol;
-  if (!(idx >> so_name >> symbol)) return {};
-  const fs::path so_path = dir / so_name;
-  std::error_code ec;
-  if (!fs::exists(so_path, ec)) {
-    // idx survived but its shared object did not (partial cache wipe,
-    // foreign cleanup): heal instead of probing the dangling entry on
-    // every future resolve.
-    heal_stale_artifact(key, "shared object " + so_name + " missing");
-    return {};
-  }
-
-  std::string err;
-  ResolvedKernel rk;
-  {
-    const LockGuard lock(reg.mu);
-    if (const ResolvedKernel* racing = reg.fns.find(key)) {
-      ++reg.stats.mem_hits;
-      return *racing;
-    }
-    rk = load_symbol_locked(reg, so_path.string(), symbol, &err);
-    if (rk.ok()) {
-      ++reg.stats.disk_hits;
-      (void)reg.fns.insert(key, rk);
-      reg.sync_evictions_locked();
-      return rk;
-    }
-    // Unloadable object (truncated write, foreign-ISA restore) or a TU
-    // that no longer exports this symbol: make sure the next dlopen sees
-    // the republished file, not a memoized stale module.
-    reg.handles.erase(so_path.string());
-  }
-  heal_stale_artifact(key, err.empty() ? "unloadable shared object" : err);
-  return {};
+  const LockGuard lock(reg.mu);
+  const ResolvedKernel* rk = reg.fns.find(key);
+  if (rk == nullptr) return {};
+  ++reg.stats.mem_hits;
+  return *rk;
 }
 
 }  // namespace
@@ -649,157 +630,129 @@ void set_kernel_cap_for_testing(std::size_t cap) {
       LruMap<std::uint64_t, std::string>::Limits{cap, 0});
 }
 
-ResolvedKernel resolve_kernel(const Schedule& s, const std::string& gpu_key,
-                              const Toolchain& tc, std::string* error) {
-  if (!tc.ok()) {
-    if (error != nullptr) *error = tc.reason;
-    return {};
-  }
-  EmittedKernel ek = emit_keyed(s, gpu_key);
-  // Pre-compile safety gate (src/verify/): a schedule the static
-  // analyzer can prove out-of-bounds is never handed to the compiler —
-  // and the check runs BEFORE the cache probe, so even a poisoned disk
-  // cache cannot hand back a kernel the verifier rejects.
-  if (verify::verify_enabled()) {
-    if (std::string verr = verify::verify_gate_error(s); !verr.empty()) {
-      Registry& reg = Registry::instance();
-      const LockGuard lock(reg.mu);
-      (void)reg.failed.insert(ek.key, verr);
-      reg.sync_evictions_locked();
-      if (error != nullptr) *error = std::move(verr);
-      return {};
-    }
-  }
-  std::string fail;
-  if (ResolvedKernel rk = try_cached(ek.key, &fail); rk.ok()) return rk;
-  if (!fail.empty()) {
-    if (error != nullptr) *error = fail;
-    return {};
-  }
-  const std::uint64_t key = ek.key;
-  compile_batch_tu({std::move(ek)}, tc);
-  if (ResolvedKernel rk = try_cached(key, &fail, /*count_hits=*/false); rk.ok()) {
-    return rk;
-  }
-  if (error != nullptr) {
-    *error = fail.empty() ? "kernel did not resolve after compilation" : fail;
-  }
-  return {};
-}
-
 KernelArtifact resolve_artifact(const Schedule& s, const std::string& gpu_key,
                                 const Toolchain& tc) {
-  KernelArtifact a;
-  if (!tc.ok()) {
-    a.error = tc.reason;
-    return a;
+  if (!tc.ok() || !lowerable(s)) {
+    KernelArtifact art;
+    art.error = !tc.ok() ? tc.reason : kNotLowerable;
+    return art;
   }
-  if (!s.valid() || !s.consume_complete()) {
-    a.error = "schedule is not lowerable (invalid or Rule-2 incomplete)";
-    return a;
-  }
-  EmittedKernel ek = emit_keyed(s, gpu_key);
-  a.key = ek.key;
-  a.symbol = ek.symbol;
-  // Same pre-compile safety gate as resolve_kernel: the sandbox workers
-  // must never be handed an artifact the verifier rejects, cached or not.
-  if (verify::verify_enabled()) {
-    if (std::string verr = verify::verify_gate_error(s); !verr.empty()) {
-      Registry& vreg = Registry::instance();
-      const LockGuard lock(vreg.mu);
-      (void)vreg.failed.insert(a.key, verr);
-      vreg.sync_evictions_locked();
-      a.error = std::move(verr);
-      return a;
-    }
-  }
-  Registry& reg = Registry::instance();
-  const fs::path dir = cache_dir();
-  const auto read_idx = [&]() -> bool {
-    std::ifstream idx(dir / (hex64(a.key) + ".idx"));
-    std::string so_name;
-    std::string symbol;
-    if (!(idx >> so_name >> symbol)) return false;
-    const fs::path so = dir / so_name;
-    std::error_code ec;
-    if (!fs::exists(so, ec)) return false;
-    a.so_path = so.string();
-    a.symbol = symbol;
-    return true;
-  };
-  {
-    const LockGuard lock(reg.mu);
-    if (const std::string* why = reg.failed.find(a.key)) {
-      a.error = *why;
-      return a;
-    }
-  }
-  if (read_idx()) {
-    const LockGuard lock(reg.mu);
-    ++reg.stats.disk_hits;
-    return a;
-  }
-  {
-    // The artifact resolves through the idx file, never the in-memory fn
-    // map — a stale fn entry (its idx removed by invalidate_kernel) would
-    // make compile_batch_tu skip the recompile that recreates the idx.
-    const LockGuard lock(reg.mu);
-    (void)reg.fns.erase(a.key);
-  }
-  compile_batch_tu({std::move(ek)}, tc);
-  {
-    const LockGuard lock(reg.mu);
-    if (const std::string* why = reg.failed.find(a.key)) {
-      a.error = *why;
-      return a;
-    }
-  }
-  if (!read_idx()) a.error = "kernel artifact did not resolve after compilation";
-  return a;
-}
-
-bool invalidate_kernel(std::uint64_t key) {
-  Registry& reg = Registry::instance();
-  bool removed = false;
-  {
-    const LockGuard lock(reg.mu);
-    removed = reg.fns.erase(key);
-    removed = reg.failed.erase(key) || removed;
-  }
-  std::error_code ec;
-  removed =
-      fs::remove(fs::path(cache_dir()) / (hex64(key) + ".idx"), ec) || removed;
-  return removed;
+  return resolve_emitted(s, emit_keyed(s, gpu_key), tc, nullptr);
 }
 
 void prepare_kernels(std::span<const Schedule* const> batch,
                      const std::string& gpu_key, const Toolchain& tc) {
   if (!tc.ok()) return;
   std::vector<EmittedKernel> pending;
-  std::vector<std::uint64_t> seen;
   for (const Schedule* s : batch) {
-    if (s == nullptr || !s->valid() || !s->consume_complete()) continue;
+    if (s == nullptr || !lowerable(*s)) continue;
     EmittedKernel ek = emit_keyed(*s, gpu_key);
-    if (std::find(seen.begin(), seen.end(), ek.key) != seen.end()) continue;
-    seen.push_back(ek.key);
-    if (verify::verify_enabled()) {
-      if (std::string verr = verify::verify_gate_error(*s); !verr.empty()) {
-        Registry& reg = Registry::instance();
-        const LockGuard lock(reg.mu);
-        (void)reg.failed.insert(ek.key, std::move(verr));
-        reg.sync_evictions_locked();
-        continue;
-      }
+    if (std::any_of(pending.begin(), pending.end(),
+                    [&](const EmittedKernel& p) { return p.key == ek.key; })) {
+      continue;
     }
-    if (try_cached(ek.key, nullptr).ok()) continue;
-    {
-      Registry& reg = Registry::instance();
-      const LockGuard lock(reg.mu);
-      if (reg.failed.contains(ek.key)) continue;
-    }
+    if (settled(probe(*s, ek))) continue;
     pending.push_back(std::move(ek));
   }
   compile_batch_tu(std::move(pending), tc);
+}
+
+ResolvedKernel load_artifact(const KernelArtifact& art, std::string* error) {
+  if (ResolvedKernel rk = find_loaded(art.key); rk.ok()) return rk;
+  Registry& reg = Registry::instance();
+  const LockGuard lock(reg.mu);
+  ModuleRef module;
+  if (const auto it = reg.handles.find(art.so_path); it != reg.handles.end()) {
+    module = it->second.lock();
+  }
+  if (module == nullptr) {
+    // Lazy prune: dlopen is the slow path anyway, so sweep out weak
+    // entries whose modules have since closed (keeps the map bounded by
+    // the RESIDENT module count, not by every path ever loaded).
+    std::erase_if(reg.handles,
+                  [](const auto& kv) { return kv.second.expired(); });
+    void* handle = ::dlopen(art.so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
+    if (handle == nullptr) {
+      const char* why = ::dlerror();
+      *error = "dlopen failed: " + std::string(why != nullptr ? why : "?");
+      return {};
+    }
+    module = std::make_shared<const JitModule>(handle);
+    reg.handles[art.so_path] = module;
+  }
+  void* sym = ::dlsym(module->handle(), art.symbol.c_str());
+  if (sym == nullptr) {
+    *error = "symbol " + art.symbol + " missing from " + art.so_path;
+    return {};
+  }
+  ResolvedKernel rk{reinterpret_cast<KernelFn>(sym), std::move(module)};
+  (void)reg.fns.insert(art.key, rk);
+  reg.sync_evictions_locked();
+  return rk;
+}
+
+ResolvedKernel resolve_kernel(const Schedule& s, const std::string& gpu_key,
+                              const Toolchain& tc, std::string* error) {
+  std::string err = !tc.ok() ? tc.reason : !lowerable(s) ? kNotLowerable : "";
+  if (err.empty()) {
+    const EmittedKernel ek = emit_keyed(s, gpu_key);
+    // A kernel loaded in this process passed the gate when it was loaded.
+    if (ResolvedKernel rk = find_loaded(ek.key); rk.ok()) return rk;
+    for (bool retried = false;; retried = true) {
+      bool compiled = false;
+      const KernelArtifact art = resolve_emitted(s, ek, tc, &compiled);
+      if (!art.ok()) {
+        err = art.error;
+        break;
+      }
+      if (ResolvedKernel rk = load_artifact(art, &err); rk.ok()) return rk;
+      if (compiled || retried) {
+        record_failure(art.key, err);
+        break;
+      }
+      // A stale on-disk artifact (deleted, truncated or foreign-ISA
+      // shared object) costs one recompile, not a hard failure.
+      invalidate_kernel(art.key, err);
+    }
+  }
+  if (error != nullptr) *error = std::move(err);
+  return {};
+}
+
+void invalidate_kernel(std::uint64_t key, const std::string& why) {
+  Registry& reg = Registry::instance();
+  {
+    const LockGuard lock(reg.mu);
+    (void)reg.fns.erase(key);
+    (void)reg.failed.erase(key);
+  }
+  std::error_code ec;
+  fs::remove(fs::path(cache_dir()) / (hex64(key) + ".idx"), ec);
+  MCF_LOG(Warn) << "jit: cached artifact for key " << hex64(key)
+                << " is unusable (" << why << "); dropped, recompiling";
+}
+
+std::size_t KernelInputs::bytes() const noexcept {
+  std::size_t total = static_cast<std::size_t>(a.numel()) * sizeof(float);
+  for (const Tensor& w : weights) {
+    total += static_cast<std::size_t>(w.numel()) * sizeof(float);
+  }
+  return total;
+}
+
+KernelInputs seeded_inputs(std::int64_t batch, std::int64_t m,
+                           std::span<const std::int64_t> inner,
+                           std::uint64_t seed) {
+  KernelInputs in;
+  in.a = Tensor(Shape{batch, m, inner.front()});
+  in.a.fill_random(seed);
+  in.weights.reserve(inner.size() - 1);
+  for (std::size_t op = 0; op + 1 < inner.size(); ++op) {
+    Tensor w(Shape{batch, inner[op], inner[op + 1]});
+    w.fill_random(seed + 1 + op);
+    in.weights.push_back(std::move(w));
+  }
+  return in;
 }
 
 void run_compiled(KernelFn fn, const Schedule& s, const Tensor& a,
@@ -856,31 +809,4 @@ void run_blocks(KernelFn fn, const float* a, const float* const* weights,
 }
 
 }  // namespace jit
-
-// ---- JitKernel --------------------------------------------------------------
-
-JitKernel::JitKernel(Schedule schedule, const std::string& gpu_key)
-    : s_(std::move(schedule)) {
-  if (!s_.valid()) {
-    error_ = "schedule has no legal statement placement";
-    return;
-  }
-  if (!s_.consume_complete()) {
-    error_ = "schedule consumes partial tiles (Rule-2 structure)";
-    return;
-  }
-  jit::ResolvedKernel rk =
-      jit::resolve_kernel(s_, gpu_key, jit::detect_toolchain(), &error_);
-  fn_ = rk.fn;
-  // The kernel pins its module: registry eviction (or a cap change) can
-  // never unmap code a live JitKernel may still run.
-  module_ = std::move(rk.module);
-}
-
-void JitKernel::run(const Tensor& a, std::span<const Tensor> weights,
-                    Tensor& out, int threads) const {
-  MCF_CHECK(fn_ != nullptr) << "JitKernel::run on a failed kernel: " << error_;
-  jit::run_compiled(fn_, s_, a, weights, out, scratch_, threads);
-}
-
 }  // namespace mcf

@@ -3,15 +3,17 @@
 // CPU through the host C++ toolchain.
 //
 // exec/codegen lowers a Schedule into a tile-size-specialized C++ kernel
-// (constant extents, `__restrict`, SIMD pragmas); this file turns those
-// sources into runnable machine code:
+// (constant extents, `__restrict`, SIMD pragmas); this file is the only
+// code that turns those sources into loaded machine code, in the engine's
+// process and in a sandbox worker alike:
 //
-//   * JitEngine (process-wide)  — batches many candidate kernels into ONE
-//     translation unit, shells out to the host compiler once per batch
-//     (`-O3 -march=native`, so the JIT'd code uses the full vector ISA
-//     even when the library itself is built generic), dlopen()s the
-//     resulting shared object and resolves per-candidate entry points.
-//     The whole compile and link is one command:
+//   * one resolution path (resolve_artifact) — the lowering check, the
+//     static verifier gate, the negative cache, the `<key>.idx` on-disk
+//     index, then a compile.  It PUBLISHES kernels on disk and loads
+//     nothing; prepare_kernels runs the same path for a whole measurement
+//     wave and compiles every missing kernel in ONE translation unit,
+//     one compiler invocation (`-O3 -march=native`, so the JIT'd code uses
+//     the full vector ISA even when the library itself is built generic):
 //
 //       $CXX -std=c++17 -O3 -march=native -fopenmp-simd -fno-math-errno
 //            -fno-trapping-math -fPIC -shared -nodefaultlibs
@@ -31,31 +33,29 @@
 //     across tuner generations, engine calls and processes.  The on-disk
 //     directory has no automatic eviction (it is bounded by the distinct
 //     schedules a deployment tunes, and `rm -rf` is always safe); the
-//     IN-MEMORY resolved-kernel map and negative cache are LRU-bounded
+//     IN-MEMORY loaded-kernel map and negative cache are LRU-bounded
 //     (MCFUSER_JIT_KERNEL_CAP, default 4096 entries each); an evicted
-//     key re-resolves from disk with one dlsym.
-//   * refcounted module lifecycle — every dlopen'd TU is owned by a
-//     shared JitModule handle; registry entries, JitKernel instances
-//     and in-flight run_native calls hold references, and the LAST
-//     release dlclose()s the object.  LRU eviction under churn
-//     therefore actually returns the resident .so mappings: the number
-//     of open modules is bounded by the kernel cap plus live kernel
-//     handles (modules_opened / modules_open / modules_closed in
-//     CompileStats).  Evicting a kernel while another thread executes
-//     it is safe — the executor's reference keeps the module mapped
-//     until its call returns; only then does the mapping go away.
-//   * JitKernel — per-schedule handle: compile (or cache-hit) at
-//     construction, then run() executes the fused chain natively with
-//     thread-pool block parallelism and per-slot scratch arenas,
-//     mirroring exec/interpreter's execution geometry.  The instance
-//     pins its module, so a kernel outlives any registry eviction.
+//     key re-loads from disk with one dlopen/dlsym.
+//   * one loader (load_artifact) — the registry's refcounted module
+//     lifecycle: every dlopen'd TU is owned by a shared JitModule handle;
+//     registry entries, held ResolvedKernels and in-flight runs hold
+//     references, and the LAST release dlclose()s the object.  LRU
+//     eviction under churn therefore actually returns the resident .so
+//     mappings: the number of open modules is bounded by the kernel cap
+//     plus live kernel handles (modules_opened / modules_open /
+//     modules_closed in CompileStats).  Evicting a kernel while another
+//     thread executes it is safe — the executor's reference keeps the
+//     module mapped until its call returns.  resolve_kernel is the path
+//     plus this one load; a sandbox worker loads through it too, so its
+//     resident modules obey the same cap.
 //
 // Toolchain detection: `MCFUSER_JIT_CXX` env var, else the compiler CMake
 // configured the library with (MCF_JIT_CXX), else `c++` on PATH.  When no
 // working compiler exists (or under sanitizer builds, where uninstrumented
 // JIT objects would poison the ASan/UBSan gate) everything degrades
-// gracefully: JitKernel construction fails with a reason and ExecBackend's
-// cascade starts on its interpreter rung (measure/backend.hpp).
+// gracefully: resolution fails with a reason, CompiledKernel::run_native
+// returns false and ExecBackend's cascade starts on its interpreter rung
+// (measure/backend.hpp).
 #pragma once
 
 #include <cstdint>
@@ -166,26 +166,11 @@ struct ResolvedKernel {
   [[nodiscard]] bool ok() const noexcept { return fn != nullptr; }
 };
 
-/// Resolves (compiling at most once) the native kernel for one schedule.
-/// Thread-safe; !ok() with `error` filled when the toolchain is
-/// unavailable or compilation fails.
-[[nodiscard]] ResolvedKernel resolve_kernel(const Schedule& s,
-                                            const std::string& gpu_key,
-                                            const Toolchain& tc,
-                                            std::string* error);
-
-/// Test hook: swaps the in-memory kernel map and negative cache for
-/// fresh ones bounded at `cap` entries each (0 = unbounded), dropping
-/// every cached entry point — modules close as their last references
-/// go.  The environment-latched default (MCFUSER_JIT_KERNEL_CAP) is
-/// untouched; pass it back via a fresh call to restore.
-void set_kernel_cap_for_testing(std::size_t cap);
-
-/// A compiled kernel located on disk WITHOUT loading it into this
-/// process: the cache key, the shared-object path and the entry symbol.
-/// This is what crosses the sandbox process boundary (exec/sandbox.hpp)
-/// — the isolated worker dlopen()s the path itself, so a kernel that
-/// crashes on load or on first run never touches the host address space.
+/// A compiled kernel located on disk WITHOUT loading it: the cache key,
+/// the shared-object path and the entry symbol.  This is also what crosses
+/// the sandbox process boundary (exec/sandbox.hpp): the host resolves it,
+/// the worker loads it, so a kernel that crashes on load or on first run
+/// never touches the host address space.
 struct KernelArtifact {
   std::uint64_t key = 0;  ///< digest-keyed cache identity (crash cache key)
   std::string so_path;    ///< empty when resolution failed
@@ -194,27 +179,67 @@ struct KernelArtifact {
   [[nodiscard]] bool ok() const noexcept { return !so_path.empty(); }
 };
 
-/// Resolves (compiling at most once) the on-disk artifact for one
-/// schedule.  Thread-safe.  Unlike resolve_kernel this never dlopen()s.
+/// The one resolution path: lowering check, verifier gate, negative
+/// cache, `<key>.idx`, compile (at most once).  Publishes the kernel on
+/// disk and never dlopen()s.  Thread-safe; !ok() with `error` filled when
+/// the toolchain is unavailable, the schedule is rejected or the compile
+/// fails.
 [[nodiscard]] KernelArtifact resolve_artifact(const Schedule& s,
                                               const std::string& gpu_key,
                                               const Toolchain& tc);
 
-/// Drops every cached trace of `key` — the in-memory entry-point and
-/// negative-cache entries AND the on-disk `<key>.idx` file — so the next
-/// resolve recompiles.  Used when a worker finds the cached .so poisoned
-/// (truncated write, foreign-ISA restore): evict + recompile once instead
-/// of failing the measurement.  The .so itself stays (other kernels may
-/// share the TU); the recompile republishes it via tmp+rename.  Returns
-/// whether anything was removed.
-bool invalidate_kernel(std::uint64_t key);
-
-/// Batched form: compiles every not-yet-cached kernel of `batch` in ONE
-/// translation unit / compiler invocation (the tuner calls this once per
-/// measurement wave).  Individual failures are recorded in the stats and
-/// surface later through resolve_kernel.
+/// Batched form of the path: compiles every not-yet-published kernel of
+/// `batch` in ONE translation unit / compiler invocation (the tuner calls
+/// this once per measurement wave) and loads nothing.  Individual failures
+/// are negative-cached and surface later through resolve_artifact.
 void prepare_kernels(std::span<const Schedule* const> batch,
                      const std::string& gpu_key, const Toolchain& tc);
+
+/// The registry's loader: the kernel already loaded under `art.key`, else
+/// the shared object's module (opened once while any reference lives) and
+/// the symbol in it, kept in the LRU-bounded in-memory map.  Compiles
+/// nothing, heals nothing and never logs — a sandbox worker calls it
+/// before main().  !ok() with `*error` (non-null) filled when the object
+/// will not load.
+[[nodiscard]] ResolvedKernel load_artifact(const KernelArtifact& art,
+                                           std::string* error);
+
+/// resolve_artifact plus one load_artifact; a warm call is one emit plus
+/// one in-memory lookup.  An on-disk artifact that will not load (deleted,
+/// truncated or foreign-ISA shared object) is dropped and recompiled once.
+/// Thread-safe; !ok() with `error` filled on failure.
+[[nodiscard]] ResolvedKernel resolve_kernel(const Schedule& s,
+                                            const std::string& gpu_key,
+                                            const Toolchain& tc,
+                                            std::string* error);
+
+/// Drops a bad artifact: its in-memory entries (loaded kernel, negative
+/// result) and its `<key>.idx`, so the next resolve recompiles.  Serves a
+/// load failure in this process and one a sandbox worker reports.  The
+/// .so itself stays (other kernels may share the TU); the recompile
+/// republishes it via tmp+rename.  Logs `why`.
+void invalidate_kernel(std::uint64_t key, const std::string& why);
+
+/// Test hook: swaps the in-memory kernel map and negative cache for
+/// fresh ones bounded at `cap` entries each (0 = unbounded), dropping
+/// every cached entry point — modules close as their last references
+/// go.  The environment-latched default (MCFUSER_JIT_KERNEL_CAP) is
+/// untouched; pass it back via a fresh call to restore.
+void set_kernel_cap_for_testing(std::size_t cap);
+
+/// Deterministic inputs of a chain with geometry (batch, m, inner): `a` is
+/// [batch, m, inner[0]] filled from `seed`, weight op is
+/// [batch, inner[op], inner[op + 1]] filled from seed + 1 + op.  The one
+/// place such inputs are built: ExecBackend measures on them in process
+/// and a sandbox worker rebuilds the same set from a RunRequest.
+struct KernelInputs {
+  Tensor a;
+  std::vector<Tensor> weights;
+  [[nodiscard]] std::size_t bytes() const noexcept;
+};
+[[nodiscard]] KernelInputs seeded_inputs(std::int64_t batch, std::int64_t m,
+                                         std::span<const std::int64_t> inner,
+                                         std::uint64_t seed);
 
 /// Executes a resolved kernel over all blocks of `s` (Interpreter::run's
 /// tensor contract) through run_blocks.  `threads` caps the fan-out:
@@ -241,37 +266,4 @@ void run_blocks(KernelFn fn, const float* a, const float* const* weights,
                 std::vector<std::vector<float>>& scratch, int threads);
 
 }  // namespace jit
-
-/// One schedule, compiled to native code and runnable.  Construction
-/// resolves the kernel through the digest-keyed cache; ok() == false
-/// carries the reason (no toolchain / compile failure) and run() must not
-/// be called.  run() matches Interpreter::run's tensor contract
-/// (rank-3 batch-major input/weights/output) and executes blocks across
-/// the global thread pool; the per-slot scratch arenas live in the
-/// kernel and are reused across run() calls, so concurrent run() on ONE
-/// instance is not supported (use one JitKernel per thread — the
-/// compiled code itself is shared through the cache either way).
-class JitKernel {
- public:
-  /// The schedule is stored by value (it is a small value type), so a
-  /// temporary is safe to pass.
-  explicit JitKernel(Schedule schedule, const std::string& gpu_key = "");
-
-  [[nodiscard]] bool ok() const noexcept { return fn_ != nullptr; }
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
-  [[nodiscard]] const Schedule& schedule() const noexcept { return s_; }
-
-  /// `threads` caps the block fan-out (see jit::run_compiled); 0 = full
-  /// pool concurrency.
-  void run(const Tensor& a, std::span<const Tensor> weights, Tensor& out,
-           int threads = 0) const;
-
- private:
-  Schedule s_;
-  jit::KernelFn fn_ = nullptr;
-  jit::ModuleRef module_;  ///< pins the .so mapping across evictions
-  std::string error_;
-  mutable std::vector<std::vector<float>> scratch_;  ///< per-slot arenas
-};
-
 }  // namespace mcf

@@ -4,7 +4,10 @@
 // Compilation validates the schedule against the target GPU (actual
 // shared-memory fit — the paper's quadrant-II candidates are rejected
 // here, "during PTX code lowering"), precomputes the static volume report
-// and shared-memory plan, and exposes run()/measure().
+// and shared-memory plan, and exposes run() (interpreter), run_native()
+// (the compiled module) and measure() (simulator).  run_native is the one
+// handle for running a schedule's native kernel; code that needs the raw
+// entry point holds a jit::ResolvedKernel from jit::resolve_kernel.
 #pragma once
 
 #include <optional>
@@ -38,13 +41,14 @@ class CompiledKernel {
   ExecutionCounters run(const Tensor& a, std::span<const Tensor> weights,
                         Tensor& out) const;
 
-  /// Native execution: compiles the schedule to machine code through the
-  /// exec/jit subsystem (digest-keyed cache — repeat calls resolve
-  /// without recompiling) and runs it, holding a module reference for
-  /// the duration so a concurrent registry eviction can never unmap the
-  /// executing code.  `threads` caps the block fan-out across the
-  /// worker-slot pool (<= 0 = full pool concurrency, 1 = single-
-  /// threaded); the output is bit-identical for every thread count.
+  /// Native execution: jit::resolve_kernel compiles the schedule to
+  /// machine code at most once (digest-keyed cache — a warm call is one
+  /// emit plus one in-memory lookup) and run_compiled runs it, holding a
+  /// module reference for the duration so a concurrent registry eviction
+  /// can never unmap the executing code.  `threads` caps the block
+  /// fan-out across the worker-slot pool (<= 0 = full pool concurrency,
+  /// 1 = single-threaded); the output is bit-identical for every thread
+  /// count.
   /// Returns false without touching `out` when no host toolchain is
   /// available (or compilation failed); fall back to run().  Same tensor
   /// contract as run(); results agree with the interpreter to float

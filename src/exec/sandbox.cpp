@@ -1,13 +1,11 @@
 #include "exec/sandbox.hpp"
 
-#include <dlfcn.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -37,11 +35,11 @@ using framing::FrameWriter;
 using framing::IoStatus;
 
 constexpr std::uint32_t kMagic = 0x4D434657;  // "MCFW"
-/// v2: RunRequest carries `threads` (the host's block fan-out cap, so
-/// workers replay the multicore run_native geometry).  Host and workers
-/// re-exec the same binary, so a version mismatch only means a corrupted
-/// stream — rejected, never skewed.
-constexpr std::uint32_t kProtocolVersion = 2;
+/// v3: RunRequest no longer carries a block fan-out cap (v2's `threads`);
+/// workers always run the full-pool fan-out, as in-process measurement
+/// does.  Host and workers re-exec the same binary, so a version mismatch
+/// only means a corrupted stream — rejected, never skewed.
+constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Frames are small (a request is a path + a dozen integers; a response
 /// is a handful of doubles) — anything larger is a corrupted stream.
@@ -61,8 +59,7 @@ constexpr std::uint32_t kProtocolVersion = 2;
 
 enum WireStatus : std::uint8_t {
   kOk = 0,
-  kDlopenFailed = 1,
-  kSymbolMissing = 2,
+  kLoadFailed = 1,  ///< dlopen or dlsym failed: the artifact is poisoned
   kGarbageOutput = 3,
   kBadRequest = 4,
 };
@@ -143,7 +140,6 @@ struct GlobalState {
   w.u32(static_cast<std::uint32_t>(req.warmup < 0 ? 0 : req.warmup));
   w.u32(static_cast<std::uint32_t>(req.repeats < 1 ? 1 : req.repeats));
   w.u64(req.data_seed);
-  w.i64(req.threads < 0 ? 0 : req.threads);
   return w.framed();
 }
 
@@ -170,18 +166,14 @@ struct GlobalState {
     req->inner.resize(n_inner);
     for (std::int64_t& d : req->inner) ok = ok && r.i64(&d);
   }
-  std::int64_t threads = 0;
   ok = ok && r.i64(&req->n_blocks) && r.i64(&req->scratch_floats) &&
-       r.u32(&warmup) && r.u32(&repeats) && r.u64(&req->data_seed) &&
-       r.i64(&threads);
+       r.u32(&warmup) && r.u32(&repeats) && r.u64(&req->data_seed);
   if (!ok) {
     *why = "truncated request";
     return false;
   }
   req->warmup = static_cast<int>(warmup);
   req->repeats = static_cast<int>(repeats);
-  req->threads = static_cast<int>(
-      std::clamp<std::int64_t>(threads, 0, 1 << 16));
   if (req->batch < 1 || req->m < 1 || req->inner.size() < 2 ||
       req->n_blocks < 1 || req->scratch_floats < 0) {
     *why = "invalid geometry";
@@ -368,19 +360,6 @@ bool crash_cache_evict(std::uint64_t key) {
   return g.crash.erase(key);
 }
 
-void crash_cache_clear() {
-  GlobalState& g = GlobalState::instance();
-  const LockGuard lock(g.mu);
-  g.crash = LruMap<std::uint64_t, CrashEntry>(
-      LruMap<std::uint64_t, CrashEntry>::Limits{crash_cache_cap(), 0});
-}
-
-std::size_t crash_cache_size() {
-  GlobalState& g = GlobalState::instance();
-  const LockGuard lock(g.mu);
-  return g.crash.size();
-}
-
 // ---- WorkerPool -------------------------------------------------------------
 
 struct WorkerPool::Worker {
@@ -542,8 +521,7 @@ RunResult WorkerPool::run(const RunRequest& req) {
             out.outcome = RunOutcome::Ok;
             out.samples = std::move(resp.samples);
             break;
-          case kDlopenFailed:
-          case kSymbolMissing:
+          case kLoadFailed:
             out.outcome = RunOutcome::Failed;
             out.reason = resp.reason;
             out.retryable_load_failure = true;
@@ -591,37 +569,11 @@ RunResult WorkerPool::run(const RunRequest& req) {
 
 // ---- worker side ------------------------------------------------------------
 
-namespace {
-
-/// Per-geometry deterministic inputs, rebuilt exactly as the host's
-/// ExecMeasureState::data would (same seeds, same fill_random), memoized
-/// across the requests of one worker lifetime.
-struct WorkerInputs {
-  Tensor a;
-  std::vector<Tensor> weights;
-  Tensor out;
-};
-
-std::shared_ptr<WorkerInputs> build_inputs(const RunRequest& req) {
-  auto in = std::make_shared<WorkerInputs>();
-  in->a = Tensor(Shape{req.batch, req.m, req.inner.front()});
-  in->a.fill_random(req.data_seed);
-  in->weights.reserve(req.inner.size() - 1);
-  for (std::size_t op = 0; op + 1 < req.inner.size(); ++op) {
-    Tensor w(Shape{req.batch, req.inner[op], req.inner[op + 1]});
-    w.fill_random(req.data_seed + static_cast<std::uint64_t>(op) + 1);
-    in->weights.push_back(std::move(w));
-  }
-  in->out = Tensor(Shape{req.batch, req.m, req.inner.back()});
-  return in;
-}
-
-}  // namespace
-
 int worker_main(int request_fd, int response_fd) {
   ::signal(SIGPIPE, SIG_IGN);
-  std::unordered_map<std::string, void*> handles;
-  std::unordered_map<std::string, std::shared_ptr<WorkerInputs>> inputs;
+  // Per-geometry seeded inputs, memoized across the requests of one
+  // worker lifetime.
+  std::unordered_map<std::string, jit::KernelInputs> inputs;
   std::vector<std::vector<float>> scratch;
 
   for (;;) {
@@ -652,48 +604,39 @@ int worker_main(int request_fd, int response_fd) {
       resp.status = kBadRequest;
       resp.reason = "bad request: " + why;
     } else {
-      void*& handle = handles[req.so_path];
-      if (handle == nullptr) {
-        handle = ::dlopen(req.so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
-      }
-      jit::KernelFn fn = nullptr;
-      if (handle == nullptr) {
-        handles.erase(req.so_path);
-        const char* dlerr = ::dlerror();
-        resp.status = kDlopenFailed;
-        resp.reason = "worker dlopen failed: " +
-                      std::string(dlerr != nullptr ? dlerr : req.so_path);
-      } else if ((fn = reinterpret_cast<jit::KernelFn>(
-                      ::dlsym(handle, req.symbol.c_str()))) == nullptr) {
-        resp.status = kSymbolMissing;
-        resp.reason =
-            "worker symbol " + req.symbol + " missing from " + req.so_path;
+      // The jit's own loader: refcounted modules in an LRU map bounded by
+      // MCFUSER_JIT_KERNEL_CAP, so a long-lived worker's mappings stay
+      // bounded.  `rk` pins the module for the whole request.
+      const jit::ResolvedKernel rk = jit::load_artifact(
+          jit::KernelArtifact{req.key, req.so_path, req.symbol, {}}, &why);
+      if (!rk.ok()) {
+        resp.status = kLoadFailed;
+        resp.reason = "worker load failed: " + why;
       } else {
         std::string key = std::to_string(req.data_seed) + ":" +
                           std::to_string(req.batch) + "x" +
                           std::to_string(req.m);
         for (const std::int64_t d : req.inner) key += "x" + std::to_string(d);
-        std::shared_ptr<WorkerInputs> in_ptr;
-        if (const auto it = inputs.find(key); it != inputs.end()) {
-          in_ptr = it->second;
-        } else {
+        auto it = inputs.find(key);
+        if (it == inputs.end()) {
           if (inputs.size() >= 8) inputs.clear();  // crude bound; inputs
                                                    // rebuild deterministically
-          in_ptr = build_inputs(req);
-          inputs.emplace(key, in_ptr);
+          it = inputs
+                   .emplace(key, jit::seeded_inputs(req.batch, req.m, req.inner,
+                                                    req.data_seed))
+                   .first;
         }
-        WorkerInputs& in = *in_ptr;
+        const jit::KernelInputs& in = it->second;
+        Tensor out(Shape{req.batch, req.m, req.inner.back()});
 
         std::vector<const float*> wptrs;
         wptrs.reserve(in.weights.size());
         for (const Tensor& t : in.weights) wptrs.push_back(t.data().data());
-        // req.threads caps the fan-out, mirroring the host's
-        // MeasureOptions::exec_threads.
         const auto run_once = [&] {
-          jit::run_blocks(fn, in.a.data().data(), wptrs.data(),
-                          in.out.data().data(), req.n_blocks,
+          jit::run_blocks(rk.fn, in.a.data().data(), wptrs.data(),
+                          out.data().data(), req.n_blocks,
                           static_cast<std::size_t>(req.scratch_floats),
-                          scratch, req.threads);
+                          scratch, /*threads=*/0);
         };
         for (int i = 0; i < req.warmup; ++i) run_once();
         resp.samples.reserve(static_cast<std::size_t>(req.repeats));
@@ -707,7 +650,7 @@ int worker_main(int request_fd, int response_fd) {
         // Garbage detection: a kernel that "succeeds" with non-finite
         // output is as useless as a crash and must fail loudly.
         bool finite = true;
-        for (const float v : in.out.data()) {
+        for (const float v : out.data()) {
           if (!std::isfinite(v)) {
             finite = false;
             break;

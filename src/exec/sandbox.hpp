@@ -21,14 +21,17 @@
 //   * crash negative-cache — a process-wide, LRU-bounded map from the
 //     jit cache key (jit::KernelArtifact::key) to the recorded failure,
 //     so a known-bad kernel is never handed to a worker again anywhere
-//     in the process.  Eviction APIs exist for tests and operators.
+//     in the process.  crash_cache_evict re-arms one kernel.
 //
-// The worker executes the SAME artifact the in-process jit path would
-// (dlopen + the kernel-cache symbol) with the same execution geometry
-// (thread-pool block fan-out, per-slot scratch arenas) and the same
-// deterministic seeded inputs, so sandboxed timings agree with
-// in-process jit timings; the host computes the identical trimmed-mean
-// estimate from the returned samples.
+// The host only resolves the artifact (jit::resolve_artifact publishes it
+// on disk and loads nothing), so it never maps a sandboxed kernel.  The
+// worker loads it through the jit's own loader (jit::load_artifact: the
+// same refcounted modules, LRU-bounded by MCFUSER_JIT_KERNEL_CAP) and runs
+// it with the same execution geometry (jit::run_blocks: thread-pool block
+// fan-out, per-slot scratch arenas) on the same seeded inputs
+// (jit::seeded_inputs), so sandboxed timings agree with in-process jit
+// timings; the host computes the identical trimmed-mean estimate from the
+// returned samples.
 //
 // Availability: sandboxing self-disables under sanitizer builds (like
 // the jit — uninstrumented workers would evade the ASan/UBSan gate),
@@ -120,13 +123,10 @@ struct RunRequest {
   std::int64_t scratch_floats = 0; ///< cpp_kernel_scratch_floats(s)
   int warmup = 1;
   int repeats = 3;
-  /// Input seed; ExecBackend always sends detail::kMeasureDataSeed, the
-  /// seeding ExecMeasureState::data uses in-process.
+  /// Seed of jit::seeded_inputs; ExecBackend always sends
+  /// detail::kMeasureDataSeed, the seed ExecMeasureState::data uses
+  /// in-process.
   std::uint64_t data_seed = 1;
-  /// Block fan-out cap (MeasureOptions::exec_threads): the worker runs
-  /// the host's fan-out, jit::run_blocks.  <= 0 = uncapped, over the
-  /// worker's own pool.
-  int threads = 0;
 };
 
 enum class RunOutcome : std::uint8_t {
@@ -140,7 +140,7 @@ struct RunResult {
   RunOutcome outcome = RunOutcome::Crashed;
   std::string reason;           ///< non-empty unless outcome == Ok
   std::vector<double> samples;  ///< wall seconds, one per repeat
-  /// dlopen/dlsym failed INSIDE the worker: the cached .so is poisoned
+  /// Loading failed INSIDE the worker: the cached .so is poisoned
   /// (truncated write, foreign-ISA restore).  The caller should
   /// jit::invalidate_kernel + recompile once instead of failing.
   bool retryable_load_failure = false;
@@ -190,16 +190,14 @@ void crash_cache_insert(std::uint64_t key, MeasureFailKind kind,
 /// Returns whether an entry existed.  After eviction the kernel is
 /// eligible for (sandboxed) execution again.
 bool crash_cache_evict(std::uint64_t key);
-void crash_cache_clear();
-[[nodiscard]] std::size_t crash_cache_size();
 
 // ---- worker side ------------------------------------------------------------
 
 /// The measurement loop a worker process runs instead of main():
 /// reads framed RunRequests from `request_fd`, executes each kernel
-/// (dlopen + seeded inputs + thread-pool block fan-out), writes framed
-/// responses to `response_fd`, and returns 0 on EOF (host closed the
-/// pipe).  Exposed for direct-loopback testing; production workers enter
+/// (jit::load_artifact + jit::seeded_inputs + jit::run_blocks), writes
+/// framed responses to `response_fd`, and returns 0 on EOF (host closed
+/// the pipe).  Exposed for direct-loopback testing; production workers enter
 /// it from an early constructor when MCFUSER_SANDBOX_WORKER is set.
 int worker_main(int request_fd, int response_fd);
 

@@ -50,16 +50,8 @@ ExecMeasureState::ExecMeasureState() : ExecMeasureState(Limits()) {}
 
 ExecMeasureState::ExecMeasureState(Limits limits)
     : gates_(LruMap<std::uint64_t, Gate>::Limits{limits.max_gates, 0}),
-      data_(LruMap<std::string, std::shared_ptr<const ChainData>>::Limits{
-          limits.max_data_entries, limits.max_data_bytes}) {}
-
-std::size_t ExecMeasureState::ChainData::bytes() const noexcept {
-  std::size_t total = static_cast<std::size_t>(a.numel()) * sizeof(float);
-  for (const Tensor& w : weights) {
-    total += static_cast<std::size_t>(w.numel()) * sizeof(float);
-  }
-  return total;
-}
+      data_(LruMap<std::string, std::shared_ptr<const jit::KernelInputs>>::
+                Limits{limits.max_data_entries, limits.max_data_bytes}) {}
 
 ExecMeasureState::Gate ExecMeasureState::gate(const Schedule& s,
                                               const GpuSpec& gpu) const {
@@ -91,7 +83,7 @@ ExecMeasureState::Gate ExecMeasureState::gate(const Schedule& s,
   return gates_.insert(key, std::move(g));
 }
 
-std::shared_ptr<const ExecMeasureState::ChainData> ExecMeasureState::data(
+std::shared_ptr<const jit::KernelInputs> ExecMeasureState::data(
     const ChainSpec& chain) const {
   const std::string key = chain_cache_key(chain);
   {
@@ -102,16 +94,8 @@ std::shared_ptr<const ExecMeasureState::ChainData> ExecMeasureState::data(
   // stall concurrent measure() calls (gates share the same mutex).  A
   // racing builder produces an identical (deterministic) tensor set;
   // the first insert wins.
-  auto fresh = std::make_shared<ChainData>();
-  fresh->a = Tensor(Shape{chain.batch(), chain.m(), chain.inner().front()});
-  fresh->a.fill_random(kMeasureDataSeed);
-  fresh->weights.reserve(static_cast<std::size_t>(chain.num_ops()));
-  for (int op = 0; op < chain.num_ops(); ++op) {
-    Tensor w(Shape{chain.batch(), chain.inner()[static_cast<std::size_t>(op)],
-                   chain.inner()[static_cast<std::size_t>(op) + 1]});
-    w.fill_random(kMeasureDataSeed + static_cast<std::uint64_t>(op) + 1);
-    fresh->weights.push_back(std::move(w));
-  }
+  auto fresh = std::make_shared<const jit::KernelInputs>(jit::seeded_inputs(
+      chain.batch(), chain.m(), chain.inner(), kMeasureDataSeed));
   const std::size_t fresh_bytes = fresh->bytes();
   const LockGuard lock(mu_);
   // Eviction only forgets, never frees in-use tensors: callers (and a
@@ -227,8 +211,8 @@ double ExecBackend::sample(const std::function<void()>& run) const {
   return trimmed_mean(std::move(samples), opt_.trim_fraction);
 }
 
-KernelMeasurement ExecBackend::measure(const Schedule& s,
-                                       const MeasureOptions& options) const {
+KernelMeasurement ExecBackend::measure(
+    const Schedule& s, const MeasureOptions& /*options*/) const {
   KernelMeasurement m;
   const detail::ExecMeasureState::Gate gate = state_.gate(s, spec());
   m.n_blocks = gate.n_blocks;
@@ -238,7 +222,7 @@ KernelMeasurement ExecBackend::measure(const Schedule& s,
     m.fail_kind = MeasureFailKind::Generic;
     return m;
   }
-  if (pool_ != nullptr && measure_in_worker(s, options, m)) return m;
+  if (pool_ != nullptr && measure_in_worker(s, m)) return m;
 
   const auto data = state_.data(s.chain());
   const ChainSpec& chain = s.chain();
@@ -254,8 +238,7 @@ KernelMeasurement ExecBackend::measure(const Schedule& s,
       // reused across the warmup/repeat samples inside.
       std::vector<std::vector<float>> scratch;
       m.time_s = sample([&] {
-        jit::run_compiled(rk.fn, s, data->a, data->weights, out, scratch,
-                          options.exec_threads);
+        jit::run_compiled(rk.fn, s, data->a, data->weights, out, scratch);
       });
       m.ok = true;
       return m;
@@ -279,11 +262,11 @@ KernelMeasurement ExecBackend::measure(const Schedule& s,
 }
 
 bool ExecBackend::measure_in_worker(const Schedule& s,
-                                    const MeasureOptions& options,
                                     KernelMeasurement& m) const {
   // Resolve the on-disk artifact (compiling at most once) WITHOUT loading
-  // it into this process; a compile failure hands over to the native
-  // rung, which reports it the way the in-process path always has.
+  // it into this process — the host never maps a sandboxed kernel; a
+  // compile failure hands over to the native rung, which reports it the
+  // way the in-process path always has.
   const jit::KernelArtifact art =
       jit::resolve_artifact(s, spec().name, toolchain_);
   if (!art.ok()) {
@@ -313,13 +296,12 @@ bool ExecBackend::measure_in_worker(const Schedule& s,
   req.warmup = opt_.warmup;
   req.repeats = opt_.repeats;
   req.data_seed = detail::kMeasureDataSeed;
-  req.threads = options.exec_threads;
 
   sandbox::RunResult r = pool_->run(req);
   if (r.retryable_load_failure) {
     // The cached .so is poisoned (truncated write, foreign-ISA restore):
-    // evict every trace, recompile once, retry once.
-    (void)jit::invalidate_kernel(art.key);
+    // drop it, recompile once, retry once.
+    jit::invalidate_kernel(art.key, r.reason);
     const jit::KernelArtifact fresh =
         jit::resolve_artifact(s, spec().name, toolchain_);
     if (fresh.ok()) {

@@ -125,8 +125,8 @@ class SimulatorBackend : public MeasureBackend {
 
 namespace detail {
 
-/// Seed of the deterministic random input tensors every execution rung
-/// measures on (the sandbox worker rebuilds them from RunRequest).
+/// Seed of the jit::seeded_inputs every execution rung measures on (the
+/// sandbox worker rebuilds them from RunRequest).
 inline constexpr std::uint64_t kMeasureDataSeed = 1;
 
 /// What ExecBackend memoizes per instance so repeated measure() calls of
@@ -135,9 +135,9 @@ inline constexpr std::uint64_t kMeasureDataSeed = 1;
 ///   * the lowering gate (validity, consume-completeness, smem plan) —
 ///     keyed by schedule_structure_digest, which already folds the chain
 ///     key and the tiles;
-///   * the deterministic random input tensors — keyed by chain shape,
-///     shared by every candidate of the same chain (building and filling
-///     them dominated the per-measure setup cost).
+///   * the seeded input tensors (jit::seeded_inputs) — keyed by chain
+///     shape, shared by every candidate of the same chain (building and
+///     filling them dominated the per-measure setup cost).
 ///
 /// Both memos are LRU-bounded (Limits) so a long-lived service that
 /// measures millions of distinct schedules/chains stays at bounded RSS:
@@ -154,11 +154,6 @@ class ExecMeasureState {
     std::string fail_reason;
     std::int64_t n_blocks = 0;
     std::int64_t smem_bytes = 0;
-  };
-  struct ChainData {
-    Tensor a;
-    std::vector<Tensor> weights;
-    [[nodiscard]] std::size_t bytes() const noexcept;
   };
   /// Entry/byte caps; 0 = unbounded.  The defaults bound a backend
   /// instance to roughly the working set of one large tuning campaign
@@ -178,7 +173,7 @@ class ExecMeasureState {
   [[nodiscard]] Gate gate(const Schedule& s, const GpuSpec& gpu) const;
   /// Deterministic inputs for `chain` (kMeasureDataSeed), built once per
   /// chain shape.
-  [[nodiscard]] std::shared_ptr<const ChainData> data(
+  [[nodiscard]] std::shared_ptr<const jit::KernelInputs> data(
       const ChainSpec& chain) const;
 
   // Occupancy/eviction observability (the admission bench samples these).
@@ -190,7 +185,7 @@ class ExecMeasureState {
  private:
   mutable Mutex mu_{"measure.exec-state"};
   mutable LruMap<std::uint64_t, Gate> gates_ MCF_GUARDED_BY(mu_);
-  mutable LruMap<std::string, std::shared_ptr<const ChainData>> data_
+  mutable LruMap<std::string, std::shared_ptr<const jit::KernelInputs>> data_
       MCF_GUARDED_BY(mu_);
 };
 
@@ -240,13 +235,14 @@ struct ExecBackendOptions {
 /// schedule to the rung below:
 ///
 ///   1. Sandbox — the jit-compiled artifact runs in a worker process
-///      (exec/sandbox.hpp), so a kernel that segfaults, loops forever or
-///      emits garbage fails its own measurement instead of taking down
-///      the engine.  A crash negative-cache answers known-bad kernels
-///      without spawning anything; crashes retry on a fresh worker
-///      (pool.max_retries) and are then negative-cached as WorkerCrashed,
-///      timeouts immediately as WorkerTimeout; a worker-side dlopen
-///      failure (poisoned .so) evicts, recompiles and retries once.
+///      (exec/sandbox.hpp) and is never loaded here, so a kernel that
+///      segfaults, loops forever or emits garbage fails its own
+///      measurement instead of taking down the engine.  A crash
+///      negative-cache answers known-bad kernels without spawning
+///      anything; crashes retry on a fresh worker (pool.max_retries) and
+///      are then negative-cached as WorkerCrashed, timeouts immediately
+///      as WorkerTimeout; a worker-side load failure (poisoned .so) drops
+///      the artifact, recompiles and retries once.
 ///   2. Native — the kernel compiled by exec/jit (host toolchain, -O3
 ///      -march=native, digest-keyed on-disk cache) runs in this process.
 ///   3. Interpreter — exec/interpreter, which needs no toolchain.
@@ -274,7 +270,8 @@ class ExecBackend : public MeasureBackend {
   [[nodiscard]] KernelMeasurement measure(
       const Schedule& s, const MeasureOptions& options = {}) const override;
   /// Native rungs: one TU / compiler invocation for all missing kernels of
-  /// the wave (sandbox workers then dlopen the cached artifacts).
+  /// the wave, loading none of them (the native rung loads each on its
+  /// first measure(); sandbox workers load them in their own process).
   void prepare_batch(std::span<const Schedule* const> schedules,
                      const MeasureOptions& options = {}) const override;
   [[nodiscard]] KernelMeasurement measure_raw(
@@ -285,16 +282,11 @@ class ExecBackend : public MeasureBackend {
     return sim_.measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
                             comp_eff, stmt_trips, options);
   }
-  /// measure() executes the schedule as-is; the simulator-noise options do
-  /// not reach it.  On the native presets exec_threads DOES change the
-  /// measured wall time, so it folds into the digest — a cache must never
-  /// serve a 1-thread time for an 8-thread request.
+  /// measure() executes the schedule as-is on the full pool; no
+  /// MeasureOptions field reaches it, so every option set digests to 0.
   [[nodiscard]] std::uint64_t options_digest(
-      const MeasureOptions& options) const noexcept override {
-    return opt_.preset != ExecRung::Interpreter && options.exec_threads > 0
-               ? hash_combine(0x6d63662d6a69746dull,
-                              static_cast<std::uint64_t>(options.exec_threads))
-               : 0;
+      const MeasureOptions& /*options*/) const noexcept override {
+    return 0;
   }
 
   /// The rung the cascade starts on for this instance: the preset, or
@@ -310,8 +302,7 @@ class ExecBackend : public MeasureBackend {
 
  private:
   /// Sandbox rung; false = hand the schedule to the native rung.
-  bool measure_in_worker(const Schedule& s, const MeasureOptions& options,
-                         KernelMeasurement& m) const;
+  bool measure_in_worker(const Schedule& s, KernelMeasurement& m) const;
   /// Warm-up, then `repeats` timed runs reduced by the trimmed mean.
   [[nodiscard]] double sample(const std::function<void()>& run) const;
 

@@ -21,12 +21,6 @@ struct MeasureOptions {
   /// Relative amplitude of the deterministic measurement noise.
   double noise_amp = 0.015;
   bool include_launch = true;
-  /// Block fan-out cap for wall-clock native execution ("jit" /
-  /// "jit-isolated"): <= 0 uses the full worker-slot pool, 1 measures
-  /// single-threaded, T > 1 splits blocks into T contiguous chunks.
-  /// Outputs are bit-identical for every value — only the timing moves —
-  /// and model-based backends (simulator, interpreter) ignore it.
-  int exec_threads = 0;
 };
 
 /// Machine-readable classification of a failed measurement, refining the

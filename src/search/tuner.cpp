@@ -544,37 +544,12 @@ TunedResult Tuner::run() {
   // Re-measure the winner to fill the full measurement record.
   const Schedule s = space_.schedule_for(best_cand);
   best_meas = backend_->measure(s, opt_.measure);
-
-  // Thread co-tuning: sweep the WINNING schedule over the candidate
-  // execution thread counts (MeasureOptions::exec_threads), keeping the
-  // argmin with ties toward fewer threads.  Post-convergence on purpose:
-  // the tile search above is untouched (empty candidate list = zero
-  // behaviour change, pinned by the golden tuner tests), and only the
-  // one winner pays the extra measurements.
-  int best_threads = 0;
-  for (const int t : opt_.exec_thread_candidates) {
-    if (t <= 0) continue;
-    if (cancelled()) break;  // keep the converged winner; sweep is a bonus
-    MeasureOptions mo = opt_.measure;
-    mo.exec_threads = t;
-    const KernelMeasurement tm = backend_->measure(s, mo);
-    ++stats_.measurements;
-    if (opt_.progress) {
-      opt_.progress->measurements.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (tm.ok && tm.time_s < best_meas.time_s) {
-      best_meas = tm;
-      best_t = tm.time_s;
-      best_threads = t;
-    }
-  }
   drop_stashed_schedules();
 
   result.ok = true;
   result.best = best_cand;
   result.best_time_s = best_t;
   result.best_measurement = best_meas;
-  result.best_threads = best_threads;
   stamp_wall();
   result.stats = stats_;
   result.est_vs_measured = std::move(est_meas_);

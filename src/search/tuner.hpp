@@ -82,14 +82,6 @@ struct TunerOptions {
   /// Optional live progress/cancellation channel (see TuningProgress).
   /// Null = no observation.  Never affects the tuned result.
   std::shared_ptr<TuningProgress> progress;
-  /// Execution thread counts to co-tune with the tiles (wall-clock
-  /// backends only — each candidate count re-measures the WINNING
-  /// schedule with MeasureOptions::exec_threads set; argmin wins, ties
-  /// break toward fewer threads).  Empty = off: the search is unchanged
-  /// and TunedResult::best_threads stays 0, which keeps the seeded
-  /// golden results bit-identical.  Runs after convergence, so the
-  /// choice of tiles never depends on the thread sweep.
-  std::vector<int> exec_thread_candidates;
 };
 
 /// Counters for Table IV's tuning-time modelling.
@@ -121,10 +113,6 @@ struct TunedResult {
   CandidateConfig best;
   double best_time_s = 0.0;
   KernelMeasurement best_measurement;
-  /// Winning execution thread count from the post-convergence sweep over
-  /// TunerOptions::exec_thread_candidates; 0 when the sweep is off (the
-  /// backend then uses its default fan-out).
-  int best_threads = 0;
   TuningStats stats;
   /// (analytical estimate, simulated measurement) for every measured
   /// candidate — the paper's Fig. 11 data.

@@ -160,22 +160,14 @@ TEST_P(FusedKernelProperty, MatchesReferenceAndStaticCounts) {
   const ChainSpec& chain = sweep_chain(p.kind, p.ragged);
   const std::int64_t batch = chain.batch();
   const std::int64_t m = chain.m();
-  const std::int64_t k = chain.inner()[0];
-  const std::int64_t n = chain.inner()[1];
   const std::int64_t h = chain.inner()[2];
   const Schedule s = case_schedule(p);
   ASSERT_TRUE(s.valid());
   if (!s.consume_complete()) GTEST_SKIP() << "Rule-2 schedule, not executable";
 
-  Tensor a(Shape{batch, m, k});
-  Tensor b(Shape{batch, k, n});
-  Tensor d(Shape{batch, n, h});
-  a.fill_random(101);
-  b.fill_random(102);
-  d.fill_random(103);
-  std::vector<Tensor> w;
-  w.push_back(std::move(b));
-  w.push_back(std::move(d));
+  const jit::KernelInputs in = jit::seeded_inputs(batch, m, chain.inner(), 101);
+  const Tensor& a = in.a;
+  const std::vector<Tensor>& w = in.weights;
 
   Tensor out(Shape{batch, m, h});
   const ExecutionCounters counters = Interpreter(s).run(a, w, out);
@@ -197,10 +189,13 @@ TEST_P(FusedKernelProperty, MatchesReferenceAndStaticCounts) {
 
   // The jit self-disables under sanitizer builds (no toolchain).
   if (!jit::detect_toolchain().ok()) return;
-  const JitKernel kernel(s, kJitKey);
-  ASSERT_TRUE(kernel.ok()) << kernel.error();
+  std::string err;
+  const jit::ResolvedKernel kernel =
+      jit::resolve_kernel(s, kJitKey, jit::detect_toolchain(), &err);
+  ASSERT_TRUE(kernel.ok()) << err;
   Tensor out_jit(Shape{batch, m, h});
-  kernel.run(a, w, out_jit);
+  std::vector<std::vector<float>> scratch;
+  jit::run_compiled(kernel.fn, s, a, w, out_jit, scratch);
   EXPECT_TRUE(allclose(out_jit, ref, 1e-3, 1e-4))
       << "jit max diff " << max_abs_diff(out_jit, ref);
 }

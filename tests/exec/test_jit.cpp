@@ -78,29 +78,25 @@ void probe_inheritable_pipes() {
 
 void run_both_and_compare(const Schedule& s) {
   const ChainSpec& c = s.chain();
-  Tensor a(Shape{c.batch(), c.m(), c.inner().front()});
-  a.fill_random(301);
-  std::vector<Tensor> w;
-  for (int op = 0; op < c.num_ops(); ++op) {
-    Tensor t(Shape{c.batch(), c.inner()[static_cast<std::size_t>(op)],
-                   c.inner()[static_cast<std::size_t>(op) + 1]});
-    t.fill_random(302 + static_cast<std::uint64_t>(op));
-    w.push_back(std::move(t));
-  }
+  const jit::KernelInputs in =
+      jit::seeded_inputs(c.batch(), c.m(), c.inner(), 301);
   Tensor out_interp(Shape{c.batch(), c.m(), c.inner().back()});
   Tensor out_jit(Shape{c.batch(), c.m(), c.inner().back()});
-  (void)Interpreter(s).run(a, w, out_interp);
+  (void)Interpreter(s).run(in.a, in.weights, out_interp);
 
-  JitKernel kernel(s, "a100");
-  ASSERT_TRUE(kernel.ok()) << kernel.error();
-  kernel.run(a, w, out_jit);
+  std::string err;
+  const jit::ResolvedKernel kernel =
+      jit::resolve_kernel(s, "a100", jit::detect_toolchain(), &err);
+  ASSERT_TRUE(kernel.ok()) << err;
+  std::vector<std::vector<float>> scratch;
+  jit::run_compiled(kernel.fn, s, in.a, in.weights, out_jit, scratch);
   // The issue's gate: <= 1e-4 relative tolerance (1e-5 absolute floor
   // for near-zero elements; jit uses FMA contraction, interp does not).
   EXPECT_TRUE(allclose(out_jit, out_interp, 1e-4, 1e-5))
       << c.name() << ": max rel diff " << max_rel_diff(out_jit, out_interp);
 }
 
-TEST(JitKernel, MatchesInterpreterOnGeluChain) {
+TEST(Jit, MatchesInterpreterOnGeluChain) {
   if (!jit::detect_toolchain().ok()) {
     GTEST_SKIP() << "jit unavailable: " << jit::detect_toolchain().reason;
   }
@@ -114,7 +110,7 @@ TEST(JitKernel, MatchesInterpreterOnGeluChain) {
                                       std::vector<std::int64_t>{32, 16, 32, 48}));
 }
 
-TEST(JitKernel, MatchesInterpreterOnAttentionChain) {
+TEST(Jit, MatchesInterpreterOnAttentionChain) {
   if (!jit::detect_toolchain().ok()) {
     GTEST_SKIP() << "jit unavailable: " << jit::detect_toolchain().reason;
   }
@@ -125,25 +121,25 @@ TEST(JitKernel, MatchesInterpreterOnAttentionChain) {
                                       std::vector<std::int64_t>{16, 32, 16, 32}));
 }
 
-TEST(JitKernel, SecondCompileIsACacheHit) {
-  if (!jit::detect_toolchain().ok()) {
-    GTEST_SKIP() << "jit unavailable: " << jit::detect_toolchain().reason;
-  }
+TEST(Jit, SecondCompileIsACacheHit) {
+  const jit::Toolchain tc = jit::detect_toolchain();
+  if (!tc.ok()) GTEST_SKIP() << "jit unavailable: " << tc.reason;
   const ChainSpec& c = gelu_chain();
   const Schedule s = build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
                                     std::vector<std::int64_t>{48, 16, 48, 16});
   const std::string gpu_key = unique_key("cache-hit-test");
 
   const jit::CompileStats s0 = jit::stats_snapshot();
-  JitKernel first(s, gpu_key);
-  ASSERT_TRUE(first.ok()) << first.error();
+  std::string err;
+  const jit::ResolvedKernel first = jit::resolve_kernel(s, gpu_key, tc, &err);
+  ASSERT_TRUE(first.ok()) << err;
   const jit::CompileStats after_first = jit::stats_snapshot().since(s0);
   EXPECT_EQ(after_first.kernels_compiled, 1);
   EXPECT_EQ(after_first.tus_compiled, 1);
   EXPECT_GT(after_first.compile_wall_s, 0.0);
 
-  JitKernel second(s, gpu_key);
-  ASSERT_TRUE(second.ok()) << second.error();
+  const jit::ResolvedKernel second = jit::resolve_kernel(s, gpu_key, tc, &err);
+  ASSERT_TRUE(second.ok()) << err;
   const jit::CompileStats after_second =
       jit::stats_snapshot().since(s0).since(after_first);
   EXPECT_EQ(after_second.kernels_compiled, 0);
@@ -151,7 +147,7 @@ TEST(JitKernel, SecondCompileIsACacheHit) {
   EXPECT_EQ(after_second.cache_hits(), 1);
 }
 
-TEST(JitKernel, BatchCompilesOneTranslationUnitPerWave) {
+TEST(Jit, BatchCompilesOneTranslationUnitPerWave) {
   if (!jit::detect_toolchain().ok()) {
     GTEST_SKIP() << "jit unavailable: " << jit::detect_toolchain().reason;
   }
@@ -197,24 +193,17 @@ TEST(CompiledKernel, NativeRunMatchesInterpreterRun) {
       a100());
   ASSERT_TRUE(kernel.ok()) << kernel.error();
 
-  Tensor a(Shape{c.batch(), c.m(), c.inner().front()});
-  a.fill_random(401);
-  std::vector<Tensor> w;
-  for (int op = 0; op < c.num_ops(); ++op) {
-    Tensor t(Shape{c.batch(), c.inner()[static_cast<std::size_t>(op)],
-                   c.inner()[static_cast<std::size_t>(op) + 1]});
-    t.fill_random(402 + static_cast<std::uint64_t>(op));
-    w.push_back(std::move(t));
-  }
+  const jit::KernelInputs in =
+      jit::seeded_inputs(c.batch(), c.m(), c.inner(), 401);
   Tensor out_interp(Shape{c.batch(), c.m(), c.inner().back()});
   Tensor out_native(Shape{c.batch(), c.m(), c.inner().back()});
-  (void)kernel.run(a, w, out_interp);
+  (void)kernel.run(in.a, in.weights, out_interp);
 
   if (!jit::detect_toolchain().ok()) {
-    EXPECT_FALSE(kernel.run_native(a, w, out_native));
+    EXPECT_FALSE(kernel.run_native(in.a, in.weights, out_native));
     GTEST_SKIP() << "jit unavailable: " << jit::detect_toolchain().reason;
   }
-  ASSERT_TRUE(kernel.run_native(a, w, out_native));
+  ASSERT_TRUE(kernel.run_native(in.a, in.weights, out_native));
   EXPECT_TRUE(allclose(out_native, out_interp, 1e-4, 1e-5))
       << "max rel diff " << max_rel_diff(out_native, out_interp);
 }

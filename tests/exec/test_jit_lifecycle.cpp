@@ -57,26 +57,15 @@ std::string unique_key(const char* prefix) {
 /// default) — what set_kernel_cap_for_testing must be restored to.
 constexpr std::size_t kDefaultCap = 4096;
 
-struct InputSet {
-  Tensor a;
-  std::vector<Tensor> w;
-  InputSet()
-      : a(Shape{gelu_chain().batch(), gelu_chain().m(),
-                gelu_chain().inner().front()}) {
-    const ChainSpec& c = gelu_chain();
-    a.fill_random(501);
-    for (int op = 0; op < c.num_ops(); ++op) {
-      Tensor t(Shape{c.batch(), c.inner()[static_cast<std::size_t>(op)],
-                     c.inner()[static_cast<std::size_t>(op) + 1]});
-      t.fill_random(502 + static_cast<std::uint64_t>(op));
-      w.push_back(std::move(t));
-    }
-  }
-  [[nodiscard]] Tensor out() const {
-    const ChainSpec& c = gelu_chain();
-    return Tensor(Shape{c.batch(), c.m(), c.inner().back()});
-  }
-};
+jit::KernelInputs gelu_inputs() {
+  const ChainSpec& c = gelu_chain();
+  return jit::seeded_inputs(c.batch(), c.m(), c.inner(), 501);
+}
+
+Tensor gelu_out() {
+  const ChainSpec& c = gelu_chain();
+  return Tensor(Shape{c.batch(), c.m(), c.inner().back()});
+}
 
 /// Redirects the on-disk kernel cache to a private temp dir for the
 /// healing tests (so deleting artifacts can't race other tests sharing
@@ -160,17 +149,19 @@ TEST(JitLifecycle, EvictionDuringExecutionIsSafe) {
   }
   const jit::Toolchain tc = jit::detect_toolchain();
   const Schedule s = gelu_schedule();
-  const InputSet in;
-  Tensor ref = in.out();
-  (void)Interpreter(s).run(in.a, in.w, ref);
+  const jit::KernelInputs in = gelu_inputs();
+  Tensor ref = gelu_out();
+  (void)Interpreter(s).run(in.a, in.weights, ref);
 
-  // The kernel handle pins its module; a cap-1 registry plus a churner
+  // The held kernel pins its module; a cap-1 registry plus a churner
   // thread then guarantees the kernel's REGISTRY entry is evicted while
   // runs are in flight.  The run must keep executing the mapped code
   // and producing correct output — the dlclose happens only when this
-  // JitKernel goes away.
-  JitKernel kernel(s, unique_key("evict-victim"));
-  ASSERT_TRUE(kernel.ok()) << kernel.error();
+  // ResolvedKernel goes away.
+  std::string err;
+  const jit::ResolvedKernel kernel =
+      jit::resolve_kernel(s, unique_key("evict-victim"), tc, &err);
+  ASSERT_TRUE(kernel.ok()) << err;
   jit::set_kernel_cap_for_testing(1);
 
   std::atomic<bool> stop{false};
@@ -184,9 +175,10 @@ TEST(JitLifecycle, EvictionDuringExecutionIsSafe) {
     }
   });
 
-  Tensor out = in.out();
+  Tensor out = gelu_out();
+  std::vector<std::vector<float>> scratch;
   for (int i = 0; i < 50; ++i) {
-    kernel.run(in.a, in.w, out);
+    jit::run_compiled(kernel.fn, s, in.a, in.weights, out, scratch);
     ASSERT_TRUE(allclose(out, ref, 1e-4, 1e-5))
         << "iteration " << i << ": max rel diff " << max_rel_diff(out, ref);
   }
@@ -263,16 +255,16 @@ TEST(JitLifecycle, RunNativeIsBitIdenticalForEveryThreadCount) {
   const ChainSpec& c = gelu_chain();
   const CompiledKernel kernel(gelu_schedule(), a100());
   ASSERT_TRUE(kernel.ok()) << kernel.error();
-  const InputSet in;
+  const jit::KernelInputs in = gelu_inputs();
 
   if (!jit::detect_toolchain().ok()) {
     GTEST_SKIP() << "jit unavailable: " << jit::detect_toolchain().reason;
   }
-  Tensor base = in.out();
-  ASSERT_TRUE(kernel.run_native(in.a, in.w, base, 1));
+  Tensor base = gelu_out();
+  ASSERT_TRUE(kernel.run_native(in.a, in.weights, base, 1));
   for (const int t : {0, 2, 3, 4, 7, 16}) {
-    Tensor out = in.out();
-    ASSERT_TRUE(kernel.run_native(in.a, in.w, out, t));
+    Tensor out = gelu_out();
+    ASSERT_TRUE(kernel.run_native(in.a, in.weights, out, t));
     // Chunked fan-out must not change the result AT ALL: each block's
     // arithmetic is unchanged, only which thread runs it moves.
     EXPECT_TRUE(allclose(out, base, 0.0, 0.0))

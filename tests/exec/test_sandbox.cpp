@@ -1,5 +1,7 @@
 // Crash-isolated measurement workers (exec/sandbox.hpp): sandboxed
-// timings agree with the in-process jit path, worker deaths are
+// timings agree with the in-process jit path, the host never maps a
+// sandboxed kernel and a worker's mappings stay bounded by the jit's
+// kernel cap, worker deaths are
 // classified with the fatal signal's name, hung kernels die at the
 // per-request deadline, garbage output fails loudly, the crash
 // negative-cache serves known-bad digests without spawning processes
@@ -19,9 +21,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,6 +109,46 @@ std::string sandbox_skip_reason() {
   const jit::Toolchain tc = jit::detect_toolchain();
   if (!tc.ok()) return tc.reason;
   return "";
+}
+
+/// Pids of this process's live sandbox workers (children re-exec'd with
+/// argv[0] "mcfuser-sandbox-worker").
+std::vector<pid_t> worker_pids() {
+  std::vector<pid_t> out;
+  for (const auto& e : std::filesystem::directory_iterator("/proc")) {
+    const std::string pid = e.path().filename();
+    if (pid.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream cmdline(e.path() / "cmdline");
+    std::string argv0;
+    if (!std::getline(cmdline, argv0, '\0') ||
+        argv0 != "mcfuser-sandbox-worker") {
+      continue;
+    }
+    std::ifstream status(e.path() / "status");
+    for (std::string line; std::getline(status, line);) {
+      if (line.rfind("PPid:", 0) != 0) continue;
+      if (std::stoi(line.substr(5)) == ::getpid()) {
+        out.push_back(std::stoi(pid));
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+/// The distinct jit kernel objects (tu_*.so) mapped into process `pid`.
+std::set<std::string> mapped_kernel_objects(pid_t pid) {
+  std::set<std::string> out;
+  std::ifstream maps("/proc/" + std::to_string(pid) + "/maps");
+  for (std::string line; std::getline(maps, line);) {
+    const std::size_t path = line.find('/');
+    if (path == std::string::npos) continue;
+    const std::string file = line.substr(line.rfind('/') + 1);
+    if (file.starts_with("tu_") && file.ends_with(".so")) {
+      out.insert(line.substr(path));
+    }
+  }
+  return out;
 }
 
 ExecBackendOptions fast_options(double deadline_s = 10.0,
@@ -231,6 +275,58 @@ TEST(Sandbox, SandboxedTimingsAgreeWithInProcessJit) {
   const double ratio = iso_big.time_s / jit_big.time_s;
   EXPECT_GT(ratio, 1.0 / 10.0) << iso_big.time_s << " vs " << jit_big.time_s;
   EXPECT_LT(ratio, 10.0) << iso_big.time_s << " vs " << jit_big.time_s;
+}
+
+// ---- address spaces ---------------------------------------------------------
+
+TEST(Sandbox, HostMapsNoSandboxedKernel) {
+  if (const std::string why = sandbox_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  const ExecBackend backend(unique_gpu("sbx-host-maps"), fast_options());
+  ASSERT_EQ(backend.top_rung(), ExecRung::Sandbox) << backend.fallback_reason();
+  const Schedule s = schedule_for(gelu_chain());
+  const std::vector<const Schedule*> wave = {&s};
+
+  const jit::CompileStats before = jit::stats_snapshot();
+  backend.prepare_batch(wave);
+  const KernelMeasurement m = backend.measure(s);
+  ASSERT_TRUE(m.ok) << m.fail_reason;
+  const jit::CompileStats d = jit::stats_snapshot().since(before);
+  EXPECT_EQ(d.tus_compiled, 1);    // the host compiled the kernel...
+  EXPECT_EQ(d.modules_opened, 0);  // ...and only the worker loaded it
+}
+
+TEST(Sandbox, WorkerMappingsAreBoundedByTheKernelCap) {
+  if (const std::string why = sandbox_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  // Latch this process's own cap first: only the worker spawned below
+  // reads the low one.
+  (void)jit::stats_snapshot();
+  constexpr std::size_t kCap = 2;
+  const ScopedEnv cap("MCFUSER_JIT_KERNEL_CAP", std::to_string(kCap));
+  const ExecBackend backend(unique_gpu("sbx-kernel-cap"), fast_options());
+  ASSERT_EQ(backend.top_rung(), ExecRung::Sandbox) << backend.fallback_reason();
+
+  // Five distinct kernels through one worker, each measured on its own so
+  // each compiles to its own shared object.
+  std::vector<ChainSpec> chains;
+  for (int i = 1; i <= 5; ++i) {
+    chains.emplace_back("sbx-cap-" + std::to_string(i), 1, 32 * i,
+                        std::vector<std::int64_t>{48, 96, 48},
+                        std::vector<Epilogue>{Epilogue::Gelu, Epilogue::None});
+  }
+  for (const ChainSpec& c : chains) {
+    const KernelMeasurement m = backend.measure(schedule_for(c));
+    ASSERT_TRUE(m.ok) << m.fail_reason;
+  }
+  const std::vector<pid_t> pids = worker_pids();
+  ASSERT_EQ(pids.size(), 1u);
+  const std::set<std::string> mapped = mapped_kernel_objects(pids.front());
+  EXPECT_GE(mapped.size(), 1u);  // the probe sees the worker's kernels...
+  EXPECT_LE(mapped.size(), kCap) << "one worker kept " << mapped.size()
+                                 << " kernel objects mapped";
 }
 
 // ---- crash classification ---------------------------------------------------

@@ -101,23 +101,19 @@ TEST(ExecBackend, MeasureRawFallsBackToRoofline) {
 }
 
 TEST(ExecBackend, OptionsDigestFollowsThePreset) {
-  // The interpreter ignores every MeasureOptions field; the native presets
-  // fold exec_threads in (a 1-thread time is not an 8-thread time).
-  MeasureOptions one_thread;
-  one_thread.exec_threads = 1;
+  // Every preset executes the schedule as-is and ignores the
+  // simulator-noise options.
   MeasureOptions noisy;
   noisy.noise_seed = 999;
   noisy.include_launch = false;
   ExecBackendOptions interp_opt;
   interp_opt.preset = ExecRung::Interpreter;
   const ExecBackend interp(a100(), interp_opt);
-  EXPECT_EQ(interp.options_digest(one_thread), 0u);
   EXPECT_EQ(interp.options_digest(noisy), 0u);
   ExecBackendOptions jit_opt;
   jit_opt.preset = ExecRung::Native;
   const ExecBackend jit(a100(), jit_opt);
   EXPECT_EQ(jit.options_digest(noisy), 0u);
-  EXPECT_NE(jit.options_digest(one_thread), 0u);
 }
 
 // ---- ExecBackend: the rung cascade ------------------------------------------

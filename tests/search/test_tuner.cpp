@@ -177,56 +177,5 @@ TEST(Tuner, EmptySpaceReturnsNotOk) {
   EXPECT_FALSE(r.ok);
 }
 
-/// A simulator whose reported time depends on MeasureOptions::exec_threads
-/// the way a real multicore wall-clock backend's would: speedup peaks at
-/// 4 threads, regresses at 8 (oversubscription).  Lets the co-tune sweep
-/// be asserted deterministically.
-class ThreadSensitiveBackend : public SimulatorBackend {
- public:
-  using SimulatorBackend::SimulatorBackend;
-  [[nodiscard]] KernelMeasurement measure(
-      const Schedule& s, const MeasureOptions& options = {}) const override {
-    KernelMeasurement m = SimulatorBackend::measure(s, options);
-    m.time_s /= speedup(options.exec_threads);
-    return m;
-  }
-  static double speedup(int threads) {
-    switch (threads) {
-      case 2: return 1.8;
-      case 4: return 3.0;
-      case 8: return 2.5;
-      default: return 1.0;  // 0/1 = single-thread baseline
-    }
-  }
-};
-
-TEST(Tuner, CoTunesExecThreadsAfterConvergence) {
-  const ChainSpec c = ChainSpec::gemm_chain("g1t", 1, 512, 256, 64, 64);
-  const GpuSpec gpu = a100();
-  const SearchSpace space = make_space(c, gpu);
-
-  TunerOptions base;
-  base.seed = 7;
-  base.backend = std::make_shared<ThreadSensitiveBackend>(gpu);
-  const TunedResult off = Tuner(space, gpu, base).run();
-  ASSERT_TRUE(off.ok);
-  EXPECT_EQ(off.best_threads, 0);  // sweep disabled by default
-
-  TunerOptions sweep = base;
-  sweep.exec_thread_candidates = {1, 2, 4, 8};
-  const TunedResult on = Tuner(space, gpu, sweep).run();
-  ASSERT_TRUE(on.ok);
-  // The sweep runs AFTER convergence: the chosen tiles are unaffected.
-  EXPECT_EQ(on.best.expr_id, off.best.expr_id);
-  EXPECT_EQ(on.best.tiles, off.best.tiles);
-  // Argmin over the candidates lands on the 3x point.
-  EXPECT_EQ(on.best_threads, 4);
-  EXPECT_NEAR(on.best_time_s,
-              off.best_time_s / ThreadSensitiveBackend::speedup(4),
-              off.best_time_s * 1e-12);
-  // The sweep's measurements are accounted (one per candidate).
-  EXPECT_EQ(on.stats.measurements, off.stats.measurements + 4);
-}
-
 }  // namespace
 }  // namespace mcf

@@ -11,6 +11,10 @@
 #   raw-popen   popen() outside exec/jit — pipes without a deadline;
 #               the jit's fork/exec pipeline is the sanctioned way to
 #               run a subprocess with a timeout
+#   raw-dlopen  dlopen()/dlsym()/dlclose() outside exec/jit — loading
+#               code anywhere else skips the verifier gate, the
+#               refcounted module lifecycle and the kernel cap; a sandbox
+#               worker loads through jit::load_artifact too
 #
 # Exceptions live in tools/lint_allowlist.txt ("<rule> <path>"), one
 # grant per file with a stated reason.  Run directly or via ctest
@@ -40,6 +44,7 @@ check() {  # check <rule> <extended-regex>
 check raw-mutex  'std::(recursive_)?mutex'
 check raw-getenv '(std::)?getenv[[:space:]]*\('
 check raw-popen  '(^|[^_[:alnum:]])popen[[:space:]]*\('
+check raw-dlopen '(^|[^_[:alnum:]])dl(open|sym|close)[[:space:]]*\([^)]'
 
 if [[ $fail -ne 0 ]]; then
   echo "check_banned_patterns.sh: FAILED — use the sanctioned wrapper or add" >&2

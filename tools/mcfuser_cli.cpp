@@ -3,7 +3,6 @@
 //   mcfuser fuse    --m 512 --n 256 --k 64 --h 64 [--batch N]
 //                   [--attention | --gelu | --relu] [--gpu a100|rtx3080]
 //                   [--backend=sim|interp|jit|jit-isolated]
-//                   [--isolation worker|none]
 //                   [--cache FILE] [--emit] [--pseudo] [--json]
 //   mcfuser fuse    --graph bert-small|bert-base|bert-large|mixer-small|
 //                           mixer-base [--seq L] [--jobs N] [--max-queue N]
@@ -148,12 +147,12 @@ int usage() {
                "usage: mcfuser <fuse|compare|suite|verify|info|serve> [flags]\n"
                "  fuse    --m M --n N --k K --h H [--batch B] "
                "[--attention|--gelu|--relu] [--gpu NAME] "
-               "[--backend=%s] [--isolation worker|none] "
+               "[--backend=%s] "
                "[--cache FILE] [--emit] "
                "[--pseudo] [--json]\n"
                "  fuse    --graph bert-small|bert-base|bert-large|"
                "mixer-small|mixer-base [--seq L] [--jobs N] [--gpu NAME] "
-               "[--backend NAME] [--isolation worker|none] "
+               "[--backend NAME] "
                "[--max-queue N] [--deadline S] [--json]\n"
                "  fuse    --connect ENDPOINT <shape flags> [--timeout S] "
                "[--retries N] [--stats] [--json]\n"
@@ -164,7 +163,7 @@ int usage() {
                "[--json]\n"
                "  info    [--gpu NAME]\n"
                "  serve   [--socket PATH] [--port N] [--gpu NAME] "
-               "[--backend NAME] [--isolation worker|none] [--jobs N] "
+               "[--backend NAME] [--jobs N] "
                "[--max-queue N] [--max-in-flight N] [--deadline S] "
                "[--max-conns N] [--io-timeout S] [--idle-timeout S] "
                "[--request-timeout S] [--drain-deadline S] [--json]\n",
@@ -177,11 +176,10 @@ int usage() {
 bool validate_flags(const Args& args) {
   static const std::set<std::string> kFuseChain = {
       "m",   "n",       "k",     "h",    "batch", "attention", "gelu",
-      "relu", "gpu",    "backend", "cache", "emit", "pseudo",   "json",
-      "isolation"};
+      "relu", "gpu",    "backend", "cache", "emit", "pseudo",   "json"};
   static const std::set<std::string> kFuseGraph = {
       "graph", "seq",       "jobs",     "gpu",
-      "backend", "json",    "max-queue", "deadline", "isolation"};
+      "backend", "json",    "max-queue", "deadline"};
   static const std::set<std::string> kFuseConnect = {
       "connect", "m",    "n",       "k",       "h",    "batch", "attention",
       "gelu",    "relu", "timeout", "retries", "stats", "json"};
@@ -193,7 +191,7 @@ bool validate_flags(const Args& args) {
       {"verify", {"family", "max-candidates", "mutants", "seed", "gpu", "json"}},
       {"info", {"gpu"}},
       {"serve",
-       {"socket", "port", "gpu", "backend", "isolation", "jobs", "max-queue",
+       {"socket", "port", "gpu", "backend", "jobs", "max-queue",
         "max-in-flight", "deadline", "max-conns", "io-timeout", "idle-timeout",
         "request-timeout", "drain-deadline", "json"}},
   };
@@ -326,22 +324,6 @@ void print_chain_json(const ChainSpec& chain, const FusionResult& r,
   std::printf("}\n");
 }
 
-/// --isolation worker|none: "worker" routes every measurement through
-/// the crash-isolated sandbox rung (the "jit-isolated" preset, overriding
-/// --backend); "none" keeps whatever --backend selected.  False + a
-/// diagnostic on any other value.
-bool apply_isolation(const Args& args, FusionEngineOptions* opts) {
-  const std::string iso = args.str("isolation", "none");
-  if (iso == "none") return true;
-  if (iso == "worker") {
-    opts->backend = "jit-isolated";
-    return true;
-  }
-  std::fprintf(stderr, "unknown --isolation '%s' (expected worker|none)\n",
-               iso.c_str());
-  return false;
-}
-
 /// False + a diagnostic listing the registered backends when `name` is
 /// not in the registry (shared by the chain and graph fuse modes).
 bool backend_known(const std::string& name) {
@@ -405,7 +387,6 @@ int cmd_fuse_graph(const Args& args, const GpuSpec& gpu) {
   opts.jobs = static_cast<int>(args.num("jobs", 0));
   opts.queue.max_queued = static_cast<std::size_t>(args.num("max-queue", 0));
   opts.queue.deadline_s = args.dbl("deadline", 0.0);
-  if (!apply_isolation(args, &opts)) return 2;
   if (!opts.backend.empty() && !backend_known(opts.backend)) return 2;
   FusionEngine engine(gpu, opts);
   const GraphFusionReport rep = engine.fuse_graph(g);
@@ -491,7 +472,6 @@ int cmd_fuse(const Args& args) {
 
   FusionEngineOptions opts;
   opts.backend = args.str("backend", "sim");
-  if (!apply_isolation(args, &opts)) return 2;
   if (!backend_known(opts.backend)) return 2;
   const bool json = args.has("json");
   if (json && (args.has("emit") || args.has("pseudo"))) {
@@ -632,7 +612,6 @@ int cmd_serve(const Args& args) {
   const GpuSpec gpu = gpu_by_name(args.str("gpu", "a100"));
   FusionEngineOptions opts;
   opts.backend = args.str("backend", "sim");
-  if (!apply_isolation(args, &opts)) return 2;
   if (!backend_known(opts.backend)) return 2;
   opts.jobs = static_cast<int>(args.num("jobs", 0));
   opts.queue.max_queued = static_cast<std::size_t>(args.num("max-queue", 0));
