@@ -287,17 +287,11 @@ class CppEmitter {
         << buf_expr(st.in, st.covered) << ";\n";
     os_ << in << "  const float* __restrict w = arena + "
         << buf_expr(st.w, st.covered) << ";\n";
-    // Fresh accumulation tile: zero when the reduction restarts.
-    os_ << in << "  if (i" << st.red << " == 0) { for (i64 z = 0; z < "
-        << st.out.tile_elems << "; ++z) o[z] = 0.0f; }\n";
-    // Register-blocked micro-kernel: 4x64 accumulator blocks live in
-    // vector registers across the whole reduction, so each output element
-    // is loaded/stored once per tile instead of once per reduction step,
-    // and each weight-row load feeds four FMAs.  Every bound is a
-    // literal, so the compiler fully unrolls the blocks — this plus
-    // `-march=native` is where the JIT buys its edge over the
-    // generically-built interpreter.
-    emit_compute_chunks(st.tm, st.tcl, st.trd, depth + 1);
+    // The prelude's one GEMM micro-kernel (4 x 64 register blocks of
+    // vectors as wide as the ISA macros allow), specialised on the tile
+    // shape; the accumulators restart at zero when the reduction does.
+    os_ << in << "  mcf_gemm_tile<" << st.tm << ", " << st.tcl << ", " << st.trd
+        << ">(o, x, w, i" << st.red << " == 0);\n";
     // Producer-completion hook: epilogue when the reduction finishes.
     if (st.epilogue != Epilogue::None) {
       os_ << in << "  if (i" << st.red << " == " << st.red_ext - 1 << ") {\n";
@@ -305,86 +299,6 @@ class CppEmitter {
       os_ << in << "  }\n";
     }
     os_ << in << "}\n";
-  }
-
-  /// One RBxCB register block: RB accumulator rows of CB columns live in
-  /// vector registers across the whole reduction (every bound is a
-  /// literal, so the compiler fully unrolls the column loops and promotes
-  /// acc<j> out of memory).  `row` / `col` are the emitted base-index
-  /// expressions (loop variables or literals).
-  void emit_compute_block(const std::string& row, std::int64_t rb,
-                          const std::string& col, std::int64_t cb,
-                          std::int64_t trd, int depth) {
-    const std::string in = ind(depth);
-    os_ << in << "{\n";
-    for (std::int64_t j = 0; j < rb; ++j) {
-      os_ << in << "  float acc" << j << "[" << cb << "];\n";
-      os_ << in << "  for (i64 c = 0; c < " << cb << "; ++c) acc" << j
-          << "[c] = o[(" << row << " + " << j << ")*" << tcl_ << " + " << col
-          << " + c];\n";
-    }
-    os_ << in << "  for (i64 r = 0; r < " << trd << "; ++r) {\n";
-    os_ << in << "    const float* __restrict wr = w + r*" << tcl_ << " + "
-        << col << ";\n";
-    for (std::int64_t j = 0; j < rb; ++j) {
-      os_ << in << "    const float xv" << j << " = x[(" << row << " + " << j
-          << ")*" << trd_ << " + r];\n";
-      os_ << in << "    #pragma omp simd\n";
-      os_ << in << "    for (i64 c = 0; c < " << cb << "; ++c) acc" << j
-          << "[c] += xv" << j << " * wr[c];\n";
-    }
-    os_ << in << "  }\n";
-    for (std::int64_t j = 0; j < rb; ++j) {
-      os_ << in << "  for (i64 c = 0; c < " << cb << "; ++c) o[(" << row
-          << " + " << j << ")*" << tcl_ << " + " << col << " + c] = acc" << j
-          << "[c];\n";
-    }
-    os_ << in << "}\n";
-  }
-
-  /// Column sweep for a fixed row block: 64-wide main chunks plus one
-  /// literal-width remainder.
-  void emit_compute_cols(const std::string& row, std::int64_t rb,
-                         std::int64_t tcl, std::int64_t trd, int depth) {
-    constexpr std::int64_t kCB = 64;
-    const std::string in = ind(depth);
-    const std::int64_t main_end = tcl - tcl % kCB;
-    if (main_end == kCB) {
-      emit_compute_block(row, rb, "0", kCB, trd, depth);
-    } else if (main_end > 0) {
-      os_ << in << "for (i64 cc = 0; cc < " << main_end << "; cc += " << kCB
-          << ") {\n";
-      emit_compute_block(row, rb, "cc", kCB, trd, depth + 1);
-      os_ << in << "}\n";
-    }
-    if (tcl % kCB != 0) {
-      emit_compute_block(row, rb, std::to_string(main_end), tcl % kCB, trd,
-                         depth);
-    }
-  }
-
-  /// The register-blocked GEMM-accumulate: 4-row main blocks, then a
-  /// literal remainder block.  Each output element still accumulates its
-  /// reduction terms in ascending r order, so the arithmetic matches the
-  /// interpreter to float round-off (FMA contraction aside).
-  void emit_compute_chunks(std::int64_t tm, std::int64_t tcl, std::int64_t trd,
-                           int depth) {
-    tcl_ = tcl;
-    trd_ = trd;
-    constexpr std::int64_t kRB = 4;
-    const std::string in = ind(depth);
-    const std::int64_t main_rows = tm - tm % kRB;
-    if (main_rows == kRB) {
-      emit_compute_cols("0", kRB, tcl, trd, depth);
-    } else if (main_rows > 0) {
-      os_ << in << "for (i64 i = 0; i < " << main_rows << "; i += " << kRB
-          << ") {\n";
-      emit_compute_cols("i", kRB, tcl, trd, depth + 1);
-      os_ << in << "}\n";
-    }
-    if (tm % kRB != 0) {
-      emit_compute_cols(std::to_string(main_rows), tm % kRB, tcl, trd, depth);
-    }
   }
 
   /// Emitted inside the compute scope: `o` is the op's accumulator tile.
@@ -505,8 +419,6 @@ class CppEmitter {
   const LoweredKernel k_;
   const ChainSpec& chain_;
   std::string symbol_;
-  std::int64_t tcl_ = 0;  ///< current compute's out-col tile (block emitter)
-  std::int64_t trd_ = 0;  ///< current compute's reduction tile (block emitter)
   std::ostringstream os_;
 };
 
@@ -563,6 +475,78 @@ std::string cpp_kernel_prelude() {
       "  float sf;\n"
       "  memcpy(&sf, &bits, sizeof(sf));\n"
       "  return p * sf;\n"
+      "}\n"
+      "\n"
+      "// The tile GEMM-accumulate behind every compute statement:\n"
+      "// o[TM x TCL] += x[TM x TRD] * w[TRD x TCL], all row-major, starting\n"
+      "// from +0.0f when `fresh` (the reduction's first step).  Register\n"
+      "// blocks of 4 rows x 64 columns keep their accumulators in vector\n"
+      "// registers across the whole reduction, and each weight vector feeds\n"
+      "// four FMAs.  The lane count is the widest the ISA macros allow:\n"
+      "// explicit vector types ignore -mprefer-vector-width, so the FMAs run\n"
+      "// at full width whatever the host's tuning prefers.  Every output\n"
+      "// element accumulates x*w in ascending r, as the interpreter does.\n"
+      "#if defined(__AVX512F__)\n"
+      "#define MCF_VL 16\n"
+      "#elif defined(__AVX__)\n"
+      "#define MCF_VL 8\n"
+      "#else\n"
+      "#define MCF_VL 4\n"
+      "#endif\n"
+      "typedef float mcf_vf __attribute__((vector_size(MCF_VL * sizeof(float))));\n"
+      "template <i64 TCL, i64 TRD, i64 RB, i64 CB>\n"
+      "static void mcf_gemm_block(float* __restrict o, const float* __restrict x,\n"
+      "                           const float* __restrict w, bool fresh) {\n"
+      "  constexpr i64 NV = CB / MCF_VL, NS = CB % MCF_VL;  // vectors, scalars\n"
+      "  mcf_vf acc[RB][NV ? NV : 1];\n"
+      "  float sacc[RB][NS ? NS : 1];\n"
+      "  #pragma GCC unroll 4\n"
+      "  for (i64 j = 0; j < RB; ++j) {\n"
+      "    #pragma GCC unroll 16\n"
+      "    for (i64 v = 0; v < NV; ++v) {\n"
+      "      if (fresh) acc[j][v] = mcf_vf{};\n"
+      "      else memcpy(&acc[j][v], o + j*TCL + v*MCF_VL, sizeof(mcf_vf));\n"
+      "    }\n"
+      "    #pragma GCC unroll 16\n"
+      "    for (i64 s = 0; s < NS; ++s) sacc[j][s] = fresh ? 0.0f : o[j*TCL + NV*MCF_VL + s];\n"
+      "  }\n"
+      "  for (i64 r = 0; r < TRD; ++r) {\n"
+      "    const float* __restrict wr = w + r*TCL;\n"
+      "    mcf_vf wv[NV ? NV : 1];\n"
+      "    #pragma GCC unroll 16\n"
+      "    for (i64 v = 0; v < NV; ++v) memcpy(&wv[v], wr + v*MCF_VL, sizeof(mcf_vf));\n"
+      "    #pragma GCC unroll 4\n"
+      "    for (i64 j = 0; j < RB; ++j) {\n"
+      "      const float xv = x[j*TRD + r];\n"
+      "      #pragma GCC unroll 16\n"
+      "      for (i64 v = 0; v < NV; ++v) acc[j][v] += xv * wv[v];\n"
+      "      #pragma GCC unroll 16\n"
+      "      for (i64 s = 0; s < NS; ++s) sacc[j][s] += xv * wr[NV*MCF_VL + s];\n"
+      "    }\n"
+      "  }\n"
+      "  #pragma GCC unroll 4\n"
+      "  for (i64 j = 0; j < RB; ++j) {\n"
+      "    #pragma GCC unroll 16\n"
+      "    for (i64 v = 0; v < NV; ++v) memcpy(o + j*TCL + v*MCF_VL, &acc[j][v], sizeof(mcf_vf));\n"
+      "    #pragma GCC unroll 16\n"
+      "    for (i64 s = 0; s < NS; ++s) o[j*TCL + NV*MCF_VL + s] = sacc[j][s];\n"
+      "  }\n"
+      "}\n"
+      "// One row block across the tile: 64-column blocks, then the\n"
+      "// literal-width column tail.\n"
+      "template <i64 TCL, i64 TRD, i64 RB>\n"
+      "static inline void mcf_gemm_rows(float* __restrict o, const float* __restrict x,\n"
+      "                                 const float* __restrict w, bool fresh) {\n"
+      "  constexpr i64 MC = TCL - TCL % 64;\n"
+      "  for (i64 c = 0; c < MC; c += 64) mcf_gemm_block<TCL, TRD, RB, 64>(o + c, x, w + c, fresh);\n"
+      "  if constexpr (TCL % 64 != 0) mcf_gemm_block<TCL, TRD, RB, TCL % 64>(o + MC, x, w + MC, fresh);\n"
+      "}\n"
+      "template <i64 TM, i64 TCL, i64 TRD>\n"
+      "static void mcf_gemm_tile(float* __restrict o, const float* __restrict x,\n"
+      "                          const float* __restrict w, bool fresh) {\n"
+      "  constexpr i64 MR = TM - TM % 4;\n"
+      "  for (i64 i = 0; i < MR; i += 4) mcf_gemm_rows<TCL, TRD, 4>(o + i*TCL, x + i*TRD, w, fresh);\n"
+      "  if constexpr (TM % 4 != 0) mcf_gemm_rows<TCL, TRD, TM % 4>(o + MR*TCL, x + MR*TRD, w, fresh);\n"
       "}\n"
       "\n"
       "// Fault-injection seam for the crash-isolation chaos tests\n"

@@ -7,11 +7,15 @@
 //     documentation, examples and debugging.  Deterministic, so tests can
 //     assert structural properties (hoisted loads, store positions).
 //   * emit_cpp_kernel     — a REAL C++ lowering: a tile-size-specialized,
-//     `__restrict`/SIMD-annotated kernel function with every tile extent,
-//     buffer offset and loop bound baked in as a compile-time constant, so
-//     the host compiler fully unrolls and vectorises the micro-kernel.
-//     exec/jit compiles these into shared objects and runs them — the
-//     CPU-host analogue of the paper's Triton -> PTX path.
+//     `__restrict`-annotated kernel function with every tile extent,
+//     buffer offset and loop bound baked in as a compile-time constant.
+//     Each compute statement calls the prelude's one GEMM micro-kernel,
+//     mcf_gemm_tile<TM, TCL, TRD>: 4 x 64 register blocks of GCC vector
+//     types whose lane count comes from the compiler's ISA macros (16
+//     with AVX-512, 8 with AVX, 4 otherwise), the CPU analogue of the
+//     paper's tile-level `tl.dot`.  exec/jit compiles these into shared
+//     objects and runs them — the CPU-host analogue of the paper's
+//     Triton -> PTX path.
 //
 // The C++ lowering prints exec/lower's LoweredKernel — the kernel the
 // interpreter executes and the verifier checks — statement for statement

@@ -44,11 +44,17 @@ namespace fs = std::filesystem;
 /// including headers and the object links against libc alone; kernel
 /// bodies and machine code are unchanged (the key already folds the
 /// prelude and the command line; the bump records the new TU format).
-constexpr std::uint64_t kEmitterVersion = 7;
+/// v8: each compute statement calls the prelude's mcf_gemm_tile
+/// micro-kernel instead of printing its own GEMM loops.
+constexpr std::uint64_t kEmitterVersion = 8;
 
 /// Kernels are always compiled at full optimisation for the build
 /// machine's vector ISA — the point of the JIT is that the micro-kernel
 /// runs -O3 -march=native even when the library itself is built generic.
+/// -march=native also picks the micro-kernel's lane count: the prelude
+/// reads the ISA macros it defines (16 lanes with AVX-512, 8 with AVX,
+/// 4 otherwise), and explicit vector types are not narrowed by the
+/// tuning's -mprefer-vector-width, so no width flag is needed here.
 /// -fno-math-errno / -fno-trapping-math drop the libm side-effect
 /// assumptions that block vectorisation of floorf in the softmax exp
 /// (results are unchanged: the kernels never read errno or FP traps);

@@ -1,9 +1,10 @@
 // JIT native codegen: numeric agreement against the interpreter on gelu
-// and attention chains, kernel-cache behaviour (hit on second compile,
-// one TU per batch), the compile timeout, the compiler pipe's
-// close-on-exec and the header-free kernel source.  The execution
-// backend's fallback when no host compiler exists is pinned by the
-// cascade table in tests/measure/test_backends.cpp.
+// and attention chains and in every vector-width branch of the prelude's
+// micro-kernel, kernel-cache behaviour (hit on second compile, one TU per
+// batch), the compile timeout, the compiler pipe's close-on-exec and the
+// header-free kernel source.  The execution backend's fallback when no
+// host compiler exists is pinned by the cascade table in
+// tests/measure/test_backends.cpp.
 #include "exec/jit.hpp"
 
 #include <gtest/gtest.h>
@@ -76,7 +77,35 @@ void probe_inheritable_pipes() {
   }
 }
 
-void run_both_and_compare(const Schedule& s) {
+/// One schedule per emitter path on the CppEmitter.GoldenSourceDigests
+/// shapes (tests/exec/test_codegen.cpp): exact and fringe tiles — the
+/// fringe's column tiles 24 and 28 leave micro-kernel column tails — and
+/// every epilogue.
+struct GoldenCase {
+  const char* tag;
+  Schedule s;
+};
+std::vector<GoldenCase> golden_cases() {
+  static const ChainSpec exact = ChainSpec::gemm_chain("g-exact", 1, 128, 128, 64, 64);
+  static const ChainSpec fringe = ChainSpec::gemm_chain("g-fringe", 2, 96, 80, 48, 56);
+  static const ChainSpec relu("g-relu", 2, 64, {32, 64, 32}, {Epilogue::Relu, Epilogue::None});
+  static const ChainSpec gelu("g-gelu", 1, 80, {48, 72, 40}, {Epilogue::Gelu, Epilogue::None});
+  static const ChainSpec softmax = ChainSpec::attention("g-attn", 2, 64, 72, 32, 32);
+  const auto deep = [](const ChainSpec& c, std::vector<std::int64_t> tiles) {
+    return build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}), tiles);
+  };
+  std::vector<GoldenCase> cases;
+  cases.push_back({"exact", deep(exact, {32, 32, 32, 32})});
+  cases.push_back({"fringe", deep(fringe, {40, 48, 28, 24})});
+  cases.push_back({"relu", deep(relu, {32, 32, 32, 32})});
+  cases.push_back({"gelu", deep(gelu, {32, 48, 24, 40})});
+  cases.push_back({"softmax", deep(softmax, {24, 64, 16, 16})});
+  return cases;
+}
+
+void run_both_and_compare(const Schedule& s,
+                          const jit::Toolchain& tc = jit::detect_toolchain(),
+                          const std::string& gpu_key = "a100") {
   const ChainSpec& c = s.chain();
   const jit::KernelInputs in =
       jit::seeded_inputs(c.batch(), c.m(), c.inner(), 301);
@@ -85,8 +114,7 @@ void run_both_and_compare(const Schedule& s) {
   (void)Interpreter(s).run(in.a, in.weights, out_interp);
 
   std::string err;
-  const jit::ResolvedKernel kernel =
-      jit::resolve_kernel(s, "a100", jit::detect_toolchain(), &err);
+  const jit::ResolvedKernel kernel = jit::resolve_kernel(s, gpu_key, tc, &err);
   ASSERT_TRUE(kernel.ok()) << err;
   std::vector<std::vector<float>> scratch;
   jit::run_compiled(kernel.fn, s, in.a, in.weights, out_jit, scratch);
@@ -283,41 +311,82 @@ TEST(JitCompile, CompilerPipeIsCloseOnExecWhenTheCompilerForks) {
   EXPECT_TRUE(g_inheritable_pipes.empty()) << g_inheritable_pipes.front();
 }
 
+/// The -march values that select each of the prelude micro-kernel's lane
+/// counts on x86-64: the host's own (16 lanes with AVX-512), then 8 (AVX)
+/// and 4 (SSE2).  Elsewhere only the host's own.
+std::vector<std::string> vector_width_marches() {
+#if defined(__x86_64__)
+  return {"native", "x86-64-v3", "x86-64"};
+#else
+  return {"native"};
+#endif
+}
+
 TEST(JitCompile, KernelSourceNeedsNoSystemHeader) {
   // The prelude declares the libc functions a TU calls instead of
   // including their headers, which cost most of a cold compile.  A kernel
   // that calls anything undeclared fails to parse without the system
-  // include path.  One schedule per epilogue, on the golden-digest shapes.
+  // include path — in every vector-width branch of the micro-kernel.
   const jit::Toolchain tc = jit::detect_toolchain();
   if (!tc.ok()) GTEST_SKIP() << "jit unavailable: " << tc.reason;
-  static const ChainSpec none = ChainSpec::gemm_chain("g-exact", 1, 128, 128, 64, 64);
-  static const ChainSpec relu("g-relu", 2, 64, {32, 64, 32}, {Epilogue::Relu, Epilogue::None});
-  static const ChainSpec gelu("g-gelu", 1, 80, {48, 72, 40}, {Epilogue::Gelu, Epilogue::None});
-  static const ChainSpec softmax = ChainSpec::attention("g-attn", 2, 64, 72, 32, 32);
-  const struct {
-    const char* tag;
-    Schedule s;
-  } cases[] = {
-      {"none", build_schedule(none, make_deep_expr(none, {0, 3, 2, 1}),
-                              std::vector<std::int64_t>{32, 32, 32, 32})},
-      {"relu", build_schedule(relu, make_deep_expr(relu, {0, 3, 2, 1}),
-                              std::vector<std::int64_t>{32, 32, 32, 32})},
-      {"gelu", build_schedule(gelu, make_deep_expr(gelu, {0, 3, 2, 1}),
-                              std::vector<std::int64_t>{32, 48, 24, 40})},
-      {"softmax", build_schedule(softmax, make_deep_expr(softmax, {0, 3, 2, 1}),
-                                 std::vector<std::int64_t>{24, 64, 16, 16})},
-  };
-  for (const auto& c : cases) {
-    const std::string src = ::testing::TempDir() + "mcf_noinc_" + c.tag + ".cpp";
-    const std::string log = src + ".log";
-    std::ofstream(src) << cpp_kernel_prelude()
-                       << emit_cpp_kernel(c.s, "noinc_kernel").code;
-    const std::string cmd = tc.cxx + " -std=c++17 -fsyntax-only -nostdinc " +
-                            src + " >" + log + " 2>&1";
-    const int status = std::system(cmd.c_str());
-    std::stringstream diag;
-    diag << std::ifstream(log).rdbuf();
-    EXPECT_EQ(status, 0) << c.tag << ":\n" << diag.str();
+  for (const std::string& march : vector_width_marches()) {
+    for (const GoldenCase& c : golden_cases()) {
+      const std::string src = ::testing::TempDir() + "mcf_noinc_" + c.tag +
+                              "_" + march + ".cpp";
+      const std::string log = src + ".log";
+      std::ofstream(src) << cpp_kernel_prelude()
+                         << emit_cpp_kernel(c.s, "noinc_kernel").code;
+      const std::string cmd = tc.cxx + " -std=c++17 -fsyntax-only -nostdinc -march=" +
+                              march + " " + src + " >" + log + " 2>&1";
+      const int status = std::system(cmd.c_str());
+      std::stringstream diag;
+      diag << std::ifstream(log).rdbuf();
+      EXPECT_EQ(status, 0) << c.tag << " -march=" << march << ":\n" << diag.str();
+    }
+  }
+}
+
+TEST(JitCompile, EveryVectorWidthMatchesTheInterpreter) {
+  // The micro-kernel's lane count comes from the compiler's ISA macros, so
+  // a host only ever compiles its own branch.  A wrapper compiler that
+  // appends an older -march (the last one wins) compiles the others.
+  // The kernel key does not fold the compiler, so each branch gets its
+  // own cache directory and gpu key.
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "the wrapper compilers name x86-64 ISA levels";
+#endif
+  const jit::Toolchain native = jit::detect_toolchain();
+  if (!native.ok()) GTEST_SKIP() << "jit unavailable: " << native.reason;
+  const char* prior = std::getenv("MCFUSER_JIT_CACHE_DIR");
+  const std::string saved_dir = prior != nullptr ? prior : "";
+  const std::string stem = ::testing::TempDir() + "mcf_vector_width_" +
+                           std::to_string(::getpid()) + "_";
+  const std::vector<GoldenCase> cases = golden_cases();
+  std::vector<const Schedule*> batch;
+  for (const GoldenCase& c : cases) batch.push_back(&c.s);
+  for (const std::string& march : vector_width_marches()) {
+    SCOPED_TRACE("-march=" + march);
+    jit::Toolchain tc = native;
+    if (march != "native") {
+      tc.cxx = stem + march + ".sh";
+      std::ofstream(tc.cxx) << "#!/bin/sh\nexec '" << native.cxx
+                            << "' \"$@\" -march=" << march << "\n";
+      ::chmod(tc.cxx.c_str(), 0755);
+    }
+    ::setenv("MCFUSER_JIT_CACHE_DIR", (stem + march).c_str(), 1);
+    const std::string gpu_key = unique_key(("vector-width-" + march).c_str());
+    jit::prepare_kernels(batch, gpu_key, tc);  // one TU per branch
+    for (const GoldenCase& c : cases) {
+      SCOPED_TRACE(c.tag);
+      run_both_and_compare(c.s, tc, gpu_key);
+    }
+    std::filesystem::remove_all(stem + march);
+    if (march != "native") ::unlink(tc.cxx.c_str());
+  }
+  if (prior != nullptr) {
+    ::setenv("MCFUSER_JIT_CACHE_DIR", saved_dir.c_str(), 1);
+  } else {
+    ::unsetenv("MCFUSER_JIT_CACHE_DIR");
   }
 }
 

@@ -12,6 +12,10 @@
 #     normalised away;
 #   * the objects' NEEDED lists are identical.
 #
+# It also prints, per side, the number of vfmadd instructions on xmm, ymm
+# and zmm registers summed over the winners, so a change that is meant to
+# alter the machine code (a wider micro-kernel) shows how.
+#
 # usage: tools/check_jit_identity.sh PARENT_DIR CHANGE_DIR [N_COLD]
 #
 # Each DIR is a checkout whose library is built in DIR/build
@@ -21,7 +25,7 @@
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
-  sed -n '2,20p' "$0" >&2
+  sed -n '2,24p' "$0" >&2
   exit 2
 fi
 here=$(cd "$(dirname "$0")" && pwd)
@@ -51,6 +55,14 @@ normalise() {
 needed() {
   readelf -d "$1" | sed -nE 's/.*\(NEEDED\).*\[(.*)\]/\1/p' | tr '\n' ' '
 }
+fma_widths() {
+  local fmas
+  fmas=$(for so in "$work/$1.jit"/*/tu_*.so; do
+           objdump -d --no-show-raw-insn "$so"
+         done | grep vfmadd || true)
+  echo "$1 vfmadd: xmm $(grep -c xmm <<< "$fmas") ymm $(grep -c ymm <<< "$fmas")" \
+       "zmm $(grep -c zmm <<< "$fmas")"
+}
 
 status=0
 if ! diff "$work/parent.out" "$work/change.out"; then
@@ -73,6 +85,8 @@ while read -r index name _; do
 done < "$work/parent.out"
 
 echo "$kernels kernels: NEEDED $(needed "$(ls "$work"/change.jit/000/tu_*.so)")"
+fma_widths parent
+fma_widths change
 if [[ $status -eq 0 ]]; then
   echo "outputs bit-identical, machine code identical, NEEDED identical"
 fi
