@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "exec/lower.hpp"
-#include "search/tuning_cache.hpp"
 #include "support/logging.hpp"
 
 namespace mcf {
@@ -130,13 +129,6 @@ class CppEmitter {
         << "(const float* __restrict ga, const float* const* __restrict gw,\n"
         << "    float* __restrict gout, float* __restrict scratch,\n"
         << "    i64 block_begin, i64 block_end) {\n";
-    // Deterministic fault-injection seam (chaos tests, exec/sandbox.cpp):
-    // a no-op unless the process is a sandbox worker AND MCFUSER_JIT_FAULT
-    // names this chain.  Keyed by the structural chain key — shared by
-    // every candidate schedule of the chain — so directives survive the
-    // kernel cache's per-schedule digests.
-    os_ << "  mcf_maybe_fault(\"" << chain_cache_key(chain_) << "\", gout, "
-        << k_.out_elems << ", 0);\n";
     os_ << "  float* const arena = scratch;\n";
     if (k_.arena.stat_floats > 0) {
       os_ << "  float* const stats = scratch + " << k_.arena.arena_floats
@@ -161,10 +153,6 @@ class CppEmitter {
     }
     emit_node(0, 2);
     os_ << "  }\n";
-    // Exit-phase seam: output corruption (garbage mode) must land AFTER
-    // the kernel body so no block's stores can paper over it.
-    os_ << "  mcf_maybe_fault(\"" << chain_cache_key(chain_) << "\", gout, "
-        << k_.out_elems << ", 1);\n";
     os_ << "}\n";
     return os_.str();
   }
@@ -425,32 +413,24 @@ class CppEmitter {
 }  // namespace
 
 // The prelude includes no header: it declares exactly the libc functions
-// the TU calls.  In C++ mode <math.h> and <stdlib.h> pull in libstdc++'s
-// <cmath> and <cstdlib>, and parsing them cost about 40% of every cold
-// kernel compile.  The declarations match glibc's C++ prototypes (noexcept
-// where glibc says __THROW; nanosleep is a cancellation point and has
-// none), so GCC binds them to the same builtins and the machine code does
-// not change.  A call to anything else must be declared here too —
-// JitCompile.KernelSourceNeedsNoSystemHeader (tests/exec/test_jit.cpp)
-// compiles every epilogue's kernel with -nostdinc to hold the rule.
+// the TU calls, memcpy and floorf.  In C++ mode <math.h> and <stdlib.h>
+// pull in libstdc++'s <cmath> and <cstdlib>, and parsing them cost about
+// 40% of every cold kernel compile.  The declarations match glibc's C++
+// prototypes (noexcept, as glibc's __THROW), so GCC binds them to the
+// same builtins and the machine code does not change.  A call to anything
+// else must be declared here too — JitCompile.KernelSourceNeedsNoSystemHeader
+// (tests/exec/test_jit.cpp) compiles every epilogue's kernel with
+// -nostdinc to hold the rule.
 std::string cpp_kernel_prelude() {
   return
       "// generated by mcfuser exec/codegen (C++ lowering)\n"
       "typedef __SIZE_TYPE__ size_t;\n"
-      "struct timespec { long tv_sec; long tv_nsec; };\n"
       "extern \"C\" {\n"
       "void* memcpy(void* __restrict, const void* __restrict, size_t) "
       "noexcept;\n"
       "float floorf(float) noexcept;\n"
-      "float nanf(const char*) noexcept;\n"
-      "char* getenv(const char*) noexcept;\n"
-      "int strncmp(const char*, const char*, size_t) noexcept;\n"
-      "char* strstr(const char*, const char*) noexcept;\n"
-      "int raise(int) noexcept;\n"
-      "int nanosleep(const struct timespec*, struct timespec*);\n"
       "}\n"
       "#define INFINITY (__builtin_inff())\n"
-      "#define SIGKILL 9\n"
       "typedef long long i64;\n"
       "\n"
       "// Inline polynomial expf (Cephes-style: 2^n * p(r) on a reduced\n"
@@ -547,66 +527,6 @@ std::string cpp_kernel_prelude() {
       "  constexpr i64 MR = TM - TM % 4;\n"
       "  for (i64 i = 0; i < MR; i += 4) mcf_gemm_rows<TCL, TRD, 4>(o + i*TCL, x + i*TRD, w, fresh);\n"
       "  if constexpr (TM % 4 != 0) mcf_gemm_rows<TCL, TRD, TM % 4>(o + MR*TCL, x + MR*TRD, w, fresh);\n"
-      "}\n"
-      "\n"
-      "// Fault-injection seam for the crash-isolation chaos tests\n"
-      "// (exec/sandbox.cpp).  Fires ONLY inside sandbox worker processes\n"
-      "// (MCFUSER_SANDBOX_WORKER set by the spawner): an injected fault\n"
-      "// must never take down an in-process caller.  Directive grammar in\n"
-      "// MCFUSER_JIT_FAULT: comma-separated `mode@substr` entries, mode in\n"
-      "// {segv, kill, hang, garbage}; an entry without `@` matches every\n"
-      "// kernel, otherwise substr is matched against the chain tag.\n"
-      "static int mcf_fault_in_worker(void) {\n"
-      "  static int flag = -1;\n"
-      "  if (flag < 0) {\n"
-      "    const char* w = getenv(\"MCFUSER_SANDBOX_WORKER\");\n"
-      "    flag = (w && *w) ? 1 : 0;\n"
-      "  }\n"
-      "  return flag;\n"
-      "}\n"
-      "static int mcf_fault_mode_for(const char* tag) {\n"
-      "  const char* d = getenv(\"MCFUSER_JIT_FAULT\");\n"
-      "  if (!d || !*d) return 0;\n"
-      "  while (*d) {\n"
-      "    const char* end = d;\n"
-      "    while (*end && *end != ',') ++end;\n"
-      "    const char* at = d;\n"
-      "    while (at < end && *at != '@') ++at;\n"
-      "    int mode = 0;\n"
-      "    if (!strncmp(d, \"segv\", 4)) mode = 1;\n"
-      "    else if (!strncmp(d, \"kill\", 4)) mode = 2;\n"
-      "    else if (!strncmp(d, \"hang\", 4)) mode = 3;\n"
-      "    else if (!strncmp(d, \"garbage\", 7)) mode = 4;\n"
-      "    int match = (at == end);  /* no @: match-all */\n"
-      "    if (!match) {\n"
-      "      char sub[128];\n"
-      "      size_t n = (size_t)(end - at - 1);\n"
-      "      if (n >= sizeof(sub)) n = sizeof(sub) - 1;\n"
-      "      memcpy(sub, at + 1, n);\n"
-      "      sub[n] = 0;\n"
-      "      match = (n == 0) || (strstr(tag, sub) != 0);\n"
-      "    }\n"
-      "    if (mode && match) return mode;\n"
-      "    d = (*end == ',') ? end + 1 : end;\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n"
-      "// phase 0 = kernel entry (process-level faults), phase 1 = kernel\n"
-      "// exit (output corruption — poisoning at entry would be overwritten\n"
-      "// by the kernel body whenever one block covers the whole output).\n"
-      "static void mcf_maybe_fault(const char* tag, float* out, i64 n,\n"
-      "                            int phase) {\n"
-      "  if (!mcf_fault_in_worker()) return;\n"
-      "  switch (mcf_fault_mode_for(tag)) {\n"
-      "    case 1: if (phase == 0) { volatile int* p = (volatile int*)0; "
-      "*p = 1; } break;\n"
-      "    case 2: if (phase == 0) raise(SIGKILL); break;\n"
-      "    case 3: if (phase == 0) for (;;) { struct timespec ts = "
-      "{0, 100000000}; nanosleep(&ts, 0); } break;\n"
-      "    case 4: if (phase == 1) { for (i64 i = 0; i < n; ++i) out[i] = "
-      "nanf(\"\"); } break;\n"
-      "    default: break;\n"
-      "  }\n"
       "}\n\n";
 }
 

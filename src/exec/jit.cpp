@@ -45,8 +45,10 @@ namespace fs = std::filesystem;
 /// bodies and machine code are unchanged (the key already folds the
 /// prelude and the command line; the bump records the new TU format).
 /// v8: each compute statement calls the prelude's mcf_gemm_tile
-/// micro-kernel instead of printing its own GEMM loops.
-constexpr std::uint64_t kEmitterVersion = 8;
+/// micro-kernel instead of printing its own GEMM loops.  v9: the v5 seam
+/// is gone (the sandbox worker carries out injected faults) and the
+/// prelude declares only memcpy and floorf.
+constexpr std::uint64_t kEmitterVersion = 9;
 
 /// Kernels are always compiled at full optimisation for the build
 /// machine's vector ISA — the point of the JIT is that the micro-kernel

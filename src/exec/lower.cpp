@@ -62,7 +62,7 @@ class Lowering {
     if (blocks.ovf) k_.overflows.emplace_back("block count");
     k_.n_blocks = saturated(blocks);
     // batch*rows*cols of every externally visible tensor is a literal in
-    // the emitted pointer arithmetic (and in the fault-seam call).
+    // the emitted pointer arithmetic.
     for (int t = 0; t < chain_.num_tensors(); ++t) {
       const auto& info = chain_.tensor(t);
       if (info.kind == TensorKind::Intermediate) continue;
@@ -73,7 +73,6 @@ class Lowering {
         k_.overflows.push_back("tensor " + info.name +
                                " extent (batch*rows*cols)");
       }
-      if (info.kind == TensorKind::Output) k_.out_elems = total.v;
     }
     k_.nodes.reserve(static_cast<std::size_t>(s_.num_nodes()));
     k_.stmts.reserve(static_cast<std::size_t>(s_.num_nodes()));

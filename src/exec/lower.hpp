@@ -158,7 +158,6 @@ struct LoweredKernel {
   /// Block loops innermost first: i<l> = rem % extent; rem /= extent;
   /// what remains is the batch index.
   InlineVec<int, 6> decode;
-  std::int64_t out_elems = 0;          ///< gout floats: batch * m * cols
   std::vector<LoweredNode> nodes;
   std::vector<LoweredStmt> stmts;      ///< execution (pre)order
   std::vector<std::string> overflows;  ///< sizes that overflow i64

@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -13,11 +14,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "exec/jit.hpp"
 #include "support/env.hpp"
 #include "support/framing.hpp"
+#include "support/logging.hpp"
 #include "support/lru_map.hpp"
 #include "support/mutex.hpp"
 #include "tensor/tensor.hpp"
@@ -37,9 +40,10 @@ using framing::IoStatus;
 constexpr std::uint32_t kMagic = 0x4D434657;  // "MCFW"
 /// v3: RunRequest no longer carries a block fan-out cap (v2's `threads`);
 /// workers always run the full-pool fan-out, as in-process measurement
-/// does.  Host and workers re-exec the same binary, so a version mismatch
-/// only means a corrupted stream — rejected, never skewed.
-constexpr std::uint32_t kProtocolVersion = 3;
+/// does.  v4: a trailing u8 carries RunRequest::fault.  Host and workers
+/// re-exec the same binary, so a version mismatch only means a corrupted
+/// stream — rejected, never skewed.
+constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Frames are small (a request is a path + a dozen integers; a response
 /// is a handful of doubles) — anything larger is a corrupted stream.
@@ -140,6 +144,7 @@ struct GlobalState {
   w.u32(static_cast<std::uint32_t>(req.warmup < 0 ? 0 : req.warmup));
   w.u32(static_cast<std::uint32_t>(req.repeats < 1 ? 1 : req.repeats));
   w.u64(req.data_seed);
+  w.u8(static_cast<std::uint8_t>(req.fault));
   return w.framed();
 }
 
@@ -151,6 +156,7 @@ struct GlobalState {
   std::uint32_t n_inner = 0;
   std::uint32_t warmup = 0;
   std::uint32_t repeats = 0;
+  std::uint8_t fault = 0;
   if (!r.u32(&magic) || magic != kMagic) {
     *why = "bad magic";
     return false;
@@ -167,11 +173,17 @@ struct GlobalState {
     for (std::int64_t& d : req->inner) ok = ok && r.i64(&d);
   }
   ok = ok && r.i64(&req->n_blocks) && r.i64(&req->scratch_floats) &&
-       r.u32(&warmup) && r.u32(&repeats) && r.u64(&req->data_seed);
+       r.u32(&warmup) && r.u32(&repeats) && r.u64(&req->data_seed) &&
+       r.u8(&fault);
   if (!ok) {
     *why = "truncated request";
     return false;
   }
+  if (fault > static_cast<std::uint8_t>(Fault::Garbage)) {
+    *why = "unknown fault " + std::to_string(fault);
+    return false;
+  }
+  req->fault = static_cast<Fault>(fault);
   req->warmup = static_cast<int>(warmup);
   req->repeats = static_cast<int>(repeats);
   if (req->batch < 1 || req->m < 1 || req->inner.size() < 2 ||
@@ -298,6 +310,33 @@ void ignore_sigpipe_once() {
 }  // namespace
 
 // ---- public: availability, options, stats, crash cache ----------------------
+
+Fault injected_fault(std::string_view tag) {
+  using Mode = std::pair<std::string_view, Fault>;
+  static constexpr Mode kModes[] = {{"segv", Fault::Segv},
+                                    {"kill", Fault::Kill},
+                                    {"hang", Fault::Hang},
+                                    {"garbage", Fault::Garbage}};
+  const std::string directive = env::str("MCFUSER_JIT_FAULT", "");
+  for (std::string_view rest = directive; !rest.empty();) {
+    const std::string_view entry = rest.substr(0, rest.find(','));
+    rest.remove_prefix(std::min(rest.size(), entry.size() + 1));
+    const std::size_t at = entry.find('@');
+    const Mode* mode =
+        std::ranges::find(kModes, entry.substr(0, at), &Mode::first);
+    if (mode == std::end(kModes)) {
+      MCF_LOG(Warn) << "ignoring MCFUSER_JIT_FAULT entry '" << entry
+                    << "' (want segv|kill|hang|garbage[@substr])";
+      continue;
+    }
+    // An empty substr is found in every tag.
+    if (at == std::string_view::npos ||
+        tag.find(entry.substr(at + 1)) != std::string_view::npos) {
+      return mode->second;
+    }
+  }
+  return Fault::None;
+}
 
 Availability availability() {
 #ifdef MCF_SANITIZE_BUILD
@@ -638,6 +677,11 @@ int worker_main(int request_fd, int response_fd) {
                           static_cast<std::size_t>(req.scratch_floats),
                           scratch, /*threads=*/0);
         };
+        // A fault the host asked for: the process-level ones replace the
+        // runs, garbage poisons the output after them.
+        if (req.fault == Fault::Segv) ::raise(SIGSEGV);
+        if (req.fault == Fault::Kill) ::raise(SIGKILL);
+        while (req.fault == Fault::Hang) ::pause();
         for (int i = 0; i < req.warmup; ++i) run_once();
         resp.samples.reserve(static_cast<std::size_t>(req.repeats));
         for (int i = 0; i < req.repeats; ++i) {
@@ -647,6 +691,7 @@ int worker_main(int request_fd, int response_fd) {
                                      std::chrono::steady_clock::now() - t0)
                                      .count());
         }
+        if (req.fault == Fault::Garbage) std::ranges::fill(out.data(), NAN);
         // Garbage detection: a kernel that "succeeds" with non-finite
         // output is as useless as a crash and must fail loudly.
         bool finite = true;

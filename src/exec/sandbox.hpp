@@ -44,6 +44,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "measure/measurement.hpp"
@@ -106,9 +107,22 @@ struct WorkerStats {
 };
 [[nodiscard]] WorkerStats stats_snapshot();
 
+/// A fault a worker carries out on purpose (chaos tests): Segv, Kill and
+/// Hang before the first run (Hang waits for the deadline), Garbage as NaN
+/// output after the last run, before the finite-value scan.
+enum class Fault : std::uint8_t { None, Segv, Kill, Hang, Garbage };
+
+/// The fault MCFUSER_JIT_FAULT names for the chain whose chain_cache_key
+/// is `tag`: comma-separated `mode[@substr]` entries, mode in {segv, kill,
+/// hang, garbage}; the first entry whose substr occurs in `tag` wins, and
+/// no `@` matches every chain.  An unknown mode warns and is skipped.
+/// Only the sandbox rung asks, so an in-process caller never runs a fault.
+[[nodiscard]] Fault injected_fault(std::string_view tag);
+
 /// One measurement request: the on-disk kernel artifact plus everything
 /// the worker needs to rebuild the inputs and the execution geometry —
-/// no Schedule crosses the process boundary.
+/// no Schedule crosses the process boundary — and the fault, if any, the
+/// worker must carry out.
 struct RunRequest {
   std::uint64_t key = 0;  ///< jit cache key (crash-cache identity)
   std::string so_path;
@@ -127,6 +141,8 @@ struct RunRequest {
   /// detail::kMeasureDataSeed, the seed ExecMeasureState::data uses
   /// in-process.
   std::uint64_t data_seed = 1;
+  /// ExecBackend sends injected_fault(chain_cache_key(chain)).
+  Fault fault = Fault::None;
 };
 
 enum class RunOutcome : std::uint8_t {

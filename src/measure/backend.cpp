@@ -296,6 +296,7 @@ bool ExecBackend::measure_in_worker(const Schedule& s,
   req.warmup = opt_.warmup;
   req.repeats = opt_.repeats;
   req.data_seed = detail::kMeasureDataSeed;
+  req.fault = sandbox::injected_fault(chain_cache_key(chain));
 
   sandbox::RunResult r = pool_->run(req);
   if (r.retryable_load_failure) {

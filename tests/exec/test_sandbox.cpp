@@ -9,10 +9,13 @@
 // evict + recompile, and the FusionEngine survives a chaos flood of
 // SIGSEGV/SIGKILL/hang kernels with its accounting identity intact.
 //
-// Every fault is injected deterministically through the MCFUSER_JIT_FAULT
-// seam compiled into the kernels (exec/codegen.cpp), which fires only in
-// processes with MCFUSER_SANDBOX_WORKER set — the host process never
-// executes a faulted kernel.
+// Every fault is injected deterministically through MCFUSER_JIT_FAULT:
+// the host resolves the directive per request (sandbox::injected_fault,
+// whose grammar is pinned without a fork in every lane) and the worker
+// carries the fault out (sandbox::worker_main), refusing a fault byte it
+// does not know.  The emitted kernels hold no fault code, and the
+// in-process rungs never ask for a fault, so the host process never
+// executes one.
 #include "exec/sandbox.hpp"
 
 #include <gtest/gtest.h>
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "exec/codegen.hpp"
 #include "exec/jit.hpp"
 #include "gpu/spec.hpp"
 #include "exec/program.hpp"
@@ -38,6 +42,7 @@
 #include "measure/backend.hpp"
 #include "search/tuning_cache.hpp"
 #include "support/framing.hpp"
+#include "tensor/tensor.hpp"
 
 namespace mcf {
 namespace {
@@ -196,6 +201,71 @@ TEST(Sandbox, AvailabilityAndPoolOptionsReadTheEnvironment) {
   }
 }
 
+TEST(Sandbox, InjectedFaultFollowsTheDirectiveGrammar) {
+  // A pure call (no fork, no jit): runs in every lane, sanitizers included.
+  using sandbox::Fault;
+  const std::string gelu = chain_cache_key(gelu_chain());
+  const std::string big = chain_cache_key(big_chain());
+  const auto fault_for = [](const std::string& directive,
+                            const std::string& tag) {
+    const ScopedEnv env("MCFUSER_JIT_FAULT", directive);
+    return sandbox::injected_fault(tag);
+  };
+  {
+    const ScopedEnv env("MCFUSER_JIT_FAULT", "");
+    EXPECT_EQ(sandbox::injected_fault(gelu), Fault::None);
+    ::unsetenv("MCFUSER_JIT_FAULT");
+    EXPECT_EQ(sandbox::injected_fault(gelu), Fault::None);
+  }
+  // No `@`: every chain.
+  EXPECT_EQ(fault_for("segv", gelu), Fault::Segv);
+  EXPECT_EQ(fault_for("segv", big), Fault::Segv);
+  // `@substr`: only the chains whose key contains it.
+  const std::string big_only = big.substr(0, big.find('x'));  // "b2m384"
+  ASSERT_EQ(gelu.find(big_only), std::string::npos);
+  EXPECT_EQ(fault_for("kill@" + big_only, big), Fault::Kill);
+  EXPECT_EQ(fault_for("kill@" + big_only, gelu), Fault::None);
+  // An empty substr matches every chain.
+  EXPECT_EQ(fault_for("garbage@", gelu), Fault::Garbage);
+  EXPECT_EQ(fault_for("garbage@", big), Fault::Garbage);
+  // An unknown mode is skipped, loudly.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(fault_for("bogus,hang", gelu), Fault::Hang);
+  const std::string warned = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(warned.find("'bogus'"), std::string::npos) << warned;
+  // The first matching entry wins.
+  EXPECT_EQ(fault_for("kill@" + big_only + ",segv", big), Fault::Kill);
+  EXPECT_EQ(fault_for("kill@" + big_only + ",segv", gelu), Fault::Segv);
+}
+
+TEST(Sandbox, InProcessCallersNeverRunAFault) {
+  // Only the sandbox rung resolves a fault: under a match-all directive
+  // the in-process rungs and run_native still measure and run cleanly,
+  // and the kernel TU carries no code that could read the directive.
+  const ScopedEnv fault("MCFUSER_JIT_FAULT", "segv");
+  EXPECT_EQ(cpp_kernel_prelude().find("getenv"), std::string::npos);
+
+  const GpuSpec gpu = unique_gpu("sbx-in-process");
+  const Schedule s = schedule_for(gelu_chain());
+  for (const char* preset : {"jit", "interp"}) {
+    const auto backend = BackendRegistry::instance().create(preset, gpu);
+    ASSERT_NE(backend, nullptr) << preset;
+    const KernelMeasurement m = backend->measure(s);
+    EXPECT_TRUE(m.ok) << preset << ": " << m.fail_reason;
+  }
+
+  const CompiledKernel kernel(s, gpu);
+  ASSERT_TRUE(kernel.ok()) << kernel.error();
+  const ChainSpec& c = s.chain();
+  const jit::KernelInputs in =
+      jit::seeded_inputs(c.batch(), c.m(), c.inner(), 1);
+  Tensor out(Shape{c.batch(), c.m(), c.inner().back()});
+  // run_native answers false only when there is no toolchain (sanitizer
+  // lanes); it never faults.
+  const jit::Toolchain tc = jit::detect_toolchain();
+  EXPECT_EQ(kernel.run_native(in.a, in.weights, out), tc.ok()) << tc.reason;
+}
+
 TEST(Sandbox, WorkerRefusesOversizedFrameWithDistinctReason) {
   // Direct loopback into worker_main over plain pipes (no fork, no
   // dlopen — runs in every lane, sanitizer builds included): a frame
@@ -238,6 +308,59 @@ TEST(Sandbox, WorkerRefusesOversizedFrameWithDistinctReason) {
 
   ::close(req[0]);
   ::close(req[1]);
+  ::close(resp[0]);
+  ::close(resp[1]);
+}
+
+TEST(Sandbox, WorkerRejectsAnUnknownFaultAsABadRequest) {
+  // Direct loopback (no fork, no dlopen): a fault byte past
+  // Fault::Garbage is answered as a bad request and never carried out.
+  int req[2] = {-1, -1};
+  int resp[2] = {-1, -1};
+  ASSERT_EQ(::pipe(req), 0);
+  ASSERT_EQ(::pipe(resp), 0);
+  std::thread worker([&] { (void)sandbox::worker_main(req[0], resp[1]); });
+
+  // An MCFW v4 request, field by field.
+  framing::FrameWriter w;
+  w.u32(0x4D434657u);  // "MCFW"
+  w.u32(4);            // protocol version
+  w.u64(1);            // key
+  w.str("/nonexistent/tu.so");
+  w.str("kernel");
+  w.i64(1);  // batch
+  w.i64(8);  // m
+  w.u32(2);  // inner dims
+  w.i64(8);
+  w.i64(8);
+  w.i64(1);  // n_blocks
+  w.i64(0);  // scratch floats
+  w.u32(0);  // warmup
+  w.u32(1);  // repeats
+  w.u64(1);  // data seed
+  w.u8(static_cast<std::uint8_t>(sandbox::Fault::Garbage) + 1);
+  const std::string frame = w.framed();
+  ASSERT_EQ(framing::write_all(req[1], frame.data(), frame.size()),
+            framing::IoStatus::Ok);
+
+  std::string payload;
+  const framing::Deadline dl = framing::deadline_after(10.0);
+  ASSERT_EQ(framing::read_frame(resp[0], &payload, 1 << 20, &dl),
+            framing::IoStatus::Ok);
+  ::close(req[1]);  // EOF ends the worker's loop
+  worker.join();
+
+  framing::FrameReader r(payload);
+  std::uint32_t magic = 0;
+  std::uint8_t status = 0;
+  std::string reason;
+  ASSERT_TRUE(r.u32(&magic));
+  ASSERT_TRUE(r.u8(&status));
+  EXPECT_EQ(status, 4u);  // kBadRequest
+  ASSERT_TRUE(r.str(&reason));
+  EXPECT_EQ(reason, "bad request: unknown fault 5");
+
+  ::close(req[0]);
   ::close(resp[0]);
   ::close(resp[1]);
 }
