@@ -1,4 +1,4 @@
-// Modelled hardware-tuning costs (DESIGN.md §2, Table IV).
+// Modelled hardware-tuning costs (Table IV).
 //
 // This repo tunes against a simulator, so wall-clock tuning time here is
 // not comparable to tuning on a physical A100.  Table IV is therefore

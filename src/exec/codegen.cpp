@@ -117,8 +117,6 @@ std::string emit_kernel_source(const Schedule& s, const GpuSpec& gpu) {
 
 namespace {
 
-constexpr double kSqrt2OverPi = 0.7978845608028654;
-
 class CppEmitter {
  public:
   CppEmitter(const Schedule& s, std::string symbol)
@@ -290,67 +288,21 @@ class CppEmitter {
   }
 
   /// Emitted inside the compute scope: `o` is the op's accumulator tile.
+  /// One call into the prelude's epilogue helpers, with literal arguments.
   void emit_epilogue(const LoweredStmt& st, int depth) {
     const std::string in = ind(depth);
-    if (st.epilogue == Epilogue::Relu) {
-      os_ << in << "for (i64 z = 0; z < " << st.out.tile_elems
-          << "; ++z) o[z] = o[z] > 0.0f ? o[z] : 0.0f;\n";
-      return;
-    }
-    if (st.epilogue == Epilogue::Gelu) {
-      // tanh(t) = 1 - 2/(e^(2t) + 1): inlines through mcf_expf so the
-      // loop vectorises (a libm tanhf call would block it).
-      os_ << in << "#pragma omp simd\n";
-      os_ << in << "for (i64 z = 0; z < " << st.out.tile_elems << "; ++z) {\n";
-      os_ << in << "  const float v = o[z];\n";
-      os_ << in << "  const float t = " << flit(static_cast<float>(kSqrt2OverPi))
-          << " * (v + " << flit(0.044715f) << " * v * v * v);\n";
-      os_ << in << "  const float th = 1.0f - 2.0f / (mcf_expf(2.0f*t) + 1.0f);\n";
-      os_ << in << "  o[z] = 0.5f * v * (1.0f + th);\n";
-      os_ << in << "}\n";
+    if (st.epilogue == Epilogue::Relu || st.epilogue == Epilogue::Gelu) {
+      os_ << in << (st.epilogue == Epilogue::Relu ? "mcf_relu" : "mcf_gelu")
+          << "(o, " << st.out.tile_elems << ");\n";
       return;
     }
     // Online softmax over the streamed `col` dimension, with the
     // consumer-accumulator rescale.
-    const std::int64_t tm = st.tm;
-    const std::int64_t tcl = st.tcl;
-    os_ << in << "const i64 c0 = i" << st.col << "*" << tcl << ";\n";
-    os_ << in << "float* __restrict rmax = stats + " << st.stat << ";\n";
-    os_ << in << "float* __restrict rsum = stats + " << st.rsum << ";\n";
-    os_ << in << "float* __restrict cons = arena + " << k_.arena.lo(st.cons)
-        << ";\n";
-    os_ << in << "for (i64 i = 0; i < " << tm << "; ++i) {\n";
-    os_ << in << "  float* __restrict row = o + i*" << tcl << ";\n";
-    os_ << in << "  #pragma omp simd\n";
-    os_ << in << "  for (i64 c = 0; c < " << tcl << "; ++c) {\n";
-    os_ << in << "    if (c0 + c >= " << st.valid_cols
-        << ") row[c] = -INFINITY; else row[c] *= " << flit(st.scale) << ";\n";
-    os_ << in << "  }\n";
-    os_ << in << "  float tmax = -INFINITY;\n";
-    os_ << in << "  #pragma omp simd reduction(max:tmax)\n";
-    os_ << in << "  for (i64 c = 0; c < " << tcl
-        << "; ++c) tmax = row[c] > tmax ? row[c] : tmax;\n";
-    os_ << in << "  const float nmax = rmax[i] > tmax ? rmax[i] : tmax;\n";
-    os_ << in << "  float sum = 0.0f;\n";
-    os_ << in << "  #pragma omp simd reduction(+:sum)\n";
-    os_ << in << "  for (i64 c = 0; c < " << tcl << "; ++c) {\n";
-    os_ << in << "    const float e = row[c] == -INFINITY ? 0.0f : "
-        << "mcf_expf(row[c] - nmax);\n";
-    os_ << in << "    row[c] = e; sum += e;\n";
-    os_ << in << "  }\n";
-    os_ << in << "  const float corr = rmax[i] == -INFINITY ? 0.0f : "
-        << "mcf_expf(rmax[i] - nmax);\n";
-    os_ << in << "  rsum[i] = rsum[i]*corr + sum;\n";
-    os_ << in << "  rmax[i] = nmax;\n";
-    os_ << in << "  for (i64 tr = i; tr < " << st.cons_rows << "; tr += " << tm
-        << ") {\n";
-    os_ << in << "    float* __restrict cr = cons + tr*" << st.cons_cols
-        << ";\n";
-    os_ << in << "    #pragma omp simd\n";
-    os_ << in << "    for (i64 c = 0; c < " << st.cons_cols
-        << "; ++c) cr[c] *= corr;\n";
-    os_ << in << "  }\n";
-    os_ << in << "}\n";
+    os_ << in << "mcf_softmax(o, stats + " << st.stat << ", stats + " << st.rsum
+        << ", arena + " << k_.arena.lo(st.cons) << ", " << st.tm << ", "
+        << st.tcl << ", i" << st.col << "*" << st.tcl << ", " << st.valid_cols
+        << ", " << flit(st.scale) << ", " << st.cons_rows << ", "
+        << st.cons_cols << ");\n";
   }
 
   void emit_store(const LoweredStmt& st, int depth) {
@@ -412,6 +364,9 @@ class CppEmitter {
 
 }  // namespace
 
+// Generated by CMake from src/exec/kernel_prelude.inc.
+extern const char kKernelPreludeText[];
+
 // The prelude includes no header: it declares exactly the libc functions
 // the TU calls, memcpy and floorf.  In C++ mode <math.h> and <stdlib.h>
 // pull in libstdc++'s <cmath> and <cstdlib>, and parsing them cost about
@@ -420,9 +375,10 @@ class CppEmitter {
 // same builtins and the machine code does not change.  A call to anything
 // else must be declared here too — JitCompile.KernelSourceNeedsNoSystemHeader
 // (tests/exec/test_jit.cpp) compiles every epilogue's kernel with
-// -nostdinc to hold the rule.
+// -nostdinc to hold the rule.  The helpers follow, verbatim from
+// kernel_prelude.inc.
 std::string cpp_kernel_prelude() {
-  return
+  std::string out =
       "// generated by mcfuser exec/codegen (C++ lowering)\n"
       "typedef __SIZE_TYPE__ size_t;\n"
       "extern \"C\" {\n"
@@ -432,102 +388,9 @@ std::string cpp_kernel_prelude() {
       "}\n"
       "#define INFINITY (__builtin_inff())\n"
       "typedef long long i64;\n"
-      "\n"
-      "// Inline polynomial expf (Cephes-style: 2^n * p(r) on a reduced\n"
-      "// argument), accurate to ~1e-7 relative — far inside the jit-vs-\n"
-      "// interpreter tolerance.  Unlike a libm call it inlines into the\n"
-      "// online-softmax loops, so they vectorise like the rest of the\n"
-      "// kernel (the hardware analogue is the GPU's __expf SFU path).\n"
-      "static inline float mcf_expf(float x) {\n"
-      "  x = x < -87.0f ? -87.0f : (x > 88.0f ? 88.0f : x);\n"
-      "  const float z = x * 1.442695040888963407f;  // x / ln 2\n"
-      "  const float n = floorf(z + 0.5f);\n"
-      "  float r = x - n * 0.693359375f;             // ln2 hi\n"
-      "  r -= n * -2.12194440e-4f;                   // ln2 lo\n"
-      "  float p = 1.9875691500e-4f;\n"
-      "  p = p * r + 1.3981999507e-3f;\n"
-      "  p = p * r + 8.3334519073e-3f;\n"
-      "  p = p * r + 4.1665795894e-2f;\n"
-      "  p = p * r + 1.6666665459e-1f;\n"
-      "  p = p * r + 5.0000001201e-1f;\n"
-      "  p = p * r * r + r + 1.0f;\n"
-      "  const int bits = ((int)n + 127) << 23;      // 2^n\n"
-      "  float sf;\n"
-      "  memcpy(&sf, &bits, sizeof(sf));\n"
-      "  return p * sf;\n"
-      "}\n"
-      "\n"
-      "// The tile GEMM-accumulate behind every compute statement:\n"
-      "// o[TM x TCL] += x[TM x TRD] * w[TRD x TCL], all row-major, starting\n"
-      "// from +0.0f when `fresh` (the reduction's first step).  Register\n"
-      "// blocks of 4 rows x 64 columns keep their accumulators in vector\n"
-      "// registers across the whole reduction, and each weight vector feeds\n"
-      "// four FMAs.  The lane count is the widest the ISA macros allow:\n"
-      "// explicit vector types ignore -mprefer-vector-width, so the FMAs run\n"
-      "// at full width whatever the host's tuning prefers.  Every output\n"
-      "// element accumulates x*w in ascending r, as the interpreter does.\n"
-      "#if defined(__AVX512F__)\n"
-      "#define MCF_VL 16\n"
-      "#elif defined(__AVX__)\n"
-      "#define MCF_VL 8\n"
-      "#else\n"
-      "#define MCF_VL 4\n"
-      "#endif\n"
-      "typedef float mcf_vf __attribute__((vector_size(MCF_VL * sizeof(float))));\n"
-      "template <i64 TCL, i64 TRD, i64 RB, i64 CB>\n"
-      "static void mcf_gemm_block(float* __restrict o, const float* __restrict x,\n"
-      "                           const float* __restrict w, bool fresh) {\n"
-      "  constexpr i64 NV = CB / MCF_VL, NS = CB % MCF_VL;  // vectors, scalars\n"
-      "  mcf_vf acc[RB][NV ? NV : 1];\n"
-      "  float sacc[RB][NS ? NS : 1];\n"
-      "  #pragma GCC unroll 4\n"
-      "  for (i64 j = 0; j < RB; ++j) {\n"
-      "    #pragma GCC unroll 16\n"
-      "    for (i64 v = 0; v < NV; ++v) {\n"
-      "      if (fresh) acc[j][v] = mcf_vf{};\n"
-      "      else memcpy(&acc[j][v], o + j*TCL + v*MCF_VL, sizeof(mcf_vf));\n"
-      "    }\n"
-      "    #pragma GCC unroll 16\n"
-      "    for (i64 s = 0; s < NS; ++s) sacc[j][s] = fresh ? 0.0f : o[j*TCL + NV*MCF_VL + s];\n"
-      "  }\n"
-      "  for (i64 r = 0; r < TRD; ++r) {\n"
-      "    const float* __restrict wr = w + r*TCL;\n"
-      "    mcf_vf wv[NV ? NV : 1];\n"
-      "    #pragma GCC unroll 16\n"
-      "    for (i64 v = 0; v < NV; ++v) memcpy(&wv[v], wr + v*MCF_VL, sizeof(mcf_vf));\n"
-      "    #pragma GCC unroll 4\n"
-      "    for (i64 j = 0; j < RB; ++j) {\n"
-      "      const float xv = x[j*TRD + r];\n"
-      "      #pragma GCC unroll 16\n"
-      "      for (i64 v = 0; v < NV; ++v) acc[j][v] += xv * wv[v];\n"
-      "      #pragma GCC unroll 16\n"
-      "      for (i64 s = 0; s < NS; ++s) sacc[j][s] += xv * wr[NV*MCF_VL + s];\n"
-      "    }\n"
-      "  }\n"
-      "  #pragma GCC unroll 4\n"
-      "  for (i64 j = 0; j < RB; ++j) {\n"
-      "    #pragma GCC unroll 16\n"
-      "    for (i64 v = 0; v < NV; ++v) memcpy(o + j*TCL + v*MCF_VL, &acc[j][v], sizeof(mcf_vf));\n"
-      "    #pragma GCC unroll 16\n"
-      "    for (i64 s = 0; s < NS; ++s) o[j*TCL + NV*MCF_VL + s] = sacc[j][s];\n"
-      "  }\n"
-      "}\n"
-      "// One row block across the tile: 64-column blocks, then the\n"
-      "// literal-width column tail.\n"
-      "template <i64 TCL, i64 TRD, i64 RB>\n"
-      "static inline void mcf_gemm_rows(float* __restrict o, const float* __restrict x,\n"
-      "                                 const float* __restrict w, bool fresh) {\n"
-      "  constexpr i64 MC = TCL - TCL % 64;\n"
-      "  for (i64 c = 0; c < MC; c += 64) mcf_gemm_block<TCL, TRD, RB, 64>(o + c, x, w + c, fresh);\n"
-      "  if constexpr (TCL % 64 != 0) mcf_gemm_block<TCL, TRD, RB, TCL % 64>(o + MC, x, w + MC, fresh);\n"
-      "}\n"
-      "template <i64 TM, i64 TCL, i64 TRD>\n"
-      "static void mcf_gemm_tile(float* __restrict o, const float* __restrict x,\n"
-      "                          const float* __restrict w, bool fresh) {\n"
-      "  constexpr i64 MR = TM - TM % 4;\n"
-      "  for (i64 i = 0; i < MR; i += 4) mcf_gemm_rows<TCL, TRD, 4>(o + i*TCL, x + i*TRD, w, fresh);\n"
-      "  if constexpr (TM % 4 != 0) mcf_gemm_rows<TCL, TRD, TM % 4>(o + MR*TCL, x + MR*TRD, w, fresh);\n"
-      "}\n\n";
+      "\n";
+  out += kKernelPreludeText;
+  return out;
 }
 
 std::int64_t cpp_kernel_scratch_floats(const Schedule& s) {

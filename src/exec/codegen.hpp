@@ -13,17 +13,21 @@
 //     mcf_gemm_tile<TM, TCL, TRD>: 4 x 64 register blocks of GCC vector
 //     types whose lane count comes from the compiler's ISA macros (16
 //     with AVX-512, 8 with AVX, 4 otherwise), the CPU analogue of the
-//     paper's tile-level `tl.dot`.  exec/jit compiles these into shared
-//     objects and runs them — the CPU-host analogue of the paper's
-//     Triton -> PTX path.
+//     paper's tile-level `tl.dot`, and each epilogue is one call to
+//     mcf_relu, mcf_gelu or mcf_softmax.  These helpers live in
+//     exec/kernel_prelude.inc, a real source file: libmcfuser compiles it
+//     into the interpreter, and the prelude embeds its text.  exec/jit
+//     compiles the kernels into shared objects and runs them — the
+//     CPU-host analogue of the paper's Triton -> PTX path.
 //
 // The C++ lowering prints exec/lower's LoweredKernel — the kernel the
 // interpreter executes and the verifier checks — statement for statement
 // (loads stage tiles through a scratch arena with zero-filled fringes,
 // computes are tile GEMM-accumulates, online-softmax epilogues keep
 // running row stats and rescale the consumer accumulator, stores defer
-// the softmax normalisation), so jit and interp results agree to float
-// round-off — tests/exec/test_jit.cpp pins the tolerance.
+// the softmax normalisation), and the interpreter calls the same
+// epilogue helpers, so jit and interp results agree to float round-off
+// in the GEMM — tests/exec/test_jit.cpp pins the tolerance.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +64,11 @@ struct CppKernelSource {
 [[nodiscard]] CppKernelSource emit_cpp_kernel(const Schedule& s,
                                               const std::string& symbol);
 
-/// Translation-unit header shared by every emitted kernel (libc
-/// declarations, typedefs and the inline helpers; no #include, so a TU
-/// compiles without any system header); a TU is prelude + N
-/// emit_cpp_kernel bodies.
+/// Translation-unit header shared by every emitted kernel: the libc
+/// declarations and typedefs, then the text of exec/kernel_prelude.inc
+/// (mcf_expf, the GEMM micro-kernel and the epilogues).  It has no
+/// #include, so a TU compiles without any system header; a TU is
+/// prelude + N emit_cpp_kernel bodies.
 [[nodiscard]] std::string cpp_kernel_prelude();
 
 /// Scratch floats one kernel invocation needs: exec/lower's arena plan

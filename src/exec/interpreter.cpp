@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "dag/volume.hpp"
@@ -9,6 +10,11 @@
 #include "support/thread_pool.hpp"
 
 namespace mcf {
+
+namespace kernel {
+typedef long long i64;
+#include "exec/kernel_prelude.inc"
+}  // namespace kernel
 
 namespace {
 
@@ -195,61 +201,19 @@ class BlockExecutor {
     }
   }
 
+  /// The jit's epilogues (kernel_prelude.inc), called with the same
+  /// arguments the emitted kernel passes as literals.
   void apply_epilogue(const LoweredStmt& stmt, float* x, Scratch& st) const {
-    const std::int64_t tm = stmt.tm;
-    const std::int64_t tcl = stmt.tcl;
     if (stmt.epilogue == Epilogue::Relu) {
-      for (std::int64_t i = 0; i < tm * tcl; ++i) x[i] = std::max(0.0f, x[i]);
-      return;
-    }
-    if (stmt.epilogue == Epilogue::Gelu) {
-      constexpr float kSqrt2OverPi = 0.7978845608028654f;
-      for (std::int64_t i = 0; i < tm * tcl; ++i) {
-        const float v = x[i];
-        const float t = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-        x[i] = 0.5f * v * (1.0f + std::tanh(t));
-      }
-      return;
-    }
-
-    // Online softmax over the streamed `col` dimension.
-    const float scale = stmt.scale;
-    const std::int64_t c0 = st.idx[static_cast<std::size_t>(stmt.col)] * tcl;
-    float* rmax = stats(st) + stmt.stat;
-    float* rsum = stats(st) + stmt.rsum;
-    // The consumer accumulator to rescale (all resident slots).
-    float* cons = st.scratch.data() + k_.arena.lo(stmt.cons);
-    const std::int64_t cons_cols = stmt.cons_cols;
-
-    for (std::int64_t i = 0; i < tm; ++i) {
-      float* row = &x[i * tcl];
-      // Mask padded columns so they vanish from the distribution.
-      for (std::int64_t c = 0; c < tcl; ++c) {
-        if (c0 + c >= stmt.valid_cols) row[c] = -std::numeric_limits<float>::infinity();
-        else row[c] *= scale;
-      }
-      float tile_max = -std::numeric_limits<float>::infinity();
-      for (std::int64_t c = 0; c < tcl; ++c) tile_max = std::max(tile_max, row[c]);
-      const float new_max = std::max(rmax[i], tile_max);
-      float sum = 0.0f;
-      for (std::int64_t c = 0; c < tcl; ++c) {
-        const float e = (row[c] == -std::numeric_limits<float>::infinity())
-                            ? 0.0f
-                            : std::exp(row[c] - new_max);
-        row[c] = e;
-        sum += e;
-      }
-      const float corr =
-          (rmax[i] == -std::numeric_limits<float>::infinity())
-              ? 0.0f
-              : std::exp(rmax[i] - new_max);
-      rsum[i] = rsum[i] * corr + sum;
-      rmax[i] = new_max;
-      // Rescale row i of every resident consumer tile.
-      for (std::int64_t tile_row = i; tile_row < stmt.cons_rows; tile_row += tm) {
-        float* crow = &cons[tile_row * cons_cols];
-        for (std::int64_t c = 0; c < cons_cols; ++c) crow[c] *= corr;
-      }
+      kernel::mcf_relu(x, stmt.out.tile_elems);
+    } else if (stmt.epilogue == Epilogue::Gelu) {
+      kernel::mcf_gelu(x, stmt.out.tile_elems);
+    } else {
+      kernel::mcf_softmax(
+          x, stats(st) + stmt.stat, stats(st) + stmt.rsum,
+          st.scratch.data() + k_.arena.lo(stmt.cons), stmt.tm, stmt.tcl,
+          st.idx[static_cast<std::size_t>(stmt.col)] * stmt.tcl,
+          stmt.valid_cols, stmt.scale, stmt.cons_rows, stmt.cons_cols);
     }
   }
 

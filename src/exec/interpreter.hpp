@@ -1,14 +1,16 @@
 // Functional kernel interpreter — the repo's stand-in for Triton/PTX
-// execution (DESIGN.md §2).
+// execution that needs no toolchain.
 //
 // Executes a Schedule numerically, one simulated thread block per thread
 // pool task: tiles are staged through per-block "shared memory" buffers,
-// computes run as tile GEMM-accumulates, online-softmax epilogues maintain
-// running row statistics with consumer-accumulator rescaling (the
-// FlashAttention recurrence), and every global<->shared transfer is
-// counted.  The dynamic counters must match dag/volume's static analysis
-// exactly — tests assert this (it is the repo's analogue of the paper
-// validating eq. (1) against the NVPTX backend).
+// computes run as tile GEMM-accumulates, and every global<->shared
+// transfer is counted.  The epilogues are the jit's own: ReLU, GeLU and
+// the online softmax (running row statistics with consumer-accumulator
+// rescaling, the FlashAttention recurrence) call the same helpers in
+// exec/kernel_prelude.inc that every compiled kernel calls.  The dynamic
+// counters must match dag/volume's static analysis exactly — tests
+// assert this (it is the repo's analogue of the paper validating eq. (1)
+// against the NVPTX backend).
 #pragma once
 
 #include <cstdint>

@@ -47,8 +47,10 @@ namespace fs = std::filesystem;
 /// v8: each compute statement calls the prelude's mcf_gemm_tile
 /// micro-kernel instead of printing its own GEMM loops.  v9: the v5 seam
 /// is gone (the sandbox worker carries out injected faults) and the
-/// prelude declares only memcpy and floorf.
-constexpr std::uint64_t kEmitterVersion = 9;
+/// prelude declares only memcpy and floorf.  v10: the prelude's helpers
+/// come verbatim from exec/kernel_prelude.inc, and each epilogue is one
+/// call to its mcf_relu, mcf_gelu or mcf_softmax instead of printed loops.
+constexpr std::uint64_t kEmitterVersion = 10;
 
 /// Kernels are always compiled at full optimisation for the build
 /// machine's vector ISA — the point of the JIT is that the micro-kernel

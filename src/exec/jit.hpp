@@ -23,7 +23,9 @@
 //     libc functions the kernels call, because in C++ mode <math.h> and
 //     <stdlib.h> drag in libstdc++'s <cmath> and <cstdlib>, whose parse
 //     was ~40% of a cold compile.  GCC binds the declarations to the same
-//     builtins, so the machine code is what the headers gave.  Nothing
+//     builtins, so the machine code is what the headers gave.  The
+//     helpers the kernels call follow verbatim from
+//     exec/kernel_prelude.inc, the file the interpreter compiles.  Nothing
 //     but libc is linked: the kernels call nothing in libstdc++, libm or
 //     libgcc_s, and scanning them was nearly half the link.
 //   * digest-keyed on-disk cache — kernels are keyed by

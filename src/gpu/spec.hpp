@@ -1,7 +1,7 @@
 // GPU hardware description used by the timing simulator and the
 // analytical performance model.
 //
-// Substitution note (DESIGN.md §2): this repo has no physical GPU; the
+// Substitution note: this repo has no physical GPU; the
 // presets below describe the paper's two evaluation platforms and drive a
 // deterministic timing model.  Peak numbers are the public fp16
 // tensor-core specifications.

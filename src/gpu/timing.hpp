@@ -1,5 +1,5 @@
 // Deterministic GPU timing simulator — the repo's stand-in for "running
-// the kernel on hardware" (DESIGN.md §2).
+// the kernel on hardware" (the `sim` backend, docs/measurement.md).
 //
 // It consumes the exact static volumes of a Schedule (dag/volume) and the
 // actual shared-memory plan (gpu/smem) and models:

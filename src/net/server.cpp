@@ -52,15 +52,15 @@ void ignore_sigpipe_once() {
 /// single-chain granularity, so clients parse one shape everywhere.
 [[nodiscard]] std::string chain_report_json(const ChainSpec& chain,
                                             const FusionResult& r) {
-  std::string out = "{";
-  out += "\"chain\": \"" + json_escape(chain.name()) + "\"";
-  out += ", \"status\": \"" + std::string(fusion_status_name(r.status)) + "\"";
-  out += ", \"reason\": \"" + json_escape(r.reason) + "\"";
-  out += ", \"time_s\": " + std::to_string(r.time_s());
-  out += ", \"space_size\": " + std::to_string(r.space_size);
-  out += ", \"measurements\": " + std::to_string(r.tuned.stats.measurements);
-  out += "}";
-  return out;
+  // Doubles print as GraphFusionReport::to_json prints them (six
+  // significant digits); %f would round microsecond times to one.
+  std::ostringstream os;
+  os << "{\"chain\": \"" << json_escape(chain.name()) << "\""
+     << ", \"status\": \"" << fusion_status_name(r.status) << "\""
+     << ", \"reason\": \"" << json_escape(r.reason) << "\""
+     << ", \"time_s\": " << r.time_s() << ", \"space_size\": " << r.space_size
+     << ", \"measurements\": " << r.tuned.stats.measurements << "}";
+  return os.str();
 }
 
 }  // namespace

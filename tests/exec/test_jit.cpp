@@ -2,8 +2,11 @@
 // and attention chains and in every vector-width branch of the prelude's
 // micro-kernel, kernel-cache behaviour (hit on second compile, one TU per
 // batch), the compile timeout, the compiler pipe's close-on-exec and the
-// header-free kernel source.  The execution backend's fallback when no
-// host compiler exists is pinned by the cascade table in
+// header-free kernel source.  The interpreter runs the same epilogue
+// helpers (exec/kernel_prelude.inc), so the independent check of their
+// numerics is the tensor/ops oracle, which tests/exec/test_interpreter.cpp
+// holds both paths to.  The execution backend's fallback when no host
+// compiler exists is pinned by the cascade table in
 // tests/measure/test_backends.cpp.
 #include "exec/jit.hpp"
 

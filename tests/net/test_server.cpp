@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -155,6 +156,23 @@ TEST(NetServer, UnixRoundTrip) {
       << res.response.reason;
   EXPECT_GT(res.response.time_s, 0.0);
   EXPECT_NE(res.response.json.find("\"status\""), std::string::npos);
+}
+
+TEST(NetServer, ReportTimeKeepsItsPrecision) {
+  // The JSON report carries the binary time_s, not %f's six decimals
+  // (a microsecond chain would read 0.000006).
+  TestService svc;
+  FusionClient client(svc.endpoint(), svc.client_options());
+  const RpcResult res = client.fuse(small_chain("precision"));
+  ASSERT_EQ(res.status, RpcStatus::Ok) << res.detail;
+  const double want = res.response.time_s;
+  ASSERT_GT(want, 0.0);
+  const std::string& json = res.response.json;
+  const std::string key = "\"time_s\": ";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  const double got = std::strtod(json.c_str() + at + key.size(), nullptr);
+  EXPECT_NEAR(got, want, 1e-5 * want) << json;
 }
 
 TEST(NetServer, TcpEphemeralRoundTrip) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Banned-pattern lint: greps src/ for primitives the codebase has
-# sanctioned wrappers for, so new code cannot quietly bypass them.
+# Banned-pattern lint: greps src/ (*.cpp, *.hpp and *.inc, the jit's
+# kernel prelude) for primitives the codebase has sanctioned wrappers
+# for, so new code cannot quietly bypass them.
 #
 #   raw-mutex   std::mutex / std::recursive_mutex outside support/mutex —
 #               bare mutexes skip the capability annotations and the
@@ -38,7 +39,8 @@ check() {  # check <rule> <extended-regex>
     if allowed "$rule" "$file"; then continue; fi
     echo "banned-pattern[$rule]: $hit" >&2
     fail=1
-  done < <(grep -rnE --include='*.cpp' --include='*.hpp' "$pattern" src || true)
+  done < <(grep -rnE --include='*.cpp' --include='*.hpp' --include='*.inc' \
+              "$pattern" src || true)
 }
 
 check raw-mutex  'std::(recursive_)?mutex'
