@@ -301,7 +301,7 @@ struct GraphFusionReport {
   /// Kernel-compilation economy of this call when the measurement backend
   /// jit-compiles (deltas of the process-wide exec/jit counters over the
   /// call; all-zero for non-compiling backends).  TUs measure how well
-  /// the per-wave batching amortised compiler invocations; cache hits
+  /// the per-wave batching amortised compiles; cache hits
   /// count kernels resolved without compiling at all.
   jit::CompileStats jit_compile;
   /// Engine snapshot taken as the call returns (queue depth, admission

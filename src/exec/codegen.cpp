@@ -1,6 +1,7 @@
 #include "exec/codegen.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <iomanip>
 #include <sstream>
 #include <vector>
@@ -122,7 +123,7 @@ class CppEmitter {
   CppEmitter(const Schedule& s, std::string symbol)
       : k_(lower(s)), chain_(s.chain()), symbol_(std::move(symbol)) {}
 
-  [[nodiscard]] std::string emit() {
+  [[nodiscard]] CppKernelSource emit() {
     os_ << "extern \"C\" void " << symbol_
         << "(const float* __restrict ga, const float* const* __restrict gw,\n"
         << "    float* __restrict gout, float* __restrict scratch,\n"
@@ -152,7 +153,7 @@ class CppEmitter {
     emit_node(0, 2);
     os_ << "  }\n";
     os_ << "}\n";
-    return os_.str();
+    return CppKernelSource{symbol_, os_.str(), std::move(inst_)};
   }
 
  private:
@@ -276,8 +277,11 @@ class CppEmitter {
     // The prelude's one GEMM micro-kernel (4 x 64 register blocks of
     // vectors as wide as the ISA macros allow), specialised on the tile
     // shape; the accumulators restart at zero when the reduction does.
-    os_ << in << "  mcf_gemm_tile<" << st.tm << ", " << st.tcl << ", " << st.trd
-        << ">(o, x, w, i" << st.red << " == 0);\n";
+    os_ << in << "  "
+        << instantiate("mcf_gemm_tile", {st.tm, st.tcl, st.trd},
+                       "(float* __restrict, const float* __restrict, "
+                       "const float* __restrict, bool)")
+        << "(o, x, w, i" << st.red << " == 0);\n";
     // Producer-completion hook: epilogue when the reduction finishes.
     if (st.epilogue != Epilogue::None) {
       os_ << in << "  if (i" << st.red << " == " << st.red_ext - 1 << ") {\n";
@@ -298,11 +302,33 @@ class CppEmitter {
     }
     // Online softmax over the streamed `col` dimension, with the
     // consumer-accumulator rescale.
-    os_ << in << "mcf_softmax(o, stats + " << st.stat << ", stats + " << st.rsum
-        << ", arena + " << k_.arena.lo(st.cons) << ", " << st.tm << ", "
-        << st.tcl << ", i" << st.col << "*" << st.tcl << ", " << st.valid_cols
-        << ", " << flit(st.scale) << ", " << st.cons_rows << ", "
-        << st.cons_cols << ");\n";
+    os_ << in
+        << instantiate("mcf_softmax_tile",
+                       {st.tm, st.tcl, st.valid_cols, st.cons_rows,
+                        st.cons_cols},
+                       "(float* __restrict, float* __restrict, "
+                       "float* __restrict, float* __restrict, i64, float)")
+        << "(o, stats + " << st.stat << ", stats + " << st.rsum << ", arena + "
+        << k_.arena.lo(st.cons) << ", i" << st.col << "*" << st.tcl << ", "
+        << flit(st.scale) << ");\n";
+  }
+
+  /// The template-id `name<args...>` of a prelude tile routine the kernel
+  /// calls; records its declarator (parameter list `params`) once.
+  [[nodiscard]] std::string instantiate(
+      const char* name, std::initializer_list<std::int64_t> args,
+      const char* params) {
+    std::string id = std::string(name) + "<";
+    for (const std::int64_t a : args) {
+      if (id.back() != '<') id += ", ";
+      id += std::to_string(a);
+    }
+    id += ">";
+    std::string decl = "void " + id + params;
+    if (std::find(inst_.begin(), inst_.end(), decl) == inst_.end()) {
+      inst_.push_back(std::move(decl));
+    }
+    return id;
   }
 
   void emit_store(const LoweredStmt& st, int depth) {
@@ -360,6 +386,7 @@ class CppEmitter {
   const ChainSpec& chain_;
   std::string symbol_;
   std::ostringstream os_;
+  std::vector<std::string> inst_;  ///< prelude instantiations, in call order
 };
 
 }  // namespace
@@ -398,10 +425,7 @@ std::int64_t cpp_kernel_scratch_floats(const Schedule& s) {
 }
 
 CppKernelSource emit_cpp_kernel(const Schedule& s, const std::string& symbol) {
-  CppKernelSource out;
-  out.symbol = symbol;
-  out.code = CppEmitter(s, symbol).emit();
-  return out;
+  return CppEmitter(s, symbol).emit();
 }
 
 }  // namespace mcf

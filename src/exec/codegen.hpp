@@ -14,11 +14,14 @@
 //     types whose lane count comes from the compiler's ISA macros (16
 //     with AVX-512, 8 with AVX, 4 otherwise), the CPU analogue of the
 //     paper's tile-level `tl.dot`, and each epilogue is one call to
-//     mcf_relu, mcf_gelu or mcf_softmax.  These helpers live in
-//     exec/kernel_prelude.inc, a real source file: libmcfuser compiles it
-//     into the interpreter, and the prelude embeds its text.  exec/jit
-//     compiles the kernels into shared objects and runs them — the
-//     CPU-host analogue of the paper's Triton -> PTX path.
+//     mcf_relu, mcf_gelu or mcf_softmax_tile<TM, TCL, VALID, CR, CC>
+//     (mcf_softmax with the tile shape as template arguments).  These
+//     helpers live in exec/kernel_prelude.inc, a real source file:
+//     libmcfuser compiles it into the interpreter, and the prelude embeds
+//     its text.  exec/jit compiles the kernels into shared objects and
+//     runs them — the CPU-host analogue of the paper's Triton -> PTX
+//     path — building the two tile routines' instantiations in objects of
+//     their own beside the kernel bodies.
 //
 // The C++ lowering prints exec/lower's LoweredKernel — the kernel the
 // interpreter executes and the verifier checks — statement for statement
@@ -32,6 +35,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "dag/schedule.hpp"
 #include "gpu/smem.hpp"
@@ -55,9 +59,16 @@ namespace mcf {
 /// as the shared-memory arena + softmax-stats area.  Blocks write
 /// disjoint output tiles, so disjoint block ranges may run concurrently
 /// over distinct scratch buffers.
+///
+/// `instantiations` lists the distinct prelude tile routines `code` calls,
+/// each as the declarator of its explicit instantiation, e.g.
+/// `void mcf_gemm_tile<32, 64, 64>(float* __restrict, const float*
+/// __restrict, const float* __restrict, bool)`: exec/jit compiles them
+/// apart from the kernel body.
 struct CppKernelSource {
   std::string symbol;
   std::string code;
+  std::vector<std::string> instantiations;
 };
 
 /// Lowers a valid, consume-complete schedule into specialized C++.
@@ -67,8 +78,9 @@ struct CppKernelSource {
 /// Translation-unit header shared by every emitted kernel: the libc
 /// declarations and typedefs, then the text of exec/kernel_prelude.inc
 /// (mcf_expf, the GEMM micro-kernel and the epilogues).  It has no
-/// #include, so a TU compiles without any system header; a TU is
-/// prelude + N emit_cpp_kernel bodies.
+/// #include, so a TU compiles without any system header.  Every source
+/// exec/jit compiles starts with it: the kernel bodies' part, or a part
+/// of explicit tile-routine instantiations.
 [[nodiscard]] std::string cpp_kernel_prelude();
 
 /// Scratch floats one kernel invocation needs: exec/lower's arena plan

@@ -50,7 +50,11 @@ namespace fs = std::filesystem;
 /// prelude declares only memcpy and floorf.  v10: the prelude's helpers
 /// come verbatim from exec/kernel_prelude.inc, and each epilogue is one
 /// call to its mcf_relu, mcf_gelu or mcf_softmax instead of printed loops.
-constexpr std::uint64_t kEmitterVersion = 10;
+/// v11: the softmax epilogue calls mcf_softmax_tile<...>, and a kernel's
+/// shared object links from parts compiled apart: the bodies, which call
+/// the tile routines through `extern template` declarations, and their
+/// explicit instantiations.
+constexpr std::uint64_t kEmitterVersion = 11;
 
 /// Kernels are always compiled at full optimisation for the build
 /// machine's vector ISA — the point of the JIT is that the micro-kernel
@@ -63,17 +67,20 @@ constexpr std::uint64_t kEmitterVersion = 10;
 /// assumptions that block vectorisation of floorf in the softmax exp
 /// (results are unchanged: the kernels never read errno or FP traps);
 /// full -ffast-math stays OFF — the online softmax relies on -inf
-/// sentinel semantics.  -nodefaultlibs plus kLinkLibs links the object
+/// sentinel semantics.  -nodefaultlibs plus kLinkLibs links the objects
 /// against libc alone: the kernels call nothing from libstdc++, libm or
-/// libgcc_s, and scanning them was nearly half the link.
+/// libgcc_s, and scanning them was nearly half the link.  Every step runs
+/// with the same flags: each part compiles with them plus `-c` (which
+/// ignores the link options), and the link repeats them.
 constexpr const char* kCompileFlags =
     "-std=c++17 -O3 -march=native -fopenmp-simd -fno-math-errno "
     "-fno-trapping-math -fPIC -shared -nodefaultlibs";
 
-/// Libraries named after the source on the compiler command line (the
-/// linker resolves left to right).
+/// Libraries named after the objects on the link line (the linker
+/// resolves left to right).
 constexpr const char* kLinkLibs = "-lc";
 
+#ifndef MCF_SANITIZE_BUILD
 [[nodiscard]] std::string find_on_path(const std::string& name) {
   if (name.find('/') != std::string::npos) {
     return ::access(name.c_str(), X_OK) == 0 ? name : std::string();
@@ -89,6 +96,7 @@ constexpr const char* kLinkLibs = "-lc";
   }
   return {};
 }
+#endif
 
 [[nodiscard]] std::string hex64(std::uint64_t v) {
   std::ostringstream os;
@@ -168,6 +176,7 @@ struct EmittedKernel {
   std::uint64_t key = 0;
   std::string symbol;
   std::string code;
+  std::vector<std::string> instantiations;  ///< CppKernelSource's
 };
 
 /// Identity of the machine the kernels are compiled FOR: -march=native
@@ -202,119 +211,159 @@ struct EmittedKernel {
   h = hash_combine(h, kEmitterVersion);
   // The symbol must not depend on the source (the source contains it);
   // derive it from the pre-source key, then finish the key.
-  EmittedKernel out;
-  out.symbol = "mcf_k" + hex64(h);
-  out.code = emit_cpp_kernel(s, out.symbol).code;
+  CppKernelSource src = emit_cpp_kernel(s, "mcf_k" + hex64(h));
   h = hash_combine(h, hash_string(cpp_kernel_prelude()));
-  out.key = hash_combine(h, hash_string(out.code));
-  return out;
+  return EmittedKernel{hash_combine(h, hash_string(src.code)),
+                       std::move(src.symbol), std::move(src.code),
+                       std::move(src.instantiations)};
 }
 
-/// POSIX-shell single quoting for paths embedded in the popen command
-/// (an apostrophe in $HOME or MCFUSER_JIT_CXX must stay data).
-[[nodiscard]] std::string shell_quote(const std::string& s) {
-  std::string out = "'";
-  for (const char c : s) {
-    if (c == '\'') out += "'\\''";
-    else out += c;
-  }
-  out += "'";
-  return out;
-}
-
-/// Hard wall-clock deadline for one compiler invocation, in seconds.
-/// Re-read per invocation (tests vary it); 0 disables the deadline.
-/// A hung $CXX (broken wrapper script, NFS stall, runaway template
-/// instantiation) must fail the measurement wave, not stall it forever.
+/// Hard wall-clock deadline for one batch compile (its parts and the
+/// link), in seconds.  Re-read per batch (tests vary it); 0 disables the
+/// deadline.  A hung $CXX (broken wrapper script, NFS stall, runaway
+/// template instantiation) must fail the measurement wave, not stall it
+/// forever.
 [[nodiscard]] double compile_timeout_s() {
   return env::real("MCFUSER_JIT_COMPILE_TIMEOUT_S", 120.0, 0.0, 1e9);
 }
 
+using Clock = std::chrono::steady_clock;
+
 struct CommandResult {
-  bool spawned = false;    ///< fork/exec machinery itself worked
+  bool spawned = false;    ///< fork/exec/poll machinery itself worked
   bool timed_out = false;  ///< killed at the deadline
-  int exit_code = 0;
-  int term_signal = 0;
-  std::string output;  ///< merged stdout+stderr
+  int failed = -1;         ///< index of the first command that failed
+  int exit_code = 0;       ///< of command `failed`
+  int term_signal = 0;     ///< of command `failed`
+  std::string output;      ///< merged stdout+stderr of command `failed`
+  [[nodiscard]] bool ok() const noexcept {
+    return spawned && !timed_out && failed < 0;
+  }
 };
 
-/// Runs `cmd` through /bin/sh with stdout+stderr captured and a hard
-/// wall-clock deadline: on expiry the whole process group is SIGKILLed
-/// and reaped (the child setpgid()s itself; both sides race-proof it).
-/// The popen() this replaces blocked in fgets with no way out.
-[[nodiscard]] CommandResult run_command_deadline(const std::string& cmd,
-                                                 double deadline_s) {
+/// Runs every argv of `cmds` at once (argv[0] is the executable's path),
+/// each in its own process group with stdout+stderr captured, polling all
+/// of their pipes against one wall-clock `deadline`.  The first command to
+/// fail, or the deadline, SIGKILLs every process group still running (the
+/// child setpgid()s itself; both sides race-proof it), and every child is
+/// reaped before the call returns.
+[[nodiscard]] CommandResult run_commands(
+    const std::vector<std::vector<std::string>>& cmds,
+    Clock::time_point deadline) {
+  struct Child {
+    pid_t pid = -1;
+    int fd = -1;  ///< read end of its output pipe; -1 once reaped
+    std::string output;
+  };
   CommandResult r;
-  // O_CLOEXEC atomically (dup2 onto 1/2 clears it in the child): a sandbox
-  // worker exec'd by another thread mid-compile must not inherit the write
-  // end, or the read below waits for that worker to exit instead of the
-  // compiler (in practice: until the compile deadline).
-  int fds[2];
-  if (::pipe2(fds, O_CLOEXEC) != 0) return r;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return r;
-  }
-  if (pid == 0) {
-    ::setpgid(0, 0);
-    ::dup2(fds[1], 1);
-    ::dup2(fds[1], 2);
-    ::close(fds[0]);
-    ::close(fds[1]);
-    ::execl("/bin/sh", "sh", "-c", cmd.c_str(), static_cast<char*>(nullptr));
-    ::_exit(127);
-  }
-  ::setpgid(pid, pid);  // mirror the child's call: whoever runs first wins
-  ::close(fds[1]);
   r.spawned = true;
-  const auto t0 = std::chrono::steady_clock::now();
-  char buf[512];
-  for (;;) {
-    int timeout_ms = -1;
-    if (deadline_s > 0) {
-      const double left =
-          deadline_s - std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
+  std::vector<Child> kids(cmds.size());
+  for (std::size_t i = 0; i < cmds.size(); ++i) {
+    // Built before fork(): the child of a threaded process may only make
+    // async-signal-safe calls.
+    std::vector<char*> argv;
+    for (const std::string& a : cmds[i]) argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    // O_CLOEXEC atomically (dup2 onto 1/2 clears it in the child): a
+    // sandbox worker exec'd by another thread mid-compile must not inherit
+    // the write end, or the read below waits for that worker to exit
+    // instead of the compiler (in practice: until the compile deadline).
+    int fds[2];
+    if (::pipe2(fds, O_CLOEXEC) != 0) {
+      r.spawned = false;
+      break;
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      r.spawned = false;
+      break;
+    }
+    if (pid == 0) {
+      ::setpgid(0, 0);
+      ::dup2(fds[1], 1);
+      ::dup2(fds[1], 2);
+      ::execv(argv[0], argv.data());
+      ::_exit(127);
+    }
+    ::setpgid(pid, pid);  // mirror the child's call: whoever runs first wins
+    ::close(fds[1]);
+    kids[i].pid = pid;
+    kids[i].fd = fds[0];
+  }
+  std::vector<pollfd> pfds;
+  std::vector<std::size_t> polled;  // kids index of each pfds entry
+  char buf[4096];
+  while (r.spawned && r.failed < 0) {
+    pfds.clear();
+    polled.clear();
+    for (std::size_t i = 0; i < kids.size(); ++i) {
+      if (kids[i].fd < 0) continue;
+      pfds.push_back({kids[i].fd, POLLIN, 0});
+      polled.push_back(i);
+    }
+    if (pfds.empty()) break;  // every command exited
+    // Poll in slices of at most a minute: an int of milliseconds.
+    std::int64_t timeout_ms = 60'000;
+    if (deadline != Clock::time_point::max()) {
+      const std::int64_t left =
+          std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+              .count();
       if (left <= 0) {
         r.timed_out = true;
         break;
       }
-      timeout_ms = static_cast<int>(left * 1000.0) + 1;
+      timeout_ms = std::min(timeout_ms, left);
     }
-    struct pollfd pfd {
-      fds[0], POLLIN, 0
-    };
-    const int pr = ::poll(&pfd, 1, timeout_ms);
-    if (pr == 0) {
-      r.timed_out = true;
-      break;
-    }
-    if (pr < 0) {
+    if (::poll(pfds.data(), pfds.size(), static_cast<int>(timeout_ms)) < 0) {
       if (errno == EINTR) continue;
+      r.spawned = false;
       break;
     }
-    const ssize_t n = ::read(fds[0], buf, sizeof(buf));
-    if (n > 0) {
-      r.output.append(buf, static_cast<std::size_t>(n));
-      continue;
+    for (std::size_t j = 0; j < pfds.size(); ++j) {
+      if (pfds[j].revents == 0) continue;
+      Child& k = kids[polled[j]];
+      const ssize_t n = ::read(k.fd, buf, sizeof(buf));
+      if (n > 0) {
+        k.output.append(buf, static_cast<std::size_t>(n));
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      // EOF (the command exited) or an unrecoverable read error: reap it;
+      // the first failure ends the run.
+      ::close(k.fd);
+      k.fd = -1;
+      int status = 0;
+      while (::waitpid(k.pid, &status, 0) < 0 && errno == EINTR) {
+      }
+      const int code = WIFEXITED(status) ? WEXITSTATUS(status) : 0;
+      const int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
+      if ((code != 0 || sig != 0) && r.failed < 0) {
+        r.failed = static_cast<int>(polled[j]);
+        r.exit_code = code;
+        r.term_signal = sig;
+        r.output = std::move(k.output);
+      }
     }
-    if (n < 0 && errno == EINTR) continue;
-    break;  // EOF (compiler exited) or unrecoverable read error
   }
-  ::close(fds[0]);
-  if (r.timed_out) ::kill(-pid, SIGKILL);
-  int status = 0;
-  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  if (WIFEXITED(status)) {
-    r.exit_code = WEXITSTATUS(status);
-  } else if (WIFSIGNALED(status)) {
-    r.term_signal = WTERMSIG(status);
+  for (Child& k : kids) {
+    if (k.fd < 0) continue;  // reaped at its EOF, or never started
+    ::kill(-k.pid, SIGKILL);
+    ::close(k.fd);
+    int status = 0;
+    while (::waitpid(k.pid, &status, 0) < 0 && errno == EINTR) {
+    }
   }
   return r;
+}
+
+/// `$CXX kCompileFlags` as the head of an argv.
+[[nodiscard]] std::vector<std::string> compiler_argv(const Toolchain& tc) {
+  std::vector<std::string> argv{tc.cxx};
+  std::istringstream flags(kCompileFlags);
+  for (std::string f; flags >> f;) argv.push_back(std::move(f));
+  return argv;
 }
 
 constexpr const char* kNotLowerable =
@@ -396,25 +445,76 @@ void record_failure(std::uint64_t key, std::string why) {
   return art;
 }
 
-/// One compiler invocation over `pending` (caller holds the compile
-/// mutex).  On success publishes the shared object plus one idx file per
-/// kernel and returns empty; on failure returns the diagnostic WITHOUT
-/// touching the negative cache — the caller decides (a multi-kernel
-/// batch retries kernels individually first, so one broken kernel
-/// cannot poison its wave-mates).  All intermediate files carry a
-/// per-invocation unique suffix and are renamed into place, so
-/// concurrent PROCESSES sharing the cache directory never observe each
-/// other's partial writes.
+/// The sources of one batch compile, at most `max_parts` of them: part 0
+/// holds the kernel bodies and an `extern template` declaration of every
+/// prelude tile routine they call; parts 1.. hold the explicit
+/// instantiations of those routines, sorted and dealt round-robin, so the
+/// optimiser works through them on parallel compilers.  With one part the
+/// bodies instantiate the routines implicitly.
+[[nodiscard]] std::vector<std::string> part_sources(
+    const std::vector<EmittedKernel>& pending, std::size_t max_parts) {
+  std::vector<std::string> inst;
+  for (const EmittedKernel& p : pending) {
+    inst.insert(inst.end(), p.instantiations.begin(), p.instantiations.end());
+  }
+  std::sort(inst.begin(), inst.end());
+  inst.erase(std::unique(inst.begin(), inst.end()), inst.end());
+  const std::size_t n_parts =
+      1 + std::min(std::max<std::size_t>(max_parts, 1) - 1, inst.size());
+  std::vector<std::string> parts(n_parts, cpp_kernel_prelude());
+  for (std::size_t j = 0; n_parts > 1 && j < inst.size(); ++j) {
+    parts[0] += "extern template " + inst[j] + ";\n";
+    parts[1 + j % (n_parts - 1)] += "template " + inst[j] + ";\n";
+  }
+  for (const EmittedKernel& p : pending) {
+    parts[0] += p.code;
+    parts[0] += "\n";
+  }
+  return parts;
+}
+
+/// The diagnostic of a failed `step` ("compile" or "link") of `parts`
+/// commands.
+[[nodiscard]] std::string step_error(const CommandResult& res,
+                                     const Toolchain& tc, const char* step,
+                                     std::size_t parts, double timeout_s) {
+  std::ostringstream os;
+  if (!res.spawned) {
+    os << "cannot invoke compiler: " << tc.cxx;
+  } else if (res.timed_out) {
+    os << "compile timed out after " << timeout_s << "s (" << tc.cxx
+       << " killed; raise MCFUSER_JIT_COMPILE_TIMEOUT_S if the machine is "
+          "just slow)";
+  } else {
+    os << step << " failed (" << tc.cxx;
+    if (parts > 1) os << ", part " << res.failed << " of " << parts;
+    if (res.term_signal != 0) os << ", signal " << res.term_signal;
+    else os << ", exit " << res.exit_code;
+    os << "): " << res.output.substr(0, 2000);
+  }
+  return os.str();
+}
+
+/// One batch compile of `pending` into one shared object (caller holds
+/// the compile mutex): its part_sources() compile concurrently with `-c`,
+/// one per pool thread at most (ThreadPool::global().size(), the kernel
+/// fan-out's width), under one deadline, then one link.  On success
+/// publishes the shared object plus one idx file per kernel, removes the
+/// sources and objects and returns empty; on failure returns the
+/// diagnostic, naming the part sources it keeps as tu_<hash>.p<j>.cpp,
+/// WITHOUT touching the negative cache — the caller decides (a
+/// multi-kernel batch retries kernels individually first, so one broken
+/// kernel cannot poison its wave-mates).  All intermediate files carry a
+/// per-invocation unique suffix and are renamed into place, so concurrent
+/// PROCESSES sharing the cache directory never observe each other's
+/// partial writes.
 [[nodiscard]] std::string compile_tu_locked(
     const std::vector<EmittedKernel>& pending, const Toolchain& tc) {
   Registry& reg = Registry::instance();
-  std::string source = cpp_kernel_prelude();
   std::uint64_t tu_hash = kEmitterVersion;
-  for (const EmittedKernel& p : pending) {
-    source += p.code;
-    source += "\n";
-    tu_hash = hash_combine(tu_hash, p.key);
-  }
+  for (const EmittedKernel& p : pending) tu_hash = hash_combine(tu_hash, p.key);
+  const std::vector<std::string> parts =
+      part_sources(pending, ThreadPool::global().size());
 
   std::error_code ec;
   const fs::path dir = cache_dir();
@@ -423,50 +523,65 @@ void record_failure(std::uint64_t key, std::string why) {
   const std::string unique = std::to_string(::getpid()) + "." +
                              std::to_string(invocation.fetch_add(1));
   const std::string tu_name = "tu_" + hex64(tu_hash);
-  const fs::path cpp_path = dir / (tu_name + ".cpp");
-  // The temporary source must keep the .cpp extension — the compiler
-  // picks the input language from it.
-  const fs::path cpp_tmp = dir / (tu_name + ".tmp." + unique + ".cpp");
   const fs::path so_path = dir / (tu_name + ".so");
   const fs::path so_tmp = dir / (tu_name + ".so.tmp." + unique);
+  // Part j's temporary source and object; the source must keep the .cpp
+  // extension — the compiler picks the input language from it.
+  const auto part_tmp = [&](std::size_t j, const char* ext) {
+    return (dir / (tu_name + ".tmp." + unique + ".p" + std::to_string(j) + ext))
+        .string();
+  };
 
   std::string fail;
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::ofstream out(cpp_tmp);
-    out << source;
-    if (!out) fail = "cannot write " + cpp_tmp.string();
+  const auto t0 = Clock::now();
+  const double timeout_s = compile_timeout_s();
+  const Clock::time_point deadline =
+      timeout_s > 0 ? t0 + std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::duration<double>(timeout_s))
+                    : Clock::time_point::max();
+  std::vector<std::vector<std::string>> compiles;
+  std::vector<std::string> link = compiler_argv(tc);
+  link.insert(link.end(), {"-o", so_tmp.string()});
+  for (std::size_t j = 0; j < parts.size() && fail.empty(); ++j) {
+    std::ofstream out(part_tmp(j, ".cpp"));
+    out << parts[j];
+    if (!out) fail = "cannot write " + part_tmp(j, ".cpp");
+    compiles.push_back(compiler_argv(tc));
+    compiles.back().insert(compiles.back().end(),
+                           {"-c", "-o", part_tmp(j, ".o"), part_tmp(j, ".cpp")});
+    link.push_back(part_tmp(j, ".o"));
+  }
+  link.push_back(kLinkLibs);
+  if (fail.empty()) {
+    const CommandResult res = run_commands(compiles, deadline);
+    if (!res.ok()) fail = step_error(res, tc, "compile", parts.size(), timeout_s);
   }
   if (fail.empty()) {
-    const std::string cmd = shell_quote(tc.cxx) + " " + kCompileFlags +
-                            " -o " + shell_quote(so_tmp.string()) + " " +
-                            shell_quote(cpp_tmp.string()) + " " + kLinkLibs;
-    const double deadline = compile_timeout_s();
-    const CommandResult res = run_command_deadline(cmd, deadline);
-    if (!res.spawned) {
-      fail = "cannot invoke compiler: " + tc.cxx;
-    } else if (res.timed_out) {
-      std::ostringstream os;
-      os << "compile timed out after " << deadline << "s (" << tc.cxx
-         << " killed; raise MCFUSER_JIT_COMPILE_TIMEOUT_S if the machine is "
-            "just slow)";
-      fail = os.str();
-    } else if (res.exit_code != 0 || res.term_signal != 0) {
-      fail = "compile failed (" + tc.cxx + "): " +
-             res.output.substr(0,
-                               std::min<std::size_t>(res.output.size(), 2000));
-    }
+    const CommandResult res = run_commands({link}, deadline);
+    if (!res.ok()) fail = step_error(res, tc, "link", 1, timeout_s);
   }
   if (fail.empty()) {
     fs::rename(so_tmp, so_path, ec);
     if (ec) fail = "cannot publish " + so_path.string() + ": " + ec.message();
   }
-  // The source is kept (renamed into place) for debuggability; losing a
-  // rename race to a concurrent process is harmless — contents match.
-  fs::rename(cpp_tmp, cpp_path, ec);
+  fs::remove(so_tmp, ec);
+  // A source is kept only for a failed compile, which is when someone
+  // reads it; losing a rename race to a concurrent process is harmless —
+  // contents match.
+  std::string kept;
+  for (std::size_t j = 0; j < parts.size(); ++j) {
+    fs::remove(part_tmp(j, ".o"), ec);
+    if (fail.empty()) {
+      fs::remove(part_tmp(j, ".cpp"), ec);
+      continue;
+    }
+    const fs::path src = dir / (tu_name + ".p" + std::to_string(j) + ".cpp");
+    fs::rename(part_tmp(j, ".cpp"), src, ec);
+    if (!ec) kept += " " + src.string();
+  }
+  if (!kept.empty()) fail += "\nsources kept:" + kept;
   const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+      std::chrono::duration<double>(Clock::now() - t0).count();
   if (fail.empty()) {
     // Per-kernel index entry: key -> (shared object, symbol), how every
     // resolve — in this process or a later one — finds the kernel.
@@ -476,8 +591,6 @@ void record_failure(std::uint64_t key, std::string why) {
       (void)write_file_atomic((dir / (hex64(p.key) + ".idx")).string(),
                               tu_name + ".so " + p.symbol + "\n");
     }
-  } else {
-    fs::remove(so_tmp, ec);
   }
 
   const LockGuard lock(reg.mu);
@@ -494,15 +607,16 @@ void record_failure(std::uint64_t key, std::string why) {
   return {};
 }
 
-/// Compiles all pending kernels in ONE translation unit / compiler
-/// invocation.  When a multi-kernel TU fails, its members recompile
+/// Compiles all pending kernels into ONE shared object (one TU, built in
+/// parts).  When a multi-kernel TU fails, its members recompile
 /// individually so only genuinely broken kernels get negative-cached —
 /// valid wave-mates must not silently degrade to the interpreter.
 ///
 /// Concurrency: a process-wide mutex serializes compilation (two
 /// threads racing to compile the same key would otherwise clobber the
-/// shared TU paths and negative-cache a corrupted compile), and after
-/// taking it every kernel a racing compile published (or failed) is
+/// shared TU paths and negative-cache a corrupted compile), so a process
+/// runs at most one batch's parts — pool size() compilers — at once; and
+/// after taking it every kernel a racing compile published (or failed) is
 /// dropped from the batch.
 void compile_batch_tu(std::vector<EmittedKernel> pending, const Toolchain& tc) {
   static Mutex compile_mu{"jit.compile"};
@@ -518,6 +632,8 @@ void compile_batch_tu(std::vector<EmittedKernel> pending, const Toolchain& tc) {
     return;
   }
   // Isolate the offender: one TU per kernel.
+  MCF_LOG(Warn) << "jit: a TU of " << pending.size()
+                << " kernels failed; compiling them one per TU (" << fail << ")";
   for (const EmittedKernel& p : pending) {
     fail = compile_tu_locked({p}, tc);
     if (!fail.empty()) record_failure(p.key, std::move(fail));

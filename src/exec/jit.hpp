@@ -11,15 +11,26 @@
 //     static verifier gate, the negative cache, the `<key>.idx` on-disk
 //     index, then a compile.  It PUBLISHES kernels on disk and loads
 //     nothing; prepare_kernels runs the same path for a whole measurement
-//     wave and compiles every missing kernel in ONE translation unit,
-//     one compiler invocation (`-O3 -march=native`, so the JIT'd code uses
-//     the full vector ISA even when the library itself is built generic):
+//     wave and compiles every missing kernel into ONE shared object
+//     (`-O3 -march=native`, so the JIT'd code uses the full vector ISA
+//     even when the library itself is built generic).  The object is
+//     built from up to P part sources, P = ThreadPool::global().size():
+//     part 0 holds the kernel bodies, which call the prelude's tile
+//     routines (mcf_gemm_tile, mcf_softmax_tile) through `extern
+//     template` declarations, and parts 1..P-1 hold the routines'
+//     explicit instantiations, dealt round-robin.  The parts compile at
+//     once under one deadline, then one link:
 //
-//       $CXX -std=c++17 -O3 -march=native -fopenmp-simd -fno-math-errno
-//            -fno-trapping-math -fPIC -shared -nodefaultlibs
-//            -o tu_<hash>.so.tmp.<pid>.<n> tu_<hash>.tmp.<pid>.<n>.cpp -lc
+//       FLAGS = -std=c++17 -O3 -march=native -fopenmp-simd -fno-math-errno
+//               -fno-trapping-math -fPIC -shared -nodefaultlibs
+//       $CXX FLAGS -c -o tu_<hash>.tmp.<pid>.<n>.p<j>.o
+//                        tu_<hash>.tmp.<pid>.<n>.p<j>.cpp     (each part j)
+//       $CXX FLAGS -o tu_<hash>.so.tmp.<pid>.<n> <the part objects> -lc
 //
-//     The TU includes no header: cpp_kernel_prelude() declares the few
+//     With P = 1 the one part instantiates the routines itself.  On
+//     success the sources and objects are removed; a failed compile keeps
+//     its sources as tu_<hash>.p<j>.cpp and names them in its diagnostic.
+//     A source includes no header: cpp_kernel_prelude() declares the few
 //     libc functions the kernels call, because in C++ mode <math.h> and
 //     <stdlib.h> drag in libstdc++'s <cmath> and <cstdlib>, whose parse
 //     was ~40% of a cold compile.  GCC binds the declarations to the same
@@ -97,7 +108,7 @@ struct Toolchain {
 /// Process-wide compilation counters (monotonic; report deltas).
 /// Surfaced in GraphFusionReport::to_json and the CLI --json output.
 struct CompileStats {
-  std::int64_t tus_compiled = 0;      ///< compiler invocations
+  std::int64_t tus_compiled = 0;      ///< shared objects published
   std::int64_t kernels_compiled = 0;  ///< kernels lowered+compiled fresh
   std::int64_t mem_hits = 0;          ///< resolved from the in-process map
   std::int64_t disk_hits = 0;         ///< resolved from the on-disk cache
@@ -106,7 +117,7 @@ struct CompileStats {
   std::int64_t modules_opened = 0;    ///< dlopen()s performed (counter)
   std::int64_t modules_closed = 0;    ///< dlclose()s on last release (counter)
   std::int64_t modules_open = 0;      ///< currently resident modules (gauge)
-  double compile_wall_s = 0.0;        ///< wall time inside the compiler
+  double compile_wall_s = 0.0;        ///< wall time of the batch compiles
   [[nodiscard]] std::int64_t cache_hits() const noexcept {
     return mem_hits + disk_hits;
   }
@@ -191,8 +202,8 @@ struct KernelArtifact {
                                               const Toolchain& tc);
 
 /// Batched form of the path: compiles every not-yet-published kernel of
-/// `batch` in ONE translation unit / compiler invocation (the tuner calls
-/// this once per measurement wave) and loads nothing.  Individual failures
+/// `batch` into ONE shared object (the tuner calls this once per
+/// measurement wave) and loads nothing.  Individual failures
 /// are negative-cached and surface later through resolve_artifact.
 void prepare_kernels(std::span<const Schedule* const> batch,
                      const std::string& gpu_key, const Toolchain& tc);

@@ -64,8 +64,8 @@ class MeasureBackend {
   /// Batch preparation hook: the tuner calls this once per measurement
   /// wave, before the concurrent measure() calls, with every schedule the
   /// wave will measure.  Backends with per-schedule compilation amortise
-  /// it here (the jit backend compiles all missing kernels in ONE
-  /// translation unit / compiler invocation); the default is a no-op.
+  /// it here (the jit backend compiles all missing kernels into ONE
+  /// translation unit, one shared object); the default is a no-op.
   /// Must never change any measure() result — only its cost.
   virtual void prepare_batch(std::span<const Schedule* const> /*schedules*/,
                              const MeasureOptions& /*options*/ = {}) const {}
@@ -269,7 +269,7 @@ class ExecBackend : public MeasureBackend {
 
   [[nodiscard]] KernelMeasurement measure(
       const Schedule& s, const MeasureOptions& options = {}) const override;
-  /// Native rungs: one TU / compiler invocation for all missing kernels of
+  /// Native rungs: one TU (one shared object) for all missing kernels of
   /// the wave, loading none of them (the native rung loads each on its
   /// first measure(); sandbox workers load them in their own process).
   void prepare_batch(std::span<const Schedule* const> schedules,

@@ -121,7 +121,7 @@ void Tuner::measure_batch(std::span<const CandidateConfig> cs,
   });
   // Batched backend preparation: one call per measurement wave, so a
   // compiling backend (jit) amortises the whole wave into a single
-  // translation unit / compiler invocation.
+  // translation unit (one shared object).
   if (!fresh_entries.empty()) {
     std::vector<const Schedule*> wave_scheds;
     wave_scheds.reserve(fresh_entries.size());

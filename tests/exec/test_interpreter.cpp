@@ -140,7 +140,7 @@ constexpr const char* kJitKey = "interp-sweep";
 
 class FusedKernelProperty : public testing::TestWithParam<Case> {
  protected:
-  /// One compiler invocation for every kernel of the sweep.
+  /// One TU for every kernel of the sweep.
   static void SetUpTestSuite() {
     const jit::Toolchain tc = jit::detect_toolchain();
     if (!tc.ok()) return;

@@ -1,27 +1,34 @@
 // JIT native codegen: numeric agreement against the interpreter on gelu
 // and attention chains and in every vector-width branch of the prelude's
 // micro-kernel, kernel-cache behaviour (hit on second compile, one TU per
-// batch), the compile timeout, the compiler pipe's close-on-exec and the
-// header-free kernel source.  The interpreter runs the same epilogue
-// helpers (exec/kernel_prelude.inc), so the independent check of their
-// numerics is the tensor/ops oracle, which tests/exec/test_interpreter.cpp
-// holds both paths to.  The execution backend's fallback when no host
-// compiler exists is pinned by the cascade table in
-// tests/measure/test_backends.cpp.
+// batch), the part compile (at most one compiler per pool thread; a
+// failed part fails the batch, kills the other parts and keeps its
+// sources), the compile timeout, the compiler pipe's close-on-exec and
+// the header-free kernel source.  ctest also runs the Jit and JitCompile
+// cases with one pool thread (exec_test_jit_one_worker), where a kernel
+// compiles as one part.  The interpreter runs the same epilogue helpers
+// (exec/kernel_prelude.inc), so the independent check of their numerics
+// is the tensor/ops oracle, which tests/exec/test_interpreter.cpp holds
+// both paths to.  The execution backend's fallback when no host compiler
+// exists is pinned by the cascade table in tests/measure/test_backends.cpp.
 #include "exec/jit.hpp"
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <pthread.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -32,6 +39,7 @@
 #include "exec/program.hpp"
 #include "ir/expr.hpp"
 #include "measure/backend.hpp"
+#include "support/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mcf {
@@ -57,6 +65,62 @@ std::string unique_key(const char* prefix) {
   return std::string(prefix) + "-" + std::to_string(::getpid()) + "-" +
          std::to_string((static_cast<std::uint64_t>(rd()) << 32) ^ rd());
 }
+
+/// Writes an executable shell script with `body` at `path`; returns `path`.
+std::string write_script(const std::string& path, const std::string& body) {
+  std::ofstream(path) << "#!/bin/sh\n" << body;
+  ::chmod(path.c_str(), 0755);
+  return path;
+}
+
+/// A fresh directory for the scope, removed with everything in it on the
+/// way out: MCFUSER_JIT_CACHE_DIR points at its `cache` subdirectory
+/// meanwhile (the previous setting comes back), and file() names scratch
+/// files beside the cache (wrapper compilers, logs).
+class ScopedCacheDir {
+ public:
+  explicit ScopedCacheDir(const std::string& tag)
+      : root_(::testing::TempDir() + "mcf_" + tag + "_" +
+              std::to_string(::getpid())),
+        path_(root_ + "/cache") {
+    if (const char* prior = std::getenv("MCFUSER_JIT_CACHE_DIR")) {
+      prior_ = prior;
+      had_prior_ = true;
+    }
+    std::filesystem::remove_all(root_);
+    std::filesystem::create_directories(root_);
+    ::setenv("MCFUSER_JIT_CACHE_DIR", path_.c_str(), 1);
+  }
+  ~ScopedCacheDir() {
+    std::filesystem::remove_all(root_);
+    if (had_prior_) ::setenv("MCFUSER_JIT_CACHE_DIR", prior_.c_str(), 1);
+    else ::unsetenv("MCFUSER_JIT_CACHE_DIR");
+  }
+  ScopedCacheDir(const ScopedCacheDir&) = delete;
+  ScopedCacheDir& operator=(const ScopedCacheDir&) = delete;
+
+  /// The kernel cache directory.
+  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return root_ + "/" + name;
+  }
+  /// The names of the files in the kernel cache directory, sorted.
+  [[nodiscard]] std::vector<std::string> files() const {
+    std::vector<std::string> out;
+    std::error_code ec;
+    for (const auto& e : std::filesystem::directory_iterator(path_, ec)) {
+      out.push_back(e.path().filename().string());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  std::string root_;
+  std::string path_;
+  std::string prior_;
+  bool had_prior_ = false;
+};
 
 /// Pipes (past the standard streams) open without FD_CLOEXEC at the
 /// moment this process forks, as seen by a pthread_atfork prepare handler
@@ -241,18 +305,17 @@ TEST(CompiledKernel, NativeRunMatchesInterpreterRun) {
 
 TEST(JitCompile, TimeoutKillsHungCompiler) {
   // A wedged compiler process (distcc stall, NFS hang, miscompiled
-  // plugin) must not hang the tuner forever: the invocation is killed at
-  // MCFUSER_JIT_COMPILE_TIMEOUT_S and surfaced as a compile failure.
+  // plugin) must not hang the tuner forever: every part's invocation is
+  // killed at MCFUSER_JIT_COMPILE_TIMEOUT_S, reaped, and surfaced as a
+  // compile failure.
   if (!jit::detect_toolchain().ok()) {
     GTEST_SKIP() << "jit unavailable: " << jit::detect_toolchain().reason;
   }
+  const std::string stem =
+      "/tmp/mcfuser-hung-cxx-" + std::to_string(::getpid());
+  const std::string pids = stem + ".pids";
   const std::string script =
-      "/tmp/mcfuser-hung-cxx-" + std::to_string(::getpid()) + ".sh";
-  {
-    std::ofstream os(script);
-    os << "#!/bin/sh\nsleep 600\n";
-  }
-  ::chmod(script.c_str(), 0755);
+      write_script(stem + ".sh", "echo $$ >> '" + pids + "'\nexec sleep 600\n");
   ::setenv("MCFUSER_JIT_CXX", script.c_str(), 1);
   ::setenv("MCFUSER_JIT_COMPILE_TIMEOUT_S", "1", 1);
 
@@ -275,6 +338,57 @@ TEST(JitCompile, TimeoutKillsHungCompiler) {
   EXPECT_FALSE(rk.ok());
   EXPECT_NE(error.find("timed out"), std::string::npos) << error;
   EXPECT_LT(wall, 60.0);  // killed at ~1s, nowhere near the 600s sleep
+  // No compiler outlives the call: each one was killed AND reaped.
+  std::vector<pid_t> started;
+  std::ifstream in(pids);
+  for (pid_t pid = 0; in >> pid;) started.push_back(pid);
+  ::unlink(pids.c_str());
+  EXPECT_FALSE(started.empty());
+  EXPECT_LE(started.size(), ThreadPool::global().size());
+  for (const pid_t pid : started) {
+    errno = 0;
+    EXPECT_EQ(::kill(pid, 0), -1) << "compiler " << pid << " still exists";
+    EXPECT_EQ(errno, ESRCH) << "compiler " << pid;
+  }
+}
+
+TEST(JitCompile, FirstFailedPartKillsTheOthers) {
+  // The kernel bodies' part fails at once while every instantiation part
+  // hangs: the failure ends the compile well before the deadline, and no
+  // hung compiler outlives the call.
+  const jit::Toolchain native = jit::detect_toolchain();
+  if (!native.ok()) GTEST_SKIP() << "jit unavailable: " << native.reason;
+  const ScopedCacheDir dir("jit_first_failure");
+  const std::string pids = dir.file("pids");
+  jit::Toolchain tc = native;
+  tc.cxx = write_script(
+      dir.file("cxx.sh"),
+      "for a; do case \"$a\" in *.cpp) if grep -q '^extern \"C\" void' "
+      "\"$a\"; then echo injected body failure; exit 1; fi; echo $$ >> '" +
+          pids + "'; exec sleep 30;; esac; done\nexec '" + native.cxx +
+          "' \"$@\"\n");
+  ::setenv("MCFUSER_JIT_COMPILE_TIMEOUT_S", "120", 1);
+  const ChainSpec& c = attention_chain();
+  const Schedule s = build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
+                                    std::vector<std::int64_t>{32, 32, 32, 32});
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string error;
+  const jit::ResolvedKernel rk =
+      jit::resolve_kernel(s, unique_key("first-failure"), tc, &error);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ::unsetenv("MCFUSER_JIT_COMPILE_TIMEOUT_S");
+
+  EXPECT_FALSE(rk.ok());
+  EXPECT_NE(error.find("injected body failure"), std::string::npos) << error;
+  EXPECT_LT(wall, 15.0);  // the hung parts were killed, not waited for
+  std::ifstream in(pids);
+  for (pid_t pid = 0; in >> pid;) {
+    errno = 0;
+    EXPECT_EQ(::kill(pid, 0), -1) << "compiler " << pid << " still exists";
+    EXPECT_EQ(errno, ESRCH) << "compiler " << pid;
+  }
 }
 
 TEST(JitCompile, CompilerPipeIsCloseOnExecWhenTheCompilerForks) {
@@ -289,13 +403,9 @@ TEST(JitCompile, CompilerPipeIsCloseOnExecWhenTheCompilerForks) {
   static const int registered =
       ::pthread_atfork(probe_inheritable_pipes, nullptr, nullptr);
   ASSERT_EQ(registered, 0);
-  const std::string script =
-      "/tmp/mcfuser-failing-cxx-" + std::to_string(::getpid()) + ".sh";
-  {
-    std::ofstream os(script);
-    os << "#!/bin/sh\nexit 1\n";
-  }
-  ::chmod(script.c_str(), 0755);
+  const std::string script = write_script(
+      "/tmp/mcfuser-failing-cxx-" + std::to_string(::getpid()) + ".sh",
+      "exit 1\n");
   ::setenv("MCFUSER_JIT_CXX", script.c_str(), 1);
 
   const ChainSpec& c = gelu_chain();
@@ -312,6 +422,131 @@ TEST(JitCompile, CompilerPipeIsCloseOnExecWhenTheCompilerForks) {
 
   EXPECT_EQ(jit::stats_snapshot().since(before).failures, 1);  // it forked
   EXPECT_TRUE(g_inheritable_pipes.empty()) << g_inheritable_pipes.front();
+}
+
+/// Distinct-tile schedules of gelu_chain() until their kernels call more
+/// prelude tile routines than `workers` (or the tile menu runs out).
+std::vector<Schedule> wave_wider_than(unsigned workers) {
+  const ChainSpec& c = gelu_chain();
+  std::vector<Schedule> wave;
+  std::vector<std::string> inst;
+  for (const std::int64_t tm : {16, 32, 48, 96}) {
+    for (const std::int64_t tk : {16, 48}) {
+      for (const std::int64_t tn : {16, 32, 96}) {
+        if (inst.size() > workers) return wave;
+        Schedule s = build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
+                                    std::vector<std::int64_t>{tm, tk, tn, 16});
+        if (!s.valid() || !s.consume_complete()) continue;
+        for (std::string& d : emit_cpp_kernel(s, "probe").instantiations) {
+          if (std::find(inst.begin(), inst.end(), d) == inst.end()) {
+            inst.push_back(std::move(d));
+          }
+        }
+        wave.push_back(std::move(s));
+      }
+    }
+  }
+  return wave;
+}
+
+TEST(JitCompile, PartsCompileConcurrentlyUpToThePoolSize) {
+  // A wave's kernel bodies and its tile-routine instantiations compile as
+  // parts, side by side, one compiler per pool thread at most, and link
+  // into ONE shared object.
+  const jit::Toolchain native = jit::detect_toolchain();
+  if (!native.ok()) GTEST_SKIP() << "jit unavailable: " << native.reason;
+  const unsigned workers = ThreadPool::global().size();
+  const ScopedCacheDir dir("jit_parts");
+  const std::string log = dir.file("compilers.log");
+  jit::Toolchain tc = native;
+  tc.cxx = write_script(dir.file("cxx.sh"),
+                        "echo start >> '" + log + "'\n'" + native.cxx +
+                            "' \"$@\"\nrc=$?\necho end >> '" + log +
+                            "'\nexit $rc\n");
+  const std::vector<Schedule> wave = wave_wider_than(workers);
+  std::vector<const Schedule*> batch;
+  for (const Schedule& s : wave) batch.push_back(&s);
+
+  const jit::CompileStats s0 = jit::stats_snapshot();
+  jit::prepare_kernels(batch, unique_key("parts"), tc);
+  const jit::CompileStats prep = jit::stats_snapshot().since(s0);
+  EXPECT_EQ(prep.failures, 0);
+  EXPECT_EQ(prep.tus_compiled, 1);
+  EXPECT_EQ(prep.kernels_compiled, static_cast<std::int64_t>(wave.size()));
+  std::int64_t shared_objects = 0;
+  for (const std::string& f : dir.files()) {
+    shared_objects += f.rfind("tu_", 0) == 0 && f.ends_with(".so");
+  }
+  EXPECT_EQ(shared_objects, 1);
+
+  // Each line is one compiler's start or end, in the order they happened.
+  std::ifstream in(log);
+  int running = 0, widest = 0, started = 0;
+  for (std::string event; in >> event;) {
+    running += event == "start" ? 1 : -1;
+    started += event == "start";
+    widest = std::max(widest, running);
+  }
+  EXPECT_EQ(running, 0);
+  EXPECT_GE(started, 2);  // at least one part and the link
+  EXPECT_LE(widest, static_cast<int>(workers));
+  if (workers >= 2) EXPECT_GE(widest, 2);
+}
+
+TEST(JitCompile, FailedPartFailsTheBatchAndKeepsItsSources) {
+  // A compiler that fails on the part instantiating mcf_softmax_tile (with
+  // one part, the part calling it) fails the whole kernel: nothing is
+  // published, no temporary or object file stays behind, and the part
+  // sources are kept and named in the diagnostic.  A successful compile
+  // leaves only its shared object and index entries.
+  const jit::Toolchain native = jit::detect_toolchain();
+  if (!native.ok()) GTEST_SKIP() << "jit unavailable: " << native.reason;
+  const ScopedCacheDir dir("jit_failed_part");
+  const std::string pattern = ThreadPool::global().size() >= 2
+                                  ? "^template void mcf_softmax_tile<"
+                                  : "mcf_softmax_tile<[0-9]";
+  jit::Toolchain tc = native;
+  tc.cxx = write_script(
+      dir.file("cxx.sh"),
+      "for a; do case \"$a\" in *.cpp) if grep -q '" + pattern +
+          "' \"$a\"; then echo injected part failure; exit 1; fi;; esac; "
+          "done\nexec '" +
+          native.cxx + "' \"$@\"\n");
+  const std::string gpu_key = unique_key("failed-part");
+  const auto is_source = [](const std::string& f) { return f.ends_with(".cpp"); };
+
+  const ChainSpec& c = gelu_chain();
+  const Schedule gelu = build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
+                                       std::vector<std::int64_t>{32, 16, 32, 16});
+  std::string error;
+  ASSERT_TRUE(jit::resolve_kernel(gelu, gpu_key, tc, &error).ok()) << error;
+  const std::vector<std::string> published = dir.files();
+  for (const std::string& f : published) {
+    EXPECT_TRUE((f.rfind("tu_", 0) == 0 && f.ends_with(".so")) ||
+                f.ends_with(".idx"))
+        << f;
+  }
+
+  const ChainSpec& a = attention_chain();
+  const Schedule attn = build_schedule(a, make_deep_expr(a, {0, 3, 2, 1}),
+                                       std::vector<std::int64_t>{32, 32, 32, 32});
+  const jit::CompileStats s0 = jit::stats_snapshot();
+  EXPECT_FALSE(jit::resolve_kernel(attn, gpu_key, tc, &error).ok());
+  EXPECT_EQ(jit::stats_snapshot().since(s0).failures, 1);
+  EXPECT_NE(error.find("injected part failure"), std::string::npos) << error;
+  EXPECT_NE(error.find("sources kept:"), std::string::npos) << error;
+  std::vector<std::string> after = dir.files();
+  std::vector<std::string> kept;
+  std::copy_if(after.begin(), after.end(), std::back_inserter(kept), is_source);
+  std::erase_if(after, is_source);
+  EXPECT_EQ(after, published);  // no .so, .idx, .o or *.tmp.* file added
+  ASSERT_FALSE(kept.empty());
+  for (const std::string& f : kept) {
+    EXPECT_NE(f.find(".p"), std::string::npos) << f;
+    EXPECT_EQ(f.find(".tmp."), std::string::npos) << f;
+    EXPECT_NE(error.find(dir.path() + "/" + f), std::string::npos)
+        << f << " is not named in: " << error;
+  }
 }
 
 /// The -march values that select each of the prelude micro-kernel's lane
@@ -360,36 +595,24 @@ TEST(JitCompile, EveryVectorWidthMatchesTheInterpreter) {
 #endif
   const jit::Toolchain native = jit::detect_toolchain();
   if (!native.ok()) GTEST_SKIP() << "jit unavailable: " << native.reason;
-  const char* prior = std::getenv("MCFUSER_JIT_CACHE_DIR");
-  const std::string saved_dir = prior != nullptr ? prior : "";
-  const std::string stem = ::testing::TempDir() + "mcf_vector_width_" +
-                           std::to_string(::getpid()) + "_";
   const std::vector<GoldenCase> cases = golden_cases();
   std::vector<const Schedule*> batch;
   for (const GoldenCase& c : cases) batch.push_back(&c.s);
   for (const std::string& march : vector_width_marches()) {
     SCOPED_TRACE("-march=" + march);
+    const ScopedCacheDir dir("vector_width_" + march);
     jit::Toolchain tc = native;
     if (march != "native") {
-      tc.cxx = stem + march + ".sh";
-      std::ofstream(tc.cxx) << "#!/bin/sh\nexec '" << native.cxx
-                            << "' \"$@\" -march=" << march << "\n";
-      ::chmod(tc.cxx.c_str(), 0755);
+      tc.cxx = write_script(dir.file("cxx.sh"), "exec '" + native.cxx +
+                                                    "' \"$@\" -march=" +
+                                                    march + "\n");
     }
-    ::setenv("MCFUSER_JIT_CACHE_DIR", (stem + march).c_str(), 1);
     const std::string gpu_key = unique_key(("vector-width-" + march).c_str());
     jit::prepare_kernels(batch, gpu_key, tc);  // one TU per branch
     for (const GoldenCase& c : cases) {
       SCOPED_TRACE(c.tag);
       run_both_and_compare(c.s, tc, gpu_key);
     }
-    std::filesystem::remove_all(stem + march);
-    if (march != "native") ::unlink(tc.cxx.c_str());
-  }
-  if (prior != nullptr) {
-    ::setenv("MCFUSER_JIT_CACHE_DIR", saved_dir.c_str(), 1);
-  } else {
-    ::unsetenv("MCFUSER_JIT_CACHE_DIR");
   }
 }
 
