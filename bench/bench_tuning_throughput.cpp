@@ -433,7 +433,6 @@ AdmissionResult bench_admission(const GpuSpec& gpu) {
   FusionEngineOptions opts;
   opts.jobs = 2;
   opts.queue.max_queued = res.queue_cap;
-  opts.queue.overflow = OverflowPolicy::Reject;
   opts.memo.max_entries = res.memo_cap;
   // Tiny search budget: this section measures queue/memo mechanics, not
   // search quality.
@@ -467,7 +466,7 @@ AdmissionResult bench_admission(const GpuSpec& gpu) {
   };
   for (int i = 0; i < kFlood; ++i) {
     // 10k structurally distinct digests from a 100x100 (m, n) grid.
-    outstanding.push_back(engine.try_submit(ChainSpec::gemm_chain(
+    outstanding.push_back(engine.submit(ChainSpec::gemm_chain(
         "f" + std::to_string(i), 1, 64 + (i % 100), 64 + (i / 100), 32, 32)));
     harvest_ready(/*drain=*/false);
     if (outstanding.size() > 1024) {

@@ -23,7 +23,6 @@ int main() {
   FusionEngineOptions opts;
   opts.jobs = 4;
   opts.queue.max_queued = 64;
-  opts.queue.overflow = OverflowPolicy::Reject;
   opts.memo.max_entries = 1024;
   FusionEngine engine(gpu, opts);
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <sstream>
+#include <unordered_map>
 
 #include "exec/sandbox.hpp"
 #include "graph/partitioner.hpp"
@@ -38,18 +39,6 @@ const char* fusion_status_name(FusionStatus s) noexcept {
       return "worker-timeout";
     case FusionStatus::VerifyRejected:
       return "verify-rejected";
-  }
-  return "?";
-}
-
-const char* overflow_policy_name(OverflowPolicy p) noexcept {
-  switch (p) {
-    case OverflowPolicy::Reject:
-      return "reject";
-    case OverflowPolicy::Block:
-      return "block";
-    case OverflowPolicy::ReplaceOldest:
-      return "replace-oldest";
   }
   return "?";
 }
@@ -120,9 +109,8 @@ const FusionResult& FusionTicket::get() const {
 bool FusionTicket::cancel() {
   if (!state_) return false;
   {
-    // A finished job is untouchable: no cancel flag is raised (the shared
-    // TicketState may be aliased by a fuse_chains memo entry), the stored
-    // result stays as-is, and the call reports false.
+    // A finished job is untouchable: no cancel flag is raised, the result
+    // stays as-is, and the call reports false.
     const LockGuard lk(state_->mu);
     if (state_->done) return false;
   }
@@ -150,8 +138,8 @@ FusionTicket::Progress FusionTicket::progress() const {
 std::string EngineStats::to_json() const {
   std::ostringstream os;
   os << "{\"queued\":" << queued << ",\"busy\":" << busy
-     << ",\"workers\":" << workers << ",\"admitting\":" << admitting
-     << ",\"submitted\":" << submitted << ",\"completed\":" << completed
+     << ",\"workers\":" << workers << ",\"submitted\":" << submitted
+     << ",\"completed\":" << completed
      << ",\"rejected\":" << rejected << ",\"cancelled\":" << cancelled
      << ",\"deadline_exceeded\":" << deadline_exceeded
      << ",\"memo_entries\":" << memo_entries
@@ -264,30 +252,16 @@ FusionEngine::FusionEngine(GpuSpec gpu, FusionEngineOptions options)
 }
 
 FusionEngine::~FusionEngine() {
-  {
-    const LockGuard lk(queue_mu_);
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  room_cv_.notify_all();  // blocked submitters resolve their tickets Cancelled
-  {
-    // A submitter woken above still runs the tail of admit() (resolving
-    // its ticket, touching the admission counters and the memo).  Wait
-    // for every in-progress admit() to leave before tearing the engine
-    // down — otherwise a Block-policy submitter races destruction.
-    UniqueLock lk(queue_mu_);
-    drained_cv_.wait(lk, [&] {
-      queue_mu_.assert_held();
-      return admitting_ == 0;
-    });
-  }
-  // Swap the worker handles out under the lock (spawn_worker_locked may
-  // have appended concurrently with the drain above), join unlocked.
+  // No admit() can be in progress: submit() never waits, and a caller
+  // that destroys the engine during its own fuse_chains call is in
+  // error.  Stop, then join the workers unlocked.
   std::vector<std::thread> workers;
   {
     const LockGuard lk(queue_mu_);
+    stop_ = true;
     workers.swap(workers_);
   }
+  queue_cv_.notify_all();
   for (std::thread& w : workers) w.join();
   // With workers, the loop above drained the backlog as Cancelled.  The
   // defensive sweep covers an engine that never spawned one: every
@@ -528,7 +502,8 @@ void FusionEngine::worker_loop() {
          << "s admission deadline";
       r = make_shed_result(FusionStatus::DeadlineExceeded, os.str());
     } else if (auto hit = lookup(job->chain, job->digest)) {
-      // Stored while this job waited (an earlier job of the same digest).
+      // Stored while this job waited (an earlier job of the same digest):
+      // the engine's only dedup of concurrent jobs.
       r = std::move(*hit);
     } else {
       {
@@ -571,18 +546,6 @@ void FusionEngine::finish(const std::shared_ptr<detail::TicketState>& state,
       break;
   }
   {
-    // run_one stored an Ok result before this point, so a fuse_chains
-    // caller that finds the digest no longer in flight finds it stored.
-    // Only this job's own dedup registration is retired: a submit() job
-    // sharing a digest with a concurrent fuse_chains job must not erase
-    // the batch job's in-flight entry.
-    const LockGuard lk(memo_mu_);
-    if (const auto it = inflight_.find(state->digest);
-        it != inflight_.end() && it->second == state) {
-      inflight_.erase(it);
-    }
-  }
-  {
     const LockGuard lk(state->mu);
     state->result = std::move(result);
     state->done = true;
@@ -600,8 +563,14 @@ bool FusionEngine::queue_full_locked() const {
 }
 
 FusionTicket FusionEngine::admit(std::shared_ptr<detail::TicketState> state,
-                                 bool may_block, bool batch) {
+                                 bool batch) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
+  // A stored digest is answered before the queue bound is checked, so a
+  // hit never waits and is never shed.
+  if (auto hit = lookup(state->chain, state->digest)) {
+    finish(state, std::move(*hit));
+    return FusionTicket(std::move(state));
+  }
   const QueuePolicy& qp = opt_.queue;
   // Same overflow guard as FusionTicket::wait_for: a deadline past ~31
   // years would overflow the int64 nanosecond cast (UB), and means "no
@@ -615,99 +584,39 @@ FusionTicket FusionEngine::admit(std::shared_ptr<detail::TicketState> state,
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(qp.deadline_s));
   }
-  state->sheddable = !batch;
+  bool admitted = true;
   {
-    const LockGuard lk(queue_mu_);
-    MCF_CHECK(!stop_) << "submit() on a shut-down FusionEngine";
-    // Registered until the tail of this function completes: the
-    // destructor waits on admitting_ so a submitter woken from the
-    // Block wait below never touches a dead engine.
-    ++admitting_;
-  }
-  // A stored digest is answered before the queue bound is checked, so a
-  // hit never blocks and is never shed.  Batch callers looked up already.
-  std::optional<FusionResult> hit;
-  if (!batch) hit = lookup(state->chain, state->digest);
-
-  std::shared_ptr<detail::TicketState> evicted;
-  bool admitted = false;
-  bool shutdown = false;
-  if (!hit) {
     UniqueLock lk(queue_mu_);
-    if (stop_) {
-      shutdown = true;
-    } else if (!queue_full_locked()) {
-      admitted = true;
-    } else if (batch || (may_block && qp.overflow == OverflowPolicy::Block)) {
-      // Batch (fuse_chains) jobs always wait for a slot: a batch call
-      // owns its backlog, and shedding its chains would fail the report.
+    MCF_CHECK(!stop_) << "submit() on a shut-down FusionEngine";
+    if (batch) {
+      // A batch call owns its backlog: shedding its chains would fail
+      // the report, so it waits for a slot instead.
       room_cv_.wait(lk, [&] {
         queue_mu_.assert_held();
-        return stop_ || !queue_full_locked();
+        return !queue_full_locked();
       });
-      if (stop_) {
-        shutdown = true;
-      } else {
-        admitted = true;
-      }
-    } else if (qp.overflow == OverflowPolicy::ReplaceOldest) {
-      // Shed the oldest sheddable queued job to make room; batch jobs
-      // are pinned, and a queue full of pinned jobs rejects the newcomer
-      // instead (the bound always holds).
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if ((*it)->sheddable) {
-          evicted = std::move(*it);
-          queue_.erase(it);
-          break;
-        }
-      }
-      admitted = evicted != nullptr;
+    } else {
+      admitted = !queue_full_locked();
     }
     if (admitted) {
       queue_.push_back(state);
       spawn_worker_locked();
     }
   }
-  if (evicted != nullptr) {
-    finish(evicted,
-           make_shed_result(FusionStatus::Rejected,
-                            "replaced by a newer submission (replace-oldest "
-                            "overflow policy)"));
-  }
-  if (hit) {
-    finish(state, std::move(*hit));
-  } else if (admitted) {
+  if (admitted) {
     queue_cv_.notify_one();
-  } else if (shutdown) {
-    finish(state,
-           make_shed_result(FusionStatus::Cancelled, "engine shutting down"));
   } else {
     std::ostringstream os;
     os << "admission queue full (max_queued=" << qp.max_queued
-       << ", max_in_flight=" << qp.max_in_flight
-       << ", policy=" << overflow_policy_name(qp.overflow) << ")";
+       << ", max_in_flight=" << qp.max_in_flight << ")";
     finish(state, make_shed_result(FusionStatus::Rejected, os.str()));
-  }
-  {
-    const LockGuard lk(queue_mu_);
-    --admitting_;
-    // Notify UNDER the lock: the waiting destructor cannot wake until we
-    // release queue_mu_, by which point this thread never touches the
-    // engine again — releasing first would let it free drained_cv_ while
-    // we still hold a reference.
-    drained_cv_.notify_all();
   }
   return FusionTicket(std::move(state));
 }
 
 FusionTicket FusionEngine::submit(ChainSpec chain) {
   return admit(std::make_shared<detail::TicketState>(std::move(chain)),
-               /*may_block=*/true, /*batch=*/false);
-}
-
-FusionTicket FusionEngine::try_submit(ChainSpec chain) {
-  return admit(std::make_shared<detail::TicketState>(std::move(chain)),
-               /*may_block=*/false, /*batch=*/false);
+               /*batch=*/false);
 }
 
 GraphFusionReport FusionEngine::fuse_chains(const std::vector<ChainSpec>& chains,
@@ -724,7 +633,6 @@ GraphFusionReport FusionEngine::fuse_chains(const std::vector<ChainSpec>& chains
   struct Pending {
     std::size_t index;  ///< into rep.chains
     FusionTicket ticket;
-    bool fresh;  ///< this call created the job (counts toward tuned_chains)
   };
   std::vector<Pending> pending;
   std::unordered_map<std::string, std::size_t> index_by_digest;
@@ -742,51 +650,29 @@ GraphFusionReport FusionEngine::fuse_chains(const std::vector<ChainSpec>& chains
     cr.chain_name = chain.name();
     cr.chain_desc = chain.to_string();
     cr.occurrences = 1;
-
-    // The state owns a copy of the chain the result's kernel points at,
-    // so the report stays valid after `chains` is gone.
-    auto state = std::make_shared<detail::TicketState>(chain);
-    FusionTicket ticket(state);
-    bool fresh = false;
-    if (auto hit = lookup(state->chain, digest)) {
-      // Resolved in place: a store hit is not admission work, so it
-      // counts in memo_hits only.
-      const LockGuard lk(state->mu);
-      state->result = std::move(*hit);
-      state->done = true;
-      cr.reused = true;
-    } else {
-      // The in-flight join is batch-only: a ticket shared with submit()
-      // would let one caller's cancel() kill another caller's request.
-      const LockGuard lk(memo_mu_);
-      if (const auto inf = inflight_.find(digest); inf != inflight_.end()) {
-        ticket = FusionTicket(inf->second);
-        cr.reused = true;
-      } else {
-        inflight_.emplace(digest, state);
-        fresh = true;
-      }
-    }
-    if (fresh) {
-      // Batch admission: respects the queue bounds (waits for a slot
-      // instead of shedding) and the queue-wait deadline.
-      (void)admit(ticket.state_, /*may_block=*/true, /*batch=*/true);
-    }
     const std::size_t idx = rep.chains.size();
     rep.chains.push_back(std::move(cr));
     index_by_digest.emplace(digest, idx);
     rep.sub_to_chain.push_back(static_cast<int>(idx));
-    pending.push_back(Pending{idx, std::move(ticket), fresh});
+    // The state owns a copy of the chain the result's kernel points at,
+    // so the report stays valid after `chains` is gone.
+    auto state = std::make_shared<detail::TicketState>(chain);
+    pending.push_back(Pending{idx, admit(std::move(state), /*batch=*/true)});
   }
 
   for (Pending& p : pending) {
     const FusionResult& r = p.ticket.get();
-    rep.chains[p.index].result = std::shared_ptr<const FusionResult>(
-        p.ticket.state_, &p.ticket.state_->result);
-    if (p.fresh) {
+    GraphChainReport& cr = rep.chains[p.index];
+    cr.result = std::shared_ptr<const FusionResult>(p.ticket.state_,
+                                                    &p.ticket.state_->result);
+    if (p.ticket.progress().started) {
       ++rep.tuned_chains;
       rep.total_measurements += r.tuned.stats.measurements;
       rep.tuning_wall_s += r.tuned.stats.wall_seconds;
+    } else {
+      // Never started: answered from the store, at admission or at
+      // pick-up, unless the deadline shed it.
+      cr.reused = r.ok();
     }
   }
   rep.distinct_chains = static_cast<int>(rep.chains.size());
@@ -866,7 +752,6 @@ EngineStats FusionEngine::stats() const {
     s.queued = queue_.size();
     s.busy = busy_;
     s.workers = workers_.size();
-    s.admitting = admitting_;
   }
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);

@@ -9,7 +9,7 @@
 //                          bit-identical to the pre-engine pipeline
 //                          (pinned by tests/engine/test_regression.cpp).
 //   * submit(chain)      — asynchronous; returns a FusionTicket with
-//     try_submit(chain)    wait()/ready()/cancel() and live progress
+//                          wait()/ready()/cancel() and live progress
 //                          counters fed from the tuner.
 //   * fuse_graph(graph)  — whole-graph batch fusion: partitions the graph,
 //     fuse_chains(...)     deduplicates structurally-identical chains by
@@ -25,11 +25,11 @@
 // human-readable reason from the layer that failed — no more bool ok.
 //
 // Load hardening: the async queue is bounded (FusionEngineOptions::queue —
-// max queued, max in-flight, queue-wait deadline, overflow = Reject |
-// Block | ReplaceOldest), the result memo is LRU-bounded
-// (FusionEngineOptions::memo), and stats() snapshots queue depth,
-// admission counters and memo occupancy — a traffic burst sheds load as
-// Rejected/DeadlineExceeded tickets instead of growing without bound.
+// max queued, max in-flight, queue-wait deadline), the result memo is
+// LRU-bounded (FusionEngineOptions::memo), and stats() snapshots queue
+// depth, admission counters and memo occupancy — a traffic burst sheds
+// load as Rejected/DeadlineExceeded tickets instead of growing without
+// bound.
 //
 // Thread-safety: all public methods are safe to call concurrently from
 // multiple threads.  Results are deterministic per chain regardless of
@@ -46,7 +46,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -64,22 +63,20 @@ namespace mcf {
 
 class MeasureBackend;
 
-/// What submit() does when the bounded admission queue is full.
+/// What a submit() to a full queue does: it resolves as Rejected at once
+/// (the 429 of this API) — the only behaviour.  The engine reads no
+/// overflow field; this enum and QueuePolicy::overflow remain only
+/// because bench/e2e/serve_sim.hpp still assigns them.
 enum class OverflowPolicy : std::uint8_t {
-  Reject,         ///< resolve the new ticket as Rejected immediately (429)
-  Block,          ///< block the submitting thread until a slot frees up
-  ReplaceOldest,  ///< shed the oldest queued job (it resolves as Rejected)
+  Reject,
 };
 
-/// Stable display name ("reject", "block", "replace-oldest").
-[[nodiscard]] const char* overflow_policy_name(OverflowPolicy p) noexcept;
-
 /// Admission control for the asynchronous queue.  All limits default to
-/// 0 = unbounded (the pre-admission-control behaviour).  The policy
-/// governs submit()/try_submit(); the graph batch path (fuse_chains /
-/// fuse_graph) respects the queue *bounds* but always waits for a slot
-/// instead of shedding — a batch call owns its backlog — while the
-/// per-ticket deadline applies to both paths.
+/// 0 = unbounded (the pre-admission-control behaviour).  When the queue
+/// is full, submit() resolves the new ticket as Rejected, while the
+/// graph batch path (fuse_chains / fuse_graph) waits for a slot — a
+/// batch call owns its backlog.  The per-ticket deadline applies to
+/// both paths.
 struct QueuePolicy {
   /// Max jobs waiting in the queue (not yet picked up by a worker).
   std::size_t max_queued = 0;
@@ -92,6 +89,7 @@ struct QueuePolicy {
   /// to completion.  0 (or negative/non-finite/>= 1e9 — ~31 years, the
   /// clock-arithmetic overflow guard) = no deadline.
   double deadline_s = 0.0;
+  /// Unread: a full queue always rejects a submit() (see OverflowPolicy).
   OverflowPolicy overflow = OverflowPolicy::Reject;
 };
 
@@ -129,20 +127,17 @@ struct FusionEngineOptions {
 
 /// Point-in-time engine observability snapshot (stats()); the counter
 /// fields are monotonic over the engine's lifetime.  Every job that
-/// enters the admission path (submit, try_submit, fresh fuse_chains
-/// work) counts in `submitted` and lands in exactly one of
+/// enters the admission path (each submit() and each distinct chain of a
+/// fuse_chains call) counts in `submitted` and lands in exactly one of
 /// completed/rejected/cancelled/deadline_exceeded — the stress suite pins
 /// the identity submitted == completed + rejected + cancelled +
-/// deadline_exceeded once all tickets resolved.  A submission answered
-/// from the store at admission counts in submitted and completed.  The
-/// synchronous fuse() path never touches the queue and is not counted.
+/// deadline_exceeded once all tickets resolved.  A job answered from the
+/// store counts in submitted and completed.  The synchronous fuse() path
+/// never touches the queue and is not counted.
 struct EngineStats {
   std::size_t queued = 0;   ///< jobs waiting for a worker (instantaneous)
   std::size_t busy = 0;     ///< workers currently running a job
   std::size_t workers = 0;  ///< worker threads spawned so far
-  /// Admission calls in progress — in particular, submitters blocked
-  /// waiting for a queue slot under the Block overflow policy.
-  std::size_t admitting = 0;
   std::uint64_t submitted = 0;  ///< admission attempts (terminal-or-queued)
   std::uint64_t completed = 0;  ///< ran the pipeline (Ok or a tuning failure)
   std::uint64_t rejected = 0;   ///< shed at admission (queue full)
@@ -203,13 +198,9 @@ struct TicketState {
   const std::string digest;  ///< chain_cache_key(chain): the store key
   const std::shared_ptr<TuningProgress> progress;
   /// Queue-wait deadline (QueuePolicy::deadline_s); checked by the worker
-  /// at pick-up time.  Batch (fuse_chains) jobs are exempt from
-  /// ReplaceOldest shedding but not from the deadline.
+  /// at pick-up time, for submit() and fuse_chains jobs alike.
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  /// Batch jobs must not be shed by ReplaceOldest: the batch call owns
-  /// its backlog and waits for it.
-  bool sheddable = true;
 
   mutable Mutex mu{"ticket.state"};
   mutable CondVar cv;
@@ -282,8 +273,9 @@ struct GraphChainReport {
   std::string chain_name;  ///< representative (first occurrence) name
   std::string chain_desc;  ///< ChainSpec::to_string of the representative
   int occurrences = 0;     ///< how many subgraphs share this digest
-  /// True when this call did not tune the chain: the result came from
-  /// the engine's store, or from a concurrent call tuning the same digest.
+  /// True when the result came from the engine's store without tuning:
+  /// at admission, or when a worker picked the job up after an earlier
+  /// job of the same digest (another call's, or a submit()'s) stored it.
   bool reused = false;
   std::shared_ptr<const FusionResult> result;
 };
@@ -295,7 +287,7 @@ struct GraphFusionReport {
   int graph_nodes = 0;
   int mbci_subgraphs = 0;       ///< fusable regions found by the partitioner
   int distinct_chains = 0;      ///< == chains.size()
-  int tuned_chains = 0;         ///< tuned fresh during this call
+  int tuned_chains = 0;         ///< chains whose job started tuning
   int total_measurements = 0;   ///< hardware measurements spent this call
   double tuning_wall_s = 0.0;   ///< summed tuner wall-clock this call
   /// Kernel-compilation economy of this call when the measurement backend
@@ -340,22 +332,19 @@ class FusionEngine {
       std::shared_ptr<TuningProgress> progress = nullptr) const;
 
   /// Asynchronous submission onto the engine's worker pool, subject to
-  /// the configured QueuePolicy.  A digest the store holds is answered
-  /// at admission — the ticket is Ok at once, never started, even when
-  /// the queue is full.  Otherwise a full bounded queue sheds or blocks
-  /// per QueuePolicy::overflow; a shed submission still returns a valid
-  /// ticket, already resolved as Rejected (callers branch on
-  /// get().status, never on ticket validity).
+  /// the configured QueuePolicy; never blocks.  A digest the store holds
+  /// is answered at admission — the ticket is Ok at once, never started,
+  /// even when the queue is full.  Otherwise a full bounded queue sheds
+  /// the submission: it still returns a valid ticket, already resolved
+  /// as Rejected (callers branch on get().status, never on ticket
+  /// validity).
   [[nodiscard]] FusionTicket submit(ChainSpec chain);
 
-  /// Non-blocking submission: like submit(), but when the queue is full
-  /// under the Block policy it returns a Rejected ticket immediately
-  /// instead of waiting (Reject and ReplaceOldest behave as in submit()).
-  [[nodiscard]] FusionTicket try_submit(ChainSpec chain);
-
   /// Whole-graph batch fusion: partition -> digest-dedup -> concurrent
-  /// tuning of distinct chains -> report.  Results are stored in the
-  /// engine, so repeated calls (or shared chains across graphs) tune once.
+  /// tuning of distinct chains -> report.  Each distinct chain is one
+  /// admitted job that waits for a queue slot instead of being shed.
+  /// Results are stored in the engine, so repeated calls (or shared
+  /// chains across graphs) tune once.
   [[nodiscard]] GraphFusionReport fuse_graph(const NetGraph& g);
 
   /// Same pipeline over an explicit chain list (callers that partitioned
@@ -431,30 +420,25 @@ class FusionEngine {
 
   /// True when the bounded queue has no room.
   [[nodiscard]] bool queue_full_locked() const MCF_REQUIRES(queue_mu_);
-  /// Shared admission path behind submit()/try_submit()/fuse_chains.
-  /// `may_block` enables the Block overflow behaviour; `batch` marks a
-  /// fuse_chains job (never shed at admission, waits for a slot, exempt
-  /// from ReplaceOldest eviction).
+  /// The one admission path, behind submit() and fuse_chains: a store
+  /// hit resolves the ticket at once; otherwise the job queues, and a
+  /// full queue rejects it — or, for a `batch` (fuse_chains) job, waits
+  /// for a slot.
   [[nodiscard]] FusionTicket admit(std::shared_ptr<detail::TicketState> state,
-                                   bool may_block, bool batch);
+                                   bool batch);
 
   GpuSpec gpu_;
   FusionEngineOptions opt_;
 
   // Async workers (lazy) + bounded admission queue.
   mutable Mutex queue_mu_{"engine.queue"};
-  CondVar queue_cv_;    ///< wakes workers (new job / stop)
-  CondVar room_cv_;     ///< wakes blocked submitters (slot free)
-  CondVar drained_cv_;  ///< wakes the destructor (admits done)
+  CondVar queue_cv_;  ///< wakes workers (new job / stop)
+  CondVar room_cv_;   ///< wakes batch jobs waiting for a slot
   mutable CondVar idle_cv_;  ///< wakes wait_idle (queue quiescent)
   std::deque<std::shared_ptr<detail::TicketState>> queue_
       MCF_GUARDED_BY(queue_mu_);
   std::vector<std::thread> workers_ MCF_GUARDED_BY(queue_mu_);
   std::size_t busy_ MCF_GUARDED_BY(queue_mu_) = 0;  ///< workers running a job
-  /// admit() calls past the shutdown check but not yet finished — the
-  /// destructor waits for this to hit 0 so a submitter blocked under the
-  /// Block policy never touches a dead engine.
-  std::size_t admitting_ MCF_GUARDED_BY(queue_mu_) = 0;
   bool stop_ MCF_GUARDED_BY(queue_mu_) = false;
 
   // Admission/outcome counters (EngineStats); relaxed atomics — they are
@@ -466,16 +450,13 @@ class FusionEngine {
   std::atomic<std::uint64_t> deadline_exceeded_{0};
 
   // The result store: a digest-keyed LRU memo (bounded by opt_.memo;
-  // support/lru_map.hpp), the loaded file records not in it, and
-  // fuse_chains' in-flight dedup.
+  // support/lru_map.hpp) and the loaded file records not in it.
   mutable Mutex memo_mu_{"engine.memo"};
   mutable LruMap<std::string, std::shared_ptr<const StoredResult>> results_
       MCF_GUARDED_BY(memo_mu_);
   /// By record key ("<chain> <producer>"): this engine's records resolve
   /// on first lookup; the others are only written back.
   mutable std::map<std::string, std::string> file_ MCF_GUARDED_BY(memo_mu_);
-  std::unordered_map<std::string, std::shared_ptr<detail::TicketState>>
-      inflight_ MCF_GUARDED_BY(memo_mu_);
   mutable std::atomic<std::uint64_t> memo_hits_{0};
   /// TuningRecord::producer of every record this engine writes or serves.
   std::string producer_;

@@ -7,8 +7,8 @@
 //
 // Migration note: code that `switch`es exhaustively on FusionStatus must
 // add the load-shedding values Rejected and DeadlineExceeded (both are
-// terminal, non-retryable-as-is outcomes of submit()/try_submit() under a
-// QueuePolicy; see docs/api.md "Admission control"), and the isolation
+// terminal, non-retryable-as-is outcomes of submit() under a QueuePolicy;
+// see docs/api.md "Admission control"), and the isolation
 // values WorkerCrashed and WorkerTimeout (terminal measurement outcomes of
 // the "jit-isolated" backend: every candidate of the chain died in a
 // sandbox worker; see docs/measurement.md "Crash-isolated measurement"),

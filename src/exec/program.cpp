@@ -7,24 +7,28 @@
 
 namespace mcf {
 
+std::string lowering_error(const Schedule& schedule, const GpuSpec& gpu,
+                           std::optional<SmemPlan>& smem) {
+  if (!schedule.valid()) return "schedule has no legal statement placement";
+  if (!schedule.consume_complete()) {
+    return "schedule consumes partial tiles (Rule-2 structure)";
+  }
+  smem = plan_smem(schedule);
+  if (smem->total_bytes > gpu.smem_per_block) {
+    return "shared memory exceeds per-block limit (" +
+           std::to_string(smem->total_bytes) + " > " +
+           std::to_string(gpu.smem_per_block) + " bytes)";
+  }
+  return "";
+}
+
 CompiledKernel::CompiledKernel(Schedule schedule, GpuSpec gpu)
     : schedule_(std::move(schedule)), gpu_(std::move(gpu)) {
-  if (!schedule_.valid()) {
-    error_ = "schedule has no legal statement placement";
-    return;
-  }
-  if (!schedule_.consume_complete()) {
-    error_ = "schedule consumes partial tiles (Rule-2 structure)";
-    return;
-  }
+  std::optional<SmemPlan> smem;
+  error_ = lowering_error(schedule_, gpu_, smem);
+  if (smem) smem_ = std::move(*smem);
+  if (!error_.empty()) return;
   volume_ = analyze_volume(schedule_);
-  smem_ = plan_smem(schedule_);
-  if (smem_.total_bytes > gpu_.smem_per_block) {
-    error_ = "shared memory exceeds per-block limit (" +
-             std::to_string(smem_.total_bytes) + " > " +
-             std::to_string(gpu_.smem_per_block) + " bytes)";
-    return;
-  }
   ok_ = true;
 }
 

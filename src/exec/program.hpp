@@ -23,6 +23,16 @@
 
 namespace mcf {
 
+/// The lowering gate CompiledKernel and the execution backends share:
+/// why `schedule` cannot be lowered for `gpu` (no legal statement
+/// placement, Rule-2 partial tiles, shared memory over the per-block
+/// limit), or empty when it can.  `smem` receives the shared-memory plan
+/// once the two placement checks pass, so a shared-memory failure sets
+/// it too.
+[[nodiscard]] std::string lowering_error(const Schedule& schedule,
+                                         const GpuSpec& gpu,
+                                         std::optional<SmemPlan>& smem);
+
 class CompiledKernel {
  public:
   /// Schedule + target; fails (ok()==false) when the kernel cannot be
@@ -33,6 +43,7 @@ class CompiledKernel {
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
   [[nodiscard]] const Schedule& schedule() const noexcept { return schedule_; }
+  /// Computed for ok() kernels only.
   [[nodiscard]] const VolumeReport& volume() const noexcept { return volume_; }
   [[nodiscard]] const SmemPlan& smem() const noexcept { return smem_; }
   [[nodiscard]] const GpuSpec& gpu() const noexcept { return gpu_; }

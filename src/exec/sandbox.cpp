@@ -70,10 +70,8 @@ enum WireStatus : std::uint8_t {
 
 // ---- process-wide stats + crash negative-cache ------------------------------
 
-[[nodiscard]] std::size_t crash_cache_cap() {
-  static const std::size_t cap = env::size("MCFUSER_SANDBOX_CRASH_CAP", 4096);
-  return cap;
-}
+/// Crash negative-cache entry cap (LRU).
+constexpr std::size_t kCrashCacheCap = 4096;
 
 struct GlobalState {
   /// Innermost of the sandbox pair: WorkerPool code takes State::mu
@@ -83,8 +81,7 @@ struct GlobalState {
   LruMap<std::uint64_t, CrashEntry> crash MCF_GUARDED_BY(mu);
 
   GlobalState()
-      : crash(LruMap<std::uint64_t, CrashEntry>::Limits{crash_cache_cap(), 0}) {
-  }
+      : crash(LruMap<std::uint64_t, CrashEntry>::Limits{kCrashCacheCap, 0}) {}
 
   static GlobalState& instance() {
     static GlobalState g;

@@ -191,8 +191,8 @@ class WorkerPool {
 
 // ---- crash negative-cache ---------------------------------------------------
 // Process-wide (like the jit registry): a kernel that crashed a worker is
-// poisonous in EVERY pool and engine of this process.  LRU-bounded by
-// MCFUSER_SANDBOX_CRASH_CAP (default 4096; 0 = unbounded).
+// poisonous in EVERY pool and engine of this process.  LRU-bounded to
+// 4096 entries.
 
 struct CrashEntry {
   MeasureFailKind kind = MeasureFailKind::WorkerCrashed;

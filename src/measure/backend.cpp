@@ -6,7 +6,7 @@
 
 #include "exec/codegen.hpp"
 #include "exec/interpreter.hpp"
-#include "gpu/smem.hpp"
+#include "exec/program.hpp"
 #include "search/tuning_cache.hpp"
 #include "support/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -60,24 +60,15 @@ ExecMeasureState::Gate ExecMeasureState::gate(const Schedule& s,
     const LockGuard lock(mu_);
     if (const Gate* hit = gates_.find(key)) return *hit;
   }
-  // The same lowering gate as CompiledKernel: infeasible schedules fail
-  // with a reason instead of executing (conformance contract).
+  // CompiledKernel's lowering gate: infeasible schedules fail with a
+  // reason instead of executing (conformance contract).
   Gate g;
-  if (!s.valid()) {
-    g.fail_reason = "schedule has no legal statement placement";
-  } else if (!s.consume_complete()) {
-    g.fail_reason = "schedule consumes partial tiles (Rule-2 structure)";
-  } else {
-    const SmemPlan plan = plan_smem(s);
+  std::optional<SmemPlan> plan;
+  g.fail_reason = lowering_error(s, gpu, plan);
+  g.ok = g.fail_reason.empty();
+  if (plan) {
     g.n_blocks = s.num_blocks();
-    g.smem_bytes = plan.total_bytes;
-    if (plan.total_bytes > gpu.smem_per_block) {
-      g.fail_reason = "shared memory exceeds per-block limit (" +
-                      std::to_string(plan.total_bytes) + " > " +
-                      std::to_string(gpu.smem_per_block) + " bytes)";
-    } else {
-      g.ok = true;
-    }
+    g.smem_bytes = plan->total_bytes;
   }
   const LockGuard lock(mu_);
   return gates_.insert(key, std::move(g));

@@ -48,8 +48,10 @@ void ignore_sigpipe_once() {
   (void)installed;
 }
 
-/// The per-chain response report — GraphFusionReport vocabulary at
-/// single-chain granularity, so clients parse one shape everywhere.
+/// The per-chain response report.  It shares GraphFusionReport's
+/// per-chain `status`, `reason`, `space_size` and `measurements` keys,
+/// but names the chain under `chain` (not `name`) and prints the time as
+/// `time_s` in seconds, where GraphFusionReport prints `time_us`.
 [[nodiscard]] std::string chain_report_json(const ChainSpec& chain,
                                             const FusionResult& r) {
   // Doubles print as GraphFusionReport::to_json prints them (six
@@ -451,10 +453,10 @@ bool FusionServer::handle_fuse(int fd, const std::string& payload) {
   }
 
   requests_.fetch_add(1, std::memory_order_relaxed);
-  // try_submit: a full bounded queue sheds as Rejected immediately —
-  // overload maps onto the engine's admission control, the server never
-  // queues unboundedly on its own.
-  FusionTicket ticket = engine_.try_submit(*chain);
+  // submit() never waits: a full bounded queue sheds as Rejected
+  // immediately — overload maps onto the engine's admission control, the
+  // server never queues unboundedly on its own.
+  FusionTicket ticket = engine_.submit(*chain);
 
   const double budget =
       req.timeout_s > 0 ? req.timeout_s : opt_.request_timeout_s;

@@ -11,7 +11,7 @@
 //     clean close — never a crash, never a wedged accept loop.
 //   * Overload maps onto the engine's admission control.  A connection
 //     above max_connections is refused with Error{Overloaded}; a
-//     FuseChain request is submitted through try_submit(), so a full
+//     FuseChain request is submitted through submit(), so a full
 //     bounded queue sheds as FusionStatus::Rejected — memory stays
 //     bounded no matter how hard clients push.
 //   * Every accepted request resolves.  A request that outlives its

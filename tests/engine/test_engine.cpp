@@ -1,9 +1,9 @@
 // FusionEngine unit tests: the FusionStatus taxonomy (every failure layer
 // mapped and carrying a reason), ticket lifecycle (submit / ready / wait /
 // progress / cancel), deterministic results under concurrent submission,
-// admission control (bounded queue, overflow policies, deadlines), the
-// shutdown drain, and a many-producer stress suite (the ASan/UBSan CI
-// config exercises all the threading).
+// admission control (bounded queue, deadlines, the store lookups at
+// admission and at pick-up), shutdown, and a many-producer stress suite
+// (the ASan/UBSan CI config exercises all the threading).
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -137,10 +137,6 @@ TEST(FusionStatusTest, NamesAreStable) {
   EXPECT_STREQ(fusion_status_name(FusionStatus::Rejected), "rejected");
   EXPECT_STREQ(fusion_status_name(FusionStatus::DeadlineExceeded),
                "deadline-exceeded");
-  EXPECT_STREQ(overflow_policy_name(OverflowPolicy::Reject), "reject");
-  EXPECT_STREQ(overflow_policy_name(OverflowPolicy::Block), "block");
-  EXPECT_STREQ(overflow_policy_name(OverflowPolicy::ReplaceOldest),
-               "replace-oldest");
 }
 
 TEST(FusionEngineTest, FusesAndReportsOk) {
@@ -379,7 +375,7 @@ TEST(FusionEngineAdmission, RejectPolicyShedsWhenQueueFull) {
       << shed.get().reason;
   EXPECT_FALSE(shed.progress().started);
 
-  FusionTicket tried = engine.try_submit(small_chain("tried"));
+  FusionTicket tried = engine.submit(small_chain("tried"));
   EXPECT_EQ(tried.get().status, FusionStatus::Rejected);
 
   gated->release();
@@ -409,35 +405,6 @@ TEST(FusionEngineAdmission, MaxInFlightCountsRunningJobs) {
   EXPECT_EQ(shed.get().status, FusionStatus::Rejected);
   gated->release();
   EXPECT_EQ(busy.get().status, FusionStatus::Ok);
-}
-
-TEST(FusionEngineAdmission, ReplaceOldestEvictsTheOldestQueuedJob) {
-  FusionEngineOptions opts = cheap_options();
-  opts.jobs = 1;
-  opts.queue.max_queued = 1;
-  opts.queue.overflow = OverflowPolicy::ReplaceOldest;
-  auto gated = std::make_shared<GatedBackend>(a100());
-  opts.tuner.backend = gated;
-  FusionEngine engine(a100(), opts);
-
-  FusionTicket busy = engine.submit(small_chain("busy"));
-  gated->wait_entered();
-  FusionTicket oldest = engine.submit(small_chain("oldest"));
-  FusionTicket newest = engine.submit(small_chain("newest"));
-  // The newcomer displaced the oldest queued job, which resolves as
-  // Rejected immediately (its waiters never hang on a job nobody runs).
-  EXPECT_TRUE(oldest.ready());
-  EXPECT_EQ(oldest.get().status, FusionStatus::Rejected);
-  EXPECT_NE(oldest.get().reason.find("replaced"), std::string::npos)
-      << oldest.get().reason;
-  gated->release();
-  EXPECT_EQ(busy.get().status, FusionStatus::Ok);
-  EXPECT_EQ(newest.get().status, FusionStatus::Ok);
-
-  const EngineStats s = engine.stats();
-  EXPECT_EQ(s.submitted, 3u);
-  EXPECT_EQ(s.rejected, 1u);
-  EXPECT_EQ(s.completed, 2u);
 }
 
 TEST(FusionEngineAdmission, QueueWaitDeadlineShedsWithoutTuning) {
@@ -525,52 +492,6 @@ TEST(FusionEngineTest, DestructionResolvesQueuedTicketsAsCancelled) {
   }
 }
 
-TEST(FusionEngineTest, DestructionUnblocksBlockPolicySubmitters) {
-  // A submitter blocked on a full queue under the Block policy must be
-  // woken by engine destruction, resolve its ticket as Cancelled, and
-  // never touch the dead engine (the ASan CI config gates the latter).
-  auto gated = std::make_shared<GatedBackend>(a100());
-  FusionTicket blocked_ticket;
-  std::vector<FusionTicket> tickets;
-  std::thread blocked_submitter;
-  std::thread releaser;
-  {
-    FusionEngineOptions opts = cheap_options();
-    opts.jobs = 1;
-    opts.queue.max_queued = 1;
-    opts.queue.overflow = OverflowPolicy::Block;
-    opts.tuner.backend = gated;
-    FusionEngine engine(a100(), opts);
-    tickets.push_back(engine.submit(small_chain("busy")));
-    gated->wait_entered();
-    tickets.push_back(engine.submit(small_chain("queued")));  // queue now full
-    blocked_submitter = std::thread([&] {
-      blocked_ticket = engine.submit(small_chain("blocked"));
-    });
-    // Positive handshake: stats().admitting counts admission calls in
-    // progress, and the only one left is the blocked submitter — once
-    // it shows up it has provably passed the shutdown check, so the
-    // destructor below cannot trip it into an MCF_CHECK abort.
-    while (engine.stats().admitting == 0) {
-      std::this_thread::yield();
-    }
-    releaser = std::thread([gated] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      gated->release();
-    });
-  }  // ~FusionEngine: waits for the woken submitter to leave admit()
-  blocked_submitter.join();
-  releaser.join();
-  EXPECT_EQ(tickets[0].get().status, FusionStatus::Ok);  // ran to completion
-  EXPECT_EQ(tickets[1].get().status, FusionStatus::Cancelled);
-  ASSERT_TRUE(blocked_ticket.valid());
-  const FusionResult& r = blocked_ticket.get();
-  EXPECT_EQ(r.status, FusionStatus::Cancelled);
-  EXPECT_NE(r.reason.find("shutting down"), std::string::npos) << r.reason;
-}
-
-// ---- stress: many producers vs a tiny bounded queue -------------------------
-
 TEST(FusionEngineAdmission, StoredDigestIsAnsweredAtAdmission) {
   FusionEngineOptions opts = cheap_options();
   opts.jobs = 1;
@@ -596,7 +517,7 @@ TEST(FusionEngineAdmission, StoredDigestIsAnsweredAtAdmission) {
   // The stored digest, under other names, is answered at admission:
   // resolved at once, never started, never blocked or shed.
   FusionTicket hit = engine.submit(small_chain("again"));
-  FusionTicket tried = engine.try_submit(small_chain("tried"));
+  FusionTicket tried = engine.submit(small_chain("tried"));
   for (const FusionTicket* t : {&hit, &tried}) {
     EXPECT_TRUE(t->ready());
     EXPECT_EQ(t->get().status, FusionStatus::Ok);
@@ -616,6 +537,89 @@ TEST(FusionEngineAdmission, StoredDigestIsAnsweredAtAdmission) {
   EXPECT_EQ(s.submitted,
             s.completed + s.rejected + s.cancelled + s.deadline_exceeded);
 }
+
+// ---- the pick-up lookup: the one dedup of concurrent jobs -------------------
+
+TEST(FusionEngineAdmission, QueuedJobOfARunningDigestIsAnsweredAtPickUp) {
+  // The only worker is held inside the gate by digest X: a second
+  // submit() of X misses the store at admission (nothing is stored yet)
+  // and queues.  By the time the worker picks it up, X is stored, so it
+  // resolves from the store without starting.
+  FusionEngineOptions opts = cheap_options();
+  opts.jobs = 1;
+  auto gated = std::make_shared<GatedBackend>(a100());
+  opts.tuner.backend = gated;
+  FusionEngine engine(a100(), opts);
+
+  FusionTicket first = engine.submit(small_chain("x-first"));
+  gated->wait_entered();
+  FusionTicket second = engine.submit(small_chain("x-second"));
+  EXPECT_FALSE(second.ready());  // queued, not answered at admission
+  const std::uint64_t hits_before = engine.stats().memo_hits;
+  gated->release();
+
+  ASSERT_EQ(first.get().status, FusionStatus::Ok);
+  EXPECT_TRUE(first.progress().started);
+  const FusionResult& r = second.get();
+  ASSERT_EQ(r.status, FusionStatus::Ok);
+  const FusionTicket::Progress p = second.progress();
+  EXPECT_FALSE(p.started);
+  EXPECT_EQ(p.measurements, 0);
+  EXPECT_EQ(r.tuned.stats.measurements, 0);
+  EXPECT_EQ(r.tuned.best.tiles, first.get().tuned.best.tiles);
+  ASSERT_TRUE(r.kernel.has_value());
+  EXPECT_EQ(&r.kernel->schedule().chain(), &second.chain());
+  const EngineStats s = engine.stats();
+  EXPECT_EQ(s.memo_hits, hits_before + 1);
+  EXPECT_EQ(s.submitted, 2u);
+  EXPECT_EQ(s.completed, 2u);
+}
+
+TEST(FusionEngineAdmission, ConcurrentFuseChainsOfARunningDigestReportsReused) {
+  // Two fuse_chains calls of digest X on two threads, one worker: the
+  // second call's job queues behind the first call's and is answered
+  // from the store at pick-up, so its report shows X reused, not tuned.
+  FusionEngineOptions opts = cheap_options();
+  opts.jobs = 1;
+  auto gated = std::make_shared<GatedBackend>(a100());
+  opts.tuner.backend = gated;
+  FusionEngine engine(a100(), opts);
+
+  GraphFusionReport first;
+  GraphFusionReport second;
+  std::thread first_caller(
+      [&] { first = engine.fuse_chains({small_chain("x-first")}, "first"); });
+  gated->wait_entered();
+  std::thread second_caller(
+      [&] { second = engine.fuse_chains({small_chain("x-second")}, "second"); });
+  // Open the gate only once the second call's job is queued.
+  while (engine.stats().queued == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t hits_before = engine.stats().memo_hits;
+  gated->release();
+  first_caller.join();
+  second_caller.join();
+
+  ASSERT_TRUE(first.all_ok());
+  ASSERT_EQ(first.chains.size(), 1u);
+  EXPECT_EQ(first.tuned_chains, 1);
+  EXPECT_FALSE(first.chains[0].reused);
+  EXPECT_GT(first.total_measurements, 0);
+
+  ASSERT_TRUE(second.all_ok());
+  ASSERT_EQ(second.chains.size(), 1u);
+  EXPECT_TRUE(second.chains[0].reused);
+  EXPECT_EQ(second.tuned_chains, 0);
+  EXPECT_EQ(second.total_measurements, 0);
+  EXPECT_EQ(second.chains[0].result->tuned.best.tiles,
+            first.chains[0].result->tuned.best.tiles);
+  EXPECT_EQ(second.chains[0].result->kernel->schedule().chain().name(),
+            "x-second");
+  EXPECT_EQ(engine.stats().memo_hits, hits_before + 1);
+}
+
+// ---- stress: many producers vs a tiny bounded queue -------------------------
 
 TEST(FusionEngineStress, ManyProducersTinyQueueEveryTicketResolvesOnce) {
   FusionEngineOptions opts = cheap_options();
@@ -651,8 +655,7 @@ TEST(FusionEngineStress, ManyProducersTinyQueueEveryTicketResolvesOnce) {
             "s" + std::to_string(t) + "_" + std::to_string(i),
             1 + t * kPerThread + i, 64 + 16 * (i % 4), 64, 32, 32);
         tickets[static_cast<std::size_t>(t)].push_back(
-            (i % 2 == 0) ? engine.submit(std::move(c))
-                         : engine.try_submit(std::move(c)));
+            engine.submit(std::move(c)));
       }
     });
   }
@@ -696,42 +699,6 @@ TEST(FusionEngineStress, ManyProducersTinyQueueEveryTicketResolvesOnce) {
   EXPECT_EQ(s.rejected, static_cast<std::uint64_t>(rejected));
   EXPECT_EQ(s.queued, 0u);
   EXPECT_EQ(s.busy, 0u);
-}
-
-TEST(FusionEngineStress, BlockPolicyCompletesEverythingWithinBounds) {
-  FusionEngineOptions opts = cheap_options();
-  opts.jobs = 2;
-  opts.queue.max_queued = 1;
-  opts.queue.overflow = OverflowPolicy::Block;
-  FusionEngine engine(a100(), opts);
-
-  constexpr int kThreads = 3;
-  constexpr int kPerThread = 4;
-  std::vector<std::vector<FusionTicket>> tickets(kThreads);
-  std::vector<std::thread> producers;
-  producers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // A distinct digest per ticket: each one goes through the queue.
-        tickets[static_cast<std::size_t>(t)].push_back(engine.submit(
-            ChainSpec::gemm_chain("b" + std::to_string(t) + "_" +
-                                      std::to_string(i),
-                                  1 + t * kPerThread + i, 64 + 16 * (i % 3),
-                                  64, 32, 32)));
-      }
-    });
-  }
-  for (std::thread& p : producers) p.join();
-  for (const auto& per_thread : tickets) {
-    for (const FusionTicket& t : per_thread) {
-      EXPECT_EQ(t.get().status, FusionStatus::Ok) << t.chain().name();
-    }
-  }
-  const EngineStats s = engine.stats();
-  EXPECT_EQ(s.submitted, static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(s.completed, s.submitted);  // Block never sheds
-  EXPECT_EQ(s.rejected, 0u);
 }
 
 TEST(FusionEngineTest, RepeatFuseIsAStoreHit) {

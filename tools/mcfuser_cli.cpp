@@ -614,13 +614,12 @@ int cmd_serve(const Args& args) {
   opts.backend = args.str("backend", "sim");
   if (!backend_known(opts.backend)) return 2;
   opts.jobs = static_cast<int>(args.num("jobs", 0));
+  // A full queue sheds a request as FusionStatus::Rejected (the server
+  // calls submit(), which never waits) — the service never blocks or OOMs.
   opts.queue.max_queued = static_cast<std::size_t>(args.num("max-queue", 0));
   opts.queue.max_in_flight =
       static_cast<std::size_t>(args.num("max-in-flight", 0));
   opts.queue.deadline_s = args.dbl("deadline", 0.0);
-  // Reject overflow: a full queue sheds as FusionStatus::Rejected through
-  // the server's try_submit path — the service never blocks or OOMs.
-  opts.queue.overflow = OverflowPolicy::Reject;
   FusionEngine engine(gpu, opts);
 
   net::ServerOptions sopt;
