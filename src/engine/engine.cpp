@@ -6,10 +6,8 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "exec/sandbox.hpp"
 #include "graph/partitioner.hpp"
 #include "measure/backend.hpp"
-#include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 
@@ -133,29 +131,30 @@ FusionTicket::Progress FusionTicket::progress() const {
   return p;
 }
 
-// ---- EngineStats / GraphFusionReport ----------------------------------------
+// ---- EngineStats / FusionResult / GraphFusionReport -------------------------
 
 std::string EngineStats::to_json() const {
-  std::ostringstream os;
-  os << "{\"queued\":" << queued << ",\"busy\":" << busy
-     << ",\"workers\":" << workers << ",\"submitted\":" << submitted
-     << ",\"completed\":" << completed
-     << ",\"rejected\":" << rejected << ",\"cancelled\":" << cancelled
-     << ",\"deadline_exceeded\":" << deadline_exceeded
-     << ",\"memo_entries\":" << memo_entries
-     << ",\"memo_bytes\":" << memo_bytes
-     << ",\"memo_evictions\":" << memo_evictions
-     << ",\"memo_hits\":" << memo_hits
-     << ",\"worker_spawns\":" << worker_spawns
-     << ",\"worker_respawns\":" << worker_respawns
-     << ",\"worker_crashes\":" << worker_crashes
-     << ",\"worker_timeouts\":" << worker_timeouts
-     << ",\"crash_cache_hits\":" << crash_cache_hits
-     << ",\"workers_active\":" << workers_active
-     << ",\"jit_modules_opened\":" << jit_modules_opened
-     << ",\"jit_modules_closed\":" << jit_modules_closed
-     << ",\"jit_modules_open\":" << jit_modules_open << "}";
-  return os.str();
+  return JsonWriter().object()
+      .field("queued", queued).field("busy", busy).field("workers", workers)
+      .field("submitted", submitted).field("completed", completed)
+      .field("rejected", rejected).field("cancelled", cancelled)
+      .field("deadline_exceeded", deadline_exceeded)
+      .field("memo_entries", memo_entries).field("memo_bytes", memo_bytes)
+      .field("memo_evictions", memo_evictions).field("memo_hits", memo_hits)
+      .key("jit").raw(jit.to_json())
+      .key("sandbox").raw(sandbox.to_json())
+      .end().str();
+}
+
+void FusionResult::write_report(JsonWriter& w, const std::string& name) const {
+  w.field("name", name).field("status", fusion_status_name(status))
+      .field("reason", reason);
+  if (!ok()) return;
+  w.field("time_us", time_s() * 1e6)
+      .field("measurements", tuned.stats.measurements)
+      .field("generations", tuned.stats.generations)
+      .field("space_size", space_size).field("best_expr", tuned.best.expr_id)
+      .key("best_tiles").integers(tuned.best.tiles);
 }
 
 bool GraphFusionReport::all_ok() const noexcept {
@@ -166,59 +165,28 @@ bool GraphFusionReport::all_ok() const noexcept {
 }
 
 std::string GraphFusionReport::to_json() const {
-  std::ostringstream os;
-  os << "{\"graph\":\"";
-  os << json_escape(graph_name);
-  os << "\",\"nodes\":" << graph_nodes
-     << ",\"mbci_subgraphs\":" << mbci_subgraphs
-     << ",\"distinct_chains\":" << distinct_chains
-     << ",\"tuned_chains\":" << tuned_chains
-     << ",\"total_measurements\":" << total_measurements
-     << ",\"tuning_wall_s\":" << tuning_wall_s
-     << ",\"jit_compile\":{\"tus_compiled\":" << jit_compile.tus_compiled
-     << ",\"kernels_compiled\":" << jit_compile.kernels_compiled
-     << ",\"cache_hits\":" << jit_compile.cache_hits()
-     << ",\"failures\":" << jit_compile.failures
-     << ",\"modules_opened\":" << jit_compile.modules_opened
-     << ",\"modules_open\":" << jit_compile.modules_open
-     << ",\"modules_closed\":" << jit_compile.modules_closed
-     << ",\"compile_wall_s\":" << jit_compile.compile_wall_s
-     << "},\"engine\":" << engine_stats.to_json() << ",\"chains\":[";
-  for (std::size_t i = 0; i < chains.size(); ++i) {
-    const GraphChainReport& c = chains[i];
-    if (i) os << ",";
-    os << "{\"digest\":\"";
-    os << json_escape(c.digest);
-    os << "\",\"name\":\"";
-    os << json_escape(c.chain_name);
-    os << "\",\"desc\":\"";
-    os << json_escape(c.chain_desc);
-    os << "\",\"occurrences\":" << c.occurrences
-       << ",\"reused\":" << (c.reused ? "true" : "false") << ",\"status\":\""
-       << (c.result ? fusion_status_name(c.result->status) : "missing")
-       << "\",\"reason\":\"";
-    if (c.result) os << json_escape(c.result->reason);
-    os << "\"";
-    if (c.result && c.result->ok()) {
-      os << ",\"time_us\":" << c.result->time_s() * 1e6
-         << ",\"measurements\":" << c.result->tuned.stats.measurements
-         << ",\"space_size\":" << c.result->space_size << ",\"best_tiles\":[";
-      const auto& tiles = c.result->tuned.best.tiles;
-      for (std::size_t t = 0; t < tiles.size(); ++t) {
-        if (t) os << ",";
-        os << tiles[t];
-      }
-      os << "]";
+  JsonWriter w;
+  w.object().field("graph", graph_name).field("nodes", graph_nodes)
+      .field("mbci_subgraphs", mbci_subgraphs)
+      .field("distinct_chains", distinct_chains)
+      .field("tuned_chains", tuned_chains)
+      .field("total_measurements", total_measurements)
+      .field("tuning_wall_s", tuning_wall_s)
+      .key("jit_compile").raw(jit_compile.to_json())
+      .key("engine").raw(engine_stats.to_json())
+      .key("chains").array();
+  for (const GraphChainReport& c : chains) {
+    w.object().field("digest", c.digest).field("desc", c.chain_desc)
+        .field("occurrences", c.occurrences).field("reused", c.reused);
+    if (c.result) {
+      c.result->write_report(w, c.chain_name);
+    } else {
+      w.field("name", c.chain_name).field("status", "missing");
     }
-    os << "}";
+    w.end();
   }
-  os << "],\"sub_to_chain\":[";
-  for (std::size_t i = 0; i < sub_to_chain.size(); ++i) {
-    if (i) os << ",";
-    os << sub_to_chain[i];
-  }
-  os << "]}";
-  return os.str();
+  w.end().key("sub_to_chain").integers(sub_to_chain).end();
+  return w.str();
 }
 
 // ---- FusionEngine -----------------------------------------------------------
@@ -765,24 +733,8 @@ EngineStats FusionEngine::stats() const {
     s.memo_evictions = results_.evictions();
   }
   s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
-  // Worker-pool health is process-wide (the pools live in the measure
-  // backends, which engines may share), mirrored here like jit compile
-  // stats are mirrored into the graph report.
-  const sandbox::WorkerStats w = sandbox::stats_snapshot();
-  s.worker_spawns = static_cast<std::uint64_t>(w.spawned);
-  s.worker_respawns = static_cast<std::uint64_t>(w.respawned);
-  s.worker_crashes = static_cast<std::uint64_t>(w.crashes);
-  s.worker_timeouts = static_cast<std::uint64_t>(w.timeouts);
-  s.crash_cache_hits = static_cast<std::uint64_t>(w.negative_hits);
-  s.workers_active = static_cast<std::size_t>(std::max<std::int64_t>(w.active, 0));
-  // JIT module lifecycle is process-wide too (the registry is shared by
-  // every engine); the snapshot carries the accounting identity
-  // opened == open + closed.
-  const jit::CompileStats j = jit::stats_snapshot();
-  s.jit_modules_opened = static_cast<std::uint64_t>(j.modules_opened);
-  s.jit_modules_closed = static_cast<std::uint64_t>(j.modules_closed);
-  s.jit_modules_open =
-      static_cast<std::size_t>(std::max<std::int64_t>(j.modules_open, 0));
+  s.jit = jit::stats_snapshot();
+  s.sandbox = sandbox::stats_snapshot();
   return s;
 }
 

@@ -50,10 +50,12 @@
 #include <vector>
 
 #include "engine/status.hpp"
+#include "support/json.hpp"
 #include "support/lru_map.hpp"
 #include "support/mutex.hpp"
 #include "exec/jit.hpp"
 #include "exec/program.hpp"
+#include "exec/sandbox.hpp"
 #include "graph/netgraph.hpp"
 #include "search/space.hpp"
 #include "search/tuner.hpp"
@@ -147,24 +149,15 @@ struct EngineStats {
   std::size_t memo_bytes = 0;    ///< approximate memoized payload bytes
   std::uint64_t memo_evictions = 0;  ///< results LRU-evicted so far
   std::uint64_t memo_hits = 0;  ///< requests answered from the store
-  // Sandbox worker-pool health (process-wide, like the jit compile
-  // stats — every engine in the process shares the pools' counters; see
-  // exec/sandbox.hpp).  All zero when isolation is never used.
-  std::uint64_t worker_spawns = 0;      ///< worker processes exec'd
-  std::uint64_t worker_respawns = 0;    ///< spawns replacing a dead worker
-  std::uint64_t worker_crashes = 0;     ///< measurements ending in a crash
-  std::uint64_t worker_timeouts = 0;    ///< measurements killed at deadline
-  std::uint64_t crash_cache_hits = 0;   ///< served by the crash negative-cache
-  std::size_t workers_active = 0;       ///< live worker processes (gauge)
-  // JIT module lifecycle (process-wide, like the worker-pool health):
-  // dlopen'd kernel TUs are refcounted and dlclose'd on last release, so
-  // `jit_modules_open` is bounded by the kernel cap plus live kernel
-  // handles.  Accounting identity: opened == open + closed.
-  std::uint64_t jit_modules_opened = 0;  ///< dlopen()s performed
-  std::uint64_t jit_modules_closed = 0;  ///< dlclose()s on last release
-  std::size_t jit_modules_open = 0;      ///< resident modules (gauge)
+  /// Process-wide snapshots: every engine in the process shares the jit
+  /// kernel registry and the sandbox worker pools.  The absolute `jit`
+  /// snapshot keeps the module identity opened == open + closed;
+  /// `sandbox` is all zero when isolation is never used.
+  jit::CompileStats jit;
+  sandbox::WorkerStats sandbox;
 
-  /// Every field, keyed by its name: the one EngineStats JSON writer.
+  /// Every field keyed by its name, `jit` and `sandbox` as nested
+  /// objects.
   [[nodiscard]] std::string to_json() const;
 };
 
@@ -184,6 +177,13 @@ struct FusionResult {
 
   [[nodiscard]] bool ok() const noexcept { return status == FusionStatus::Ok; }
   [[nodiscard]] double time_s() const noexcept { return tuned.best_time_s; }
+
+  /// The one chain report, shared by GraphFusionReport's chains,
+  /// `mcfuser fuse --json` and the wire FuseResult: writes `name`,
+  /// `status`, `reason` and, when ok(), `time_us`, `measurements`,
+  /// `generations`, `space_size`, `best_expr` and `best_tiles` into the
+  /// object `w` has open.
+  void write_report(JsonWriter& w, const std::string& name) const;
 };
 
 namespace detail {

@@ -23,6 +23,7 @@
 #include "measure/backend.hpp"
 #include "support/atomic_file.hpp"
 #include "support/env.hpp"
+#include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/lru_map.hpp"
 #include "support/mutex.hpp"
@@ -715,6 +716,19 @@ std::uint64_t host_key() {
   h = hash_combine(h, hash_string(kCompileFlags));
   h = hash_combine(h, hash_string(kLinkLibs));
   return hash_combine(h, kEmitterVersion);
+}
+
+std::string CompileStats::to_json() const {
+  return JsonWriter().object()
+      .field("tus_compiled", tus_compiled)
+      .field("kernels_compiled", kernels_compiled)
+      .field("cache_hits", cache_hits()).field("mem_hits", mem_hits)
+      .field("disk_hits", disk_hits).field("failures", failures)
+      .field("evictions", evictions).field("modules_opened", modules_opened)
+      .field("modules_closed", modules_closed)
+      .field("modules_open", modules_open)
+      .field("compile_wall_s", compile_wall_s)
+      .end().str();
 }
 
 CompileStats stats_snapshot() {

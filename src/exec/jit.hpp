@@ -106,7 +106,8 @@ struct Toolchain {
 [[nodiscard]] std::uint64_t host_key();
 
 /// Process-wide compilation counters (monotonic; report deltas).
-/// Surfaced in GraphFusionReport::to_json and the CLI --json output.
+/// Surfaced as EngineStats' `jit` section and as the `jit_compile`
+/// delta of GraphFusionReport and the CLI's --json output.
 struct CompileStats {
   std::int64_t tus_compiled = 0;      ///< shared objects published
   std::int64_t kernels_compiled = 0;  ///< kernels lowered+compiled fresh
@@ -140,6 +141,8 @@ struct CompileStats {
     d.compile_wall_s = compile_wall_s - before.compile_wall_s;
     return d;
   }
+  /// Every field keyed by its name, plus the derived `cache_hits`.
+  [[nodiscard]] std::string to_json() const;
 };
 
 [[nodiscard]] CompileStats stats_snapshot();

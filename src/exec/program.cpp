@@ -26,10 +26,7 @@ CompiledKernel::CompiledKernel(Schedule schedule, GpuSpec gpu)
     : schedule_(std::move(schedule)), gpu_(std::move(gpu)) {
   std::optional<SmemPlan> smem;
   error_ = lowering_error(schedule_, gpu_, smem);
-  if (smem) smem_ = std::move(*smem);
-  if (!error_.empty()) return;
-  volume_ = analyze_volume(schedule_);
-  ok_ = true;
+  ok_ = error_.empty();
 }
 
 ExecutionCounters CompiledKernel::run(const Tensor& a,

@@ -3,11 +3,11 @@
 //
 // Compilation validates the schedule against the target GPU (actual
 // shared-memory fit — the paper's quadrant-II candidates are rejected
-// here, "during PTX code lowering"), precomputes the static volume report
-// and shared-memory plan, and exposes run() (interpreter), run_native()
-// (the compiled module) and measure() (simulator).  run_native is the one
-// handle for running a schedule's native kernel; code that needs the raw
-// entry point holds a jit::ResolvedKernel from jit::resolve_kernel.
+// here, "during PTX code lowering") and exposes run() (interpreter),
+// run_native() (the compiled module) and measure() (simulator).
+// run_native is the one handle for running a schedule's native kernel;
+// code that needs the raw entry point holds a jit::ResolvedKernel from
+// jit::resolve_kernel.
 #pragma once
 
 #include <optional>
@@ -15,7 +15,6 @@
 #include <string>
 
 #include "dag/schedule.hpp"
-#include "dag/volume.hpp"
 #include "exec/interpreter.hpp"
 #include "gpu/smem.hpp"
 #include "gpu/timing.hpp"
@@ -43,9 +42,6 @@ class CompiledKernel {
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
   [[nodiscard]] const Schedule& schedule() const noexcept { return schedule_; }
-  /// Computed for ok() kernels only.
-  [[nodiscard]] const VolumeReport& volume() const noexcept { return volume_; }
-  [[nodiscard]] const SmemPlan& smem() const noexcept { return smem_; }
   [[nodiscard]] const GpuSpec& gpu() const noexcept { return gpu_; }
 
   /// Functional execution (see Interpreter).
@@ -73,8 +69,6 @@ class CompiledKernel {
  private:
   Schedule schedule_;
   GpuSpec gpu_;
-  VolumeReport volume_;
-  SmemPlan smem_;
   bool ok_ = false;
   std::string error_;
 };

@@ -20,6 +20,7 @@
 #include "exec/jit.hpp"
 #include "support/env.hpp"
 #include "support/framing.hpp"
+#include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/lru_map.hpp"
 #include "support/mutex.hpp"
@@ -365,6 +366,15 @@ PoolOptions default_pool_options() {
   opt.max_retries = static_cast<int>(
       env::int64("MCFUSER_SANDBOX_RETRIES", opt.max_retries, 0, 16));
   return opt;
+}
+
+std::string WorkerStats::to_json() const {
+  return JsonWriter().object()
+      .field("spawned", spawned).field("respawned", respawned)
+      .field("crashes", crashes).field("timeouts", timeouts)
+      .field("requests", requests).field("negative_hits", negative_hits)
+      .field("active", active)
+      .end().str();
 }
 
 WorkerStats stats_snapshot() {

@@ -83,8 +83,8 @@ struct PoolOptions {
 [[nodiscard]] PoolOptions default_pool_options();
 
 /// Process-wide worker health counters (monotonic except `active`;
-/// report deltas via since()).  Mirrored into EngineStats and
-/// GraphFusionReport::to_json.
+/// report deltas via since()).  Surfaced as EngineStats' `sandbox`
+/// section.
 struct WorkerStats {
   std::int64_t spawned = 0;        ///< worker processes exec'd, ever
   std::int64_t respawned = 0;      ///< spawns replacing a dead worker
@@ -104,6 +104,8 @@ struct WorkerStats {
     d.active = active;  // gauge, not a counter
     return d;
   }
+  /// Every field keyed by its name.
+  [[nodiscard]] std::string to_json() const;
 };
 [[nodiscard]] WorkerStats stats_snapshot();
 

@@ -102,11 +102,9 @@ const char* rpc_status_name(RpcStatus s) noexcept {
 }
 
 FusionClient::FusionClient(std::string endpoint, ClientOptions opt)
-    : endpoint_(std::move(endpoint)), opt_(opt) {
-  jitter_state_ = opt_.jitter_seed != 0
-                      ? opt_.jitter_seed
-                      : hash_combine(hash_string(endpoint_), 0x6d63666eULL);
-}
+    : endpoint_(std::move(endpoint)),
+      opt_(opt),
+      jitter_state_(hash_combine(hash_string(endpoint_), 0x6d63666eULL)) {}
 
 int FusionClient::connect_fd(std::string* err) const {
   std::string target = endpoint_;
@@ -204,80 +202,12 @@ RpcResult FusionClient::once(const std::string& request_frame, MsgType expect,
     return res;
   }
 
-  const std::size_t frame_cap = framing::default_max_frame_bytes();
   const auto fail = [&](RpcStatus s, std::string detail) {
     ::close(fd);
     res.status = s;
     res.detail = std::move(detail);
     return res;
   };
-  // Reads one frame and routes structured Errors; true to keep going.
-  const auto read_reply = [&](std::string* payload, double wait_s,
-                              const char* phase) -> bool {
-    const Deadline dl = framing::deadline_after(wait_s);
-    const IoStatus rs = framing::read_frame(fd, payload, frame_cap, &dl);
-    if (rs == IoStatus::Timeout) {
-      (void)fail(RpcStatus::Timeout,
-                 std::string(phase) + ": no reply in time");
-      return false;
-    }
-    if (rs != IoStatus::Ok) {
-      (void)fail(RpcStatus::ProtocolError, std::string(phase) + ": " +
-                                               framing::io_status_name(rs) +
-                                               " while reading reply");
-      return false;
-    }
-    return true;
-  };
-  // Decodes the reply header; routes Error frames and version skew onto
-  // the client taxonomy.  Returns true when the payload is `want`.
-  const auto expect_type = [&](const std::string& payload, MsgType want,
-                               const char* phase) -> bool {
-    MsgType type{};
-    std::uint8_t seen = 0;
-    switch (decode_header(payload, &type, &seen)) {
-      case HeaderStatus::Ok: break;
-      case HeaderStatus::BadVersion:
-        (void)fail(RpcStatus::VersionMismatch,
-                   std::string(phase) + ": server speaks MCFN v" +
-                       std::to_string(int{seen}) + ", this client v" +
-                       std::to_string(int{kProtocolVersion}));
-        return false;
-      default:
-        (void)fail(RpcStatus::ProtocolError,
-                   std::string(phase) + ": reply is not an MCFN frame");
-        return false;
-    }
-    if (type == MsgType::Error) {
-      ErrorMsg em;
-      if (!decode_error(payload, &em)) {
-        (void)fail(RpcStatus::ProtocolError,
-                   std::string(phase) + ": undecodable Error frame");
-        return false;
-      }
-      (void)fail(status_from_error(em), std::string(error_code_name(em.code)) +
-                                            ": " + em.detail);
-      return false;
-    }
-    if (type != want) {
-      (void)fail(RpcStatus::ProtocolError,
-                 std::string(phase) + ": unexpected " + msg_type_name(type));
-      return false;
-    }
-    return true;
-  };
-
-  if (opt_.handshake) {
-    const std::string hello = encode_hello();
-    const Deadline hdl = framing::deadline_after(opt_.io_timeout_s);
-    if (framing::write_all(fd, hello.data(), hello.size(), &hdl) !=
-        IoStatus::Ok) {
-      return fail(RpcStatus::Timeout, "handshake: send stalled");
-    }
-    std::string ack;
-    if (!read_reply(&ack, opt_.io_timeout_s, "handshake")) return res;
-    if (!expect_type(ack, MsgType::HelloAck, "handshake")) return res;
-  }
 
   const Deadline wdl = framing::deadline_after(opt_.io_timeout_s);
   if (framing::write_all(fd, request_frame.data(), request_frame.size(),
@@ -289,9 +219,44 @@ RpcResult FusionClient::once(const std::string& request_frame, MsgType expect,
   // before its result frame appears; wait generously past io_timeout_s.
   const double extra =
       opt_.request_timeout_s > 0.0 ? opt_.request_timeout_s : 600.0;
+  const Deadline rdl = framing::deadline_after(opt_.io_timeout_s + extra);
   std::string payload;
-  if (!read_reply(&payload, opt_.io_timeout_s + extra, "request")) return res;
-  if (!expect_type(payload, expect, "request")) return res;
+  const IoStatus rs = framing::read_frame(
+      fd, &payload, framing::default_max_frame_bytes(), &rdl);
+  if (rs == IoStatus::Timeout) {
+    return fail(RpcStatus::Timeout, "request: no reply in time");
+  }
+  if (rs != IoStatus::Ok) {
+    return fail(RpcStatus::ProtocolError,
+                std::string("request: ") + framing::io_status_name(rs) +
+                    " while reading reply");
+  }
+
+  // Error frames and version skew map onto the client taxonomy.
+  MsgType type{};
+  std::uint8_t seen = 0;
+  switch (decode_header(payload, &type, &seen)) {
+    case HeaderStatus::Ok: break;
+    case HeaderStatus::BadVersion:
+      return fail(RpcStatus::VersionMismatch,
+                  "request: server speaks MCFN v" + std::to_string(int{seen}) +
+                      ", this client v" + std::to_string(int{kProtocolVersion}));
+    default:
+      return fail(RpcStatus::ProtocolError,
+                  "request: reply is not an MCFN frame");
+  }
+  if (type == MsgType::Error) {
+    ErrorMsg em;
+    if (!decode_error(payload, &em)) {
+      return fail(RpcStatus::ProtocolError, "request: undecodable Error frame");
+    }
+    return fail(status_from_error(em),
+                std::string(error_code_name(em.code)) + ": " + em.detail);
+  }
+  if (type != expect) {
+    return fail(RpcStatus::ProtocolError,
+                std::string("request: unexpected ") + msg_type_name(type));
+  }
 
   ::close(fd);
   res.status = RpcStatus::Ok;

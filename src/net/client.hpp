@@ -2,8 +2,8 @@
 //
 // One client talks to one endpoint (Unix-domain path or loopback
 // host:port) with a fresh connection per call: connect under
-// connect_timeout_s, optional Hello/HelloAck version handshake, one
-// request frame out, one response frame back under io_timeout_s, close.
+// connect_timeout_s, one request frame out, one response frame back
+// under io_timeout_s, close.
 // Stateless calls keep the failure model simple — there is no sticky
 // half-dead connection to reason about.
 //
@@ -13,8 +13,9 @@
 // because the request provably never entered the engine:
 //
 //   * connect refused / connect timeout   (no bytes ever sent)
-//   * version handshake refusal           (server answered BadVersion
-//                                          before reading a request)
+//   * Error{BadVersion}                   (the frame header's version
+//                                          byte was refused before the
+//                                          request reached the engine)
 //   * Error{Draining}                     (server refused the request
 //                                          while shutting down)
 //
@@ -46,16 +47,9 @@ struct ClientOptions {
   /// Retries AFTER the first attempt, for idempotent-safe failures only.
   int max_retries = 3;
   /// Backoff ladder: min(backoff_max_s, backoff_initial_s * 2^attempt),
-  /// scaled by a deterministic jitter in [0.5, 1.0].
+  /// scaled by a jitter in [0.5, 1.0] seeded from the endpoint.
   double backoff_initial_s = 0.05;
   double backoff_max_s = 2.0;
-  /// Jitter seed; 0 derives one from the endpoint so two clients with
-  /// default options still spread their retries.
-  std::uint64_t jitter_seed = 0;
-  /// Hello/HelloAck handshake before the first request of every call.
-  /// Costs one round-trip; catches a version skew before any work is
-  /// sent.  Disable for latency-critical same-binary loopback use.
-  bool handshake = true;
 };
 
 /// The client's failure taxonomy.  Engine-level failures (Rejected,
@@ -93,7 +87,7 @@ class FusionClient {
   explicit FusionClient(std::string endpoint, ClientOptions opt = {});
 
   /// Tunes one chain through the remote engine.  Blocks for up to
-  /// (connect + handshake + request budget + io) per attempt.
+  /// (connect + request budget + io) per attempt.
   [[nodiscard]] RpcResult fuse(const ChainSpec& chain);
   /// Same, with explicit wire-level control (correlation id, timeout).
   [[nodiscard]] RpcResult fuse_request(FuseRequest req);
@@ -109,7 +103,7 @@ class FusionClient {
   /// One full call with retry loop around `once`.
   RpcResult call(const std::string& request_frame, MsgType expect,
                  std::string* payload_out);
-  /// One connection lifetime: connect, handshake, send, receive.
+  /// One connection lifetime: connect, send, receive.
   RpcResult once(const std::string& request_frame, MsgType expect,
                  std::string* payload_out);
   [[nodiscard]] int connect_fd(std::string* err) const;

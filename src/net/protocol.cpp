@@ -10,10 +10,8 @@ using framing::FrameWriter;
 
 const char* msg_type_name(MsgType t) noexcept {
   switch (t) {
-    case MsgType::Hello: return "hello";
     case MsgType::FuseChain: return "fuse-chain";
     case MsgType::StatsQuery: return "stats-query";
-    case MsgType::HelloAck: return "hello-ack";
     case MsgType::FuseResult: return "fuse-result";
     case MsgType::StatsResult: return "stats-result";
     case MsgType::Error: return "error";
@@ -53,20 +51,6 @@ void put_header(FrameWriter* w, MsgType type) {
 }
 
 }  // namespace
-
-std::string encode_hello() {
-  FrameWriter w;
-  put_header(&w, MsgType::Hello);
-  return w.framed();
-}
-
-std::string encode_hello_ack(const HelloAck& ack) {
-  FrameWriter w;
-  put_header(&w, MsgType::HelloAck);
-  w.u32(ack.max_frame_bytes);
-  w.str(ack.server);
-  return w.framed();
-}
 
 std::string encode_fuse_request(const FuseRequest& req) {
   FrameWriter w;
@@ -188,12 +172,6 @@ bool decode_fuse_response(const std::string& payload, FuseResponse* resp) {
   if (!skip_header(&r)) return false;
   return r.u64(&resp->id) && r.u8(&resp->status) && r.str(&resp->reason) &&
          r.f64(&resp->time_s) && r.str(&resp->json);
-}
-
-bool decode_hello_ack(const std::string& payload, HelloAck* ack) {
-  FrameReader r(payload);
-  if (!skip_header(&r)) return false;
-  return r.u32(&ack->max_frame_bytes) && r.str(&ack->server);
 }
 
 bool decode_stats_result(const std::string& payload, std::string* stats_json) {

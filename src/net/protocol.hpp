@@ -7,22 +7,21 @@
 //
 //   u32 magic = 0x4D43464E ("MCFN")  |  u8 version  |  u8 type  |  body
 //
-// The header is checked on EVERY frame, not just the handshake — a
-// mid-stream corruption is caught at the next message, and a client
-// built against a different protocol revision is refused with a
-// structured Error{BadVersion} naming both versions (never answered
-// with silently re-interpreted bytes).
+// The header is checked on EVERY frame — a mid-stream corruption is
+// caught at the next message, and a request from a client built against
+// a different protocol revision is refused with a structured
+// Error{BadVersion} naming both versions before it reaches the engine
+// (never answered with silently re-interpreted bytes), so a call needs
+// no handshake frame.
 //
 // Message vocabulary (client -> server 0x01..0x7F, server -> client
 // 0x81..0xFF so a direction mix-up can never alias):
 //
-//   Hello       -> HelloAck      version/feature handshake (optional but
-//                                recommended: the ack carries the
-//                                server's frame cap and name)
 //   FuseChain   -> FuseResult    one ChainSpec tuned through the engine;
 //                                the response carries the FusionStatus
 //                                taxonomy verbatim plus the chain report
-//   StatsQuery  -> StatsResult   EngineStats snapshot as JSON
+//   StatsQuery  -> StatsResult   EngineStats and ServerStats snapshots
+//                                as one JSON object (`engine`, `server`)
 //   (any)       -> Error         structured refusal: code + detail + the
 //                                request id when one was parsed
 //
@@ -49,17 +48,15 @@ namespace mcf {
 namespace net {
 
 constexpr std::uint32_t kMagic = 0x4D43464E;  // "MCFN"
-constexpr std::uint8_t kProtocolVersion = 1;
+constexpr std::uint8_t kProtocolVersion = 2;
 
 /// Hard caps on request vectors, far above any real chain (a chain has a
 /// handful of ops) — a lying count fails the decode, it never allocates.
 constexpr std::uint32_t kMaxInnerDims = 64;
 
 enum class MsgType : std::uint8_t {
-  Hello = 0x01,
   FuseChain = 0x02,
   StatsQuery = 0x03,
-  HelloAck = 0x81,
   FuseResult = 0x82,
   StatsResult = 0x83,
   Error = 0x84,
@@ -104,7 +101,7 @@ struct FuseResponse {
   std::uint8_t status = 0;  ///< FusionStatus, verbatim
   std::string reason;       ///< failure detail; empty on Ok
   double time_s = 0.0;      ///< best fused time (Ok only)
-  std::string json;         ///< chain report (GraphFusionReport vocabulary)
+  std::string json;         ///< chain report (FusionResult::write_report)
 };
 
 struct ErrorMsg {
@@ -114,15 +111,8 @@ struct ErrorMsg {
   std::uint64_t id = 0;
 };
 
-struct HelloAck {
-  std::uint32_t max_frame_bytes = 0;  ///< the server's receive cap
-  std::string server;                 ///< display name + version string
-};
-
 // ---- encoders (full frames, ready for write_all) ---------------------------
 
-[[nodiscard]] std::string encode_hello();
-[[nodiscard]] std::string encode_hello_ack(const HelloAck& ack);
 [[nodiscard]] std::string encode_fuse_request(const FuseRequest& req);
 [[nodiscard]] std::string encode_stats_query();
 [[nodiscard]] std::string encode_fuse_response(const FuseResponse& resp);
@@ -155,7 +145,6 @@ enum class HeaderStatus : std::uint8_t {
                                        FuseRequest* req, std::string* why);
 [[nodiscard]] bool decode_fuse_response(const std::string& payload,
                                         FuseResponse* resp);
-[[nodiscard]] bool decode_hello_ack(const std::string& payload, HelloAck* ack);
 [[nodiscard]] bool decode_stats_result(const std::string& payload,
                                        std::string* stats_json);
 [[nodiscard]] bool decode_error(const std::string& payload, ErrorMsg* err);

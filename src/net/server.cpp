@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 
 #include "net/protocol.hpp"
 #include "support/framing.hpp"
@@ -46,23 +45,6 @@ void ignore_sigpipe_once() {
     return 0;
   }();
   (void)installed;
-}
-
-/// The per-chain response report.  It shares GraphFusionReport's
-/// per-chain `status`, `reason`, `space_size` and `measurements` keys,
-/// but names the chain under `chain` (not `name`) and prints the time as
-/// `time_s` in seconds, where GraphFusionReport prints `time_us`.
-[[nodiscard]] std::string chain_report_json(const ChainSpec& chain,
-                                            const FusionResult& r) {
-  // Doubles print as GraphFusionReport::to_json prints them (six
-  // significant digits); %f would round microsecond times to one.
-  std::ostringstream os;
-  os << "{\"chain\": \"" << json_escape(chain.name()) << "\""
-     << ", \"status\": \"" << fusion_status_name(r.status) << "\""
-     << ", \"reason\": \"" << json_escape(r.reason) << "\""
-     << ", \"time_s\": " << r.time_s() << ", \"space_size\": " << r.space_size
-     << ", \"measurements\": " << r.tuned.stats.measurements << "}";
-  return os.str();
 }
 
 }  // namespace
@@ -390,24 +372,12 @@ void FusionServer::handle_connection(Conn* conn) {
     if (!open) break;
 
     switch (type) {
-      case MsgType::Hello: {
-        if (draining()) {
-          (void)send_frame(
-              fd, encode_error(ErrorCode::Draining, "server is draining"));
-          open = false;
-          break;
-        }
-        HelloAck ack;
-        ack.max_frame_bytes = static_cast<std::uint32_t>(frame_cap);
-        ack.server =
-            "mcfuser-fusion-server/" + std::to_string(int{kProtocolVersion});
-        open = send_frame(fd, encode_hello_ack(ack));
-        break;
-      }
       case MsgType::StatsQuery:
-        open = send_frame(
-            fd, encode_stats_result("{\"engine\":" + engine_.stats().to_json() +
-                                    ",\"server\":" + stats().to_json() + "}"));
+        open = send_frame(fd, encode_stats_result(
+            JsonWriter().object()
+                .key("engine").raw(engine_.stats().to_json())
+                .key("server").raw(stats().to_json())
+                .end().str()));
         break;
       case MsgType::FuseChain:
         open = handle_fuse(fd, payload);
@@ -490,22 +460,23 @@ bool FusionServer::handle_fuse(int fd, const std::string& payload) {
   resp.status = static_cast<std::uint8_t>(r.status);
   resp.reason = r.reason;
   resp.time_s = r.time_s();
-  resp.json = chain_report_json(*chain, r);
+  JsonWriter report;
+  r.write_report(report.object(), chain->name());
+  resp.json = report.end().str();
   return send_frame(fd, encode_fuse_response(resp));
 }
 
 std::string ServerStats::to_json() const {
-  std::ostringstream os;
-  os << "{\"accepted\":" << accepted << ",\"active\":" << active
-     << ",\"overload_sheds\":" << overload_sheds
-     << ",\"protocol_errors\":" << protocol_errors
-     << ",\"version_mismatches\":" << version_mismatches
-     << ",\"oversized_frames\":" << oversized_frames
-     << ",\"idle_closes\":" << idle_closes
-     << ",\"io_timeouts\":" << io_timeouts << ",\"requests\":" << requests
-     << ",\"requests_ok\":" << requests_ok
-     << ",\"requests_shed\":" << requests_shed << "}";
-  return os.str();
+  return JsonWriter().object()
+      .field("accepted", accepted).field("active", active)
+      .field("overload_sheds", overload_sheds)
+      .field("protocol_errors", protocol_errors)
+      .field("version_mismatches", version_mismatches)
+      .field("oversized_frames", oversized_frames)
+      .field("idle_closes", idle_closes).field("io_timeouts", io_timeouts)
+      .field("requests", requests).field("requests_ok", requests_ok)
+      .field("requests_shed", requests_shed)
+      .end().str();
 }
 
 }  // namespace net

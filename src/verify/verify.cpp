@@ -427,34 +427,26 @@ const char* violation_kind_name(ViolationKind k) noexcept {
 }
 
 std::string Violation::to_json() const {
-  std::ostringstream os;
-  os << "{\"kind\":\"" << violation_kind_name(kind) << "\",\"site\":\""
-     << json_escape(site) << "\",\"buffer\":\"" << json_escape(buffer) << "\",\"access\":\""
-     << json_escape(access) << "\",\"block\":" << block << ",\"indices\":[";
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (i) os << ",";
-    os << indices[i];
-  }
-  os << "],\"offset\":" << offset << ",\"lo\":" << lo << ",\"hi\":" << hi
-     << ",\"message\":\"" << json_escape(message) << "\"}";
-  return os.str();
+  return JsonWriter().object()
+      .field("kind", violation_kind_name(kind)).field("site", site)
+      .field("buffer", buffer).field("access", access).field("block", block)
+      .key("indices").integers(indices)
+      .field("offset", offset).field("lo", lo).field("hi", hi)
+      .field("message", message)
+      .end().str();
 }
 
 std::string VerifyReport::to_json() const {
-  std::ostringstream os;
-  os << "{\"checked\":" << (checked ? "true" : "false");
-  if (!skip_reason.empty()) {
-    os << ",\"skip_reason\":\"" << json_escape(skip_reason) << "\"";
-  }
-  os << ",\"safe\":" << (safe() ? "true" : "false")
-     << ",\"n_blocks\":" << n_blocks << ",\"scratch_floats\":" << scratch_floats
-     << ",\"sites_checked\":" << sites_checked << ",\"violations\":[";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
-    if (i) os << ",";
-    os << violations[i].to_json();
-  }
-  os << "]}";
-  return os.str();
+  JsonWriter w;
+  w.object().field("checked", checked);
+  if (!skip_reason.empty()) w.field("skip_reason", skip_reason);
+  w.field("safe", safe()).field("n_blocks", n_blocks)
+      .field("scratch_floats", scratch_floats)
+      .field("sites_checked", sites_checked)
+      .key("violations").array();
+  for (const Violation& v : violations) w.raw(v.to_json());
+  w.end().end();
+  return w.str();
 }
 
 VerifyReport verify_schedule(const Schedule& s) { return Verifier(s).run(); }

@@ -263,7 +263,9 @@ TEST(FuseGraph, ReportJsonHasExpectedFields) {
         "\"occurrences\":2", "\"status\":\"ok\"", "\"best_tiles\":[",
         "\"sub_to_chain\":[0,0]", "\"jit_compile\":{\"tus_compiled\":",
         "\"engine\":{\"queued\":", "\"submitted\":", "\"rejected\":",
-        "\"memo_entries\":1", "\"memo_evictions\":0"}) {
+        "\"memo_entries\":1", "\"memo_evictions\":0",
+        "\"jit\":{\"tus_compiled\":", "\"sandbox\":{\"spawned\":",
+        "\"name\":\"layer0\"", "\"time_us\":", "\"generations\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
   // The simulator backend never jit-compiles: the economy counters are

@@ -105,7 +105,7 @@ TEST(FusionPipeline, WorksOnRtx3080) {
   const ChainSpec c = ChainSpec::gemm_chain("g1r", 1, 512, 256, 64, 64);
   const FusionResult r = FusionEngine(gpu).fuse(c);
   ASSERT_TRUE(r.ok());
-  EXPECT_LE(r.kernel->smem().total_bytes, gpu.smem_per_block);
+  EXPECT_LE(plan_smem(r.kernel->schedule()).total_bytes, gpu.smem_per_block);
 }
 
 }  // namespace

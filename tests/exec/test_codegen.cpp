@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dag/volume.hpp"
 #include "exec/program.hpp"
 #include "support/rng.hpp"
 
@@ -56,8 +57,8 @@ TEST(CompiledKernel, AcceptsValidSchedule) {
                                        std::vector<std::int64_t>{64, 64, 64, 64}),
                         a100());
   EXPECT_TRUE(kernel.ok()) << kernel.error();
-  EXPECT_GT(kernel.volume().total_bytes(), 0.0);
-  EXPECT_GT(kernel.smem().total_bytes, 0);
+  EXPECT_GT(analyze_volume(kernel.schedule()).total_bytes(), 0.0);
+  EXPECT_GT(plan_smem(kernel.schedule()).total_bytes, 0);
 }
 
 TEST(CompiledKernel, RejectsPartialConsume) {

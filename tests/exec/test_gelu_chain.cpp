@@ -70,7 +70,7 @@ TEST(GeluChain, McfuserFusesTokenMlpShape) {
                                     {Epilogue::Gelu, Epilogue::None});
   const FusionResult r = FusionEngine(gpu).fuse(chain);
   ASSERT_TRUE(r.ok());
-  EXPECT_LE(r.kernel->smem().total_bytes, gpu.smem_per_block);
+  EXPECT_LE(plan_smem(r.kernel->schedule()).total_bytes, gpu.smem_per_block);
 }
 
 TEST(GeluChain, GeluCostsMoreThanRelu) {

@@ -278,12 +278,12 @@ TEST(JitLifecycle, AccountingIdentityAcrossStatsSurfaces) {
   EXPECT_EQ(s.modules_opened, s.modules_open + s.modules_closed);
   EXPECT_GE(s.modules_open, 0);
 
-  // EngineStats mirrors the same gauges.
+  // EngineStats carries an absolute snapshot, so the identity holds there
+  // too, and its JSON nests the snapshot's own to_json().
   const FusionEngine engine(a100());
   const EngineStats es = engine.stats();
-  EXPECT_EQ(es.jit_modules_opened,
-            static_cast<std::uint64_t>(es.jit_modules_open) +
-                es.jit_modules_closed);
+  EXPECT_EQ(es.jit.modules_opened, es.jit.modules_open + es.jit.modules_closed);
+  EXPECT_NE(es.to_json().find("\"jit\":{\"tus_compiled\":"), std::string::npos);
 
   // GraphFusionReport::to_json exposes them to dashboards.
   GraphFusionReport rep;

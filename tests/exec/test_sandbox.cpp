@@ -665,7 +665,7 @@ TEST(Sandbox, EngineSurvivesChaosFloodWithAccountingIntact) {
   EXPECT_GE(d.crashes, 2);
   EXPECT_GE(d.timeouts, 1);
   EXPECT_GE(d.spawned, 1);
-  EXPECT_GE(stats.worker_crashes, static_cast<std::uint64_t>(d.crashes));
+  EXPECT_GE(stats.sandbox.crashes, d.crashes);
 }
 
 }  // namespace

@@ -39,9 +39,8 @@ FuseRequest sample_request() {
 
 TEST(NetProtocol, HeaderRoundTripsForEveryType) {
   for (const std::string frame :
-       {encode_hello(), encode_stats_query(),
-        encode_fuse_request(sample_request()),
-        encode_hello_ack({1 << 20, "srv"}), encode_stats_result("{}"),
+       {encode_stats_query(), encode_fuse_request(sample_request()),
+        encode_stats_result("{}"),
         encode_error(ErrorCode::Draining, "bye", 3)}) {
     const std::string payload = payload_of(frame);
     MsgType type{};
@@ -82,13 +81,7 @@ TEST(NetProtocol, FuseResponseRoundTrips) {
   EXPECT_EQ(out.json, resp.json);
 }
 
-TEST(NetProtocol, HelloAckErrorAndStatsRoundTrip) {
-  HelloAck ack_in{4096, "mcfuser-fusion-server/1"};
-  HelloAck ack;
-  ASSERT_TRUE(decode_hello_ack(payload_of(encode_hello_ack(ack_in)), &ack));
-  EXPECT_EQ(ack.max_frame_bytes, 4096u);
-  EXPECT_EQ(ack.server, "mcfuser-fusion-server/1");
-
+TEST(NetProtocol, ErrorAndStatsRoundTrip) {
   ErrorMsg err;
   ASSERT_TRUE(decode_error(
       payload_of(encode_error(ErrorCode::FrameTooLarge, "2097152 > cap", 5)),
@@ -118,14 +111,14 @@ TEST(NetProtocol, EveryTruncationPrefixFailsCleanly) {
 }
 
 TEST(NetProtocol, BadMagicIsClassified) {
-  std::string payload = payload_of(encode_hello());
+  std::string payload = payload_of(encode_stats_query());
   payload[0] = 'X';  // corrupt the magic
   MsgType type{};
   EXPECT_EQ(decode_header(payload, &type), HeaderStatus::BadMagic);
 }
 
 TEST(NetProtocol, BadVersionIsClassifiedAndReported) {
-  std::string payload = payload_of(encode_hello());
+  std::string payload = payload_of(encode_stats_query());
   payload[4] = static_cast<char>(kProtocolVersion + 1);
   MsgType type{};
   std::uint8_t seen = 0;
@@ -224,12 +217,11 @@ TEST(NetProtocol, InvalidGeometryReachesChainValidationNotAbort) {
 
 TEST(NetProtocol, DirectionsCannotAlias) {
   // Client->server types live in 0x01..0x7F, server->client in 0x81+.
-  for (const MsgType t :
-       {MsgType::Hello, MsgType::FuseChain, MsgType::StatsQuery}) {
+  for (const MsgType t : {MsgType::FuseChain, MsgType::StatsQuery}) {
     EXPECT_LT(static_cast<std::uint8_t>(t), 0x80);
   }
-  for (const MsgType t : {MsgType::HelloAck, MsgType::FuseResult,
-                          MsgType::StatsResult, MsgType::Error}) {
+  for (const MsgType t :
+       {MsgType::FuseResult, MsgType::StatsResult, MsgType::Error}) {
     EXPECT_GE(static_cast<std::uint8_t>(t), 0x80);
   }
 }

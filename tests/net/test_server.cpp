@@ -155,20 +155,29 @@ TEST(NetServer, UnixRoundTrip) {
   EXPECT_EQ(static_cast<FusionStatus>(res.response.status), FusionStatus::Ok)
       << res.response.reason;
   EXPECT_GT(res.response.time_s, 0.0);
-  EXPECT_NE(res.response.json.find("\"status\""), std::string::npos);
+  // The chain report speaks FusionResult::write_report's vocabulary, as
+  // `mcfuser fuse --json` and GraphFusionReport's chains do.
+  for (const char* key :
+       {"{\"name\":\"net\",\"status\":\"ok\",\"reason\":\"\",\"time_us\":",
+        "\"measurements\":", "\"generations\":", "\"space_size\":",
+        "\"best_expr\":", "\"best_tiles\":["}) {
+    EXPECT_NE(res.response.json.find(key), std::string::npos)
+        << key << " in " << res.response.json;
+  }
 }
 
 TEST(NetServer, ReportTimeKeepsItsPrecision) {
-  // The JSON report carries the binary time_s, not %f's six decimals
-  // (a microsecond chain would read 0.000006).
+  // The JSON report carries the binary time_s to six significant
+  // digits, not %f's six decimals (a microsecond chain would read
+  // 0.000006 seconds).
   TestService svc;
   FusionClient client(svc.endpoint(), svc.client_options());
   const RpcResult res = client.fuse(small_chain("precision"));
   ASSERT_EQ(res.status, RpcStatus::Ok) << res.detail;
-  const double want = res.response.time_s;
+  const double want = res.response.time_s * 1e6;
   ASSERT_GT(want, 0.0);
   const std::string& json = res.response.json;
-  const std::string key = "\"time_s\": ";
+  const std::string key = "\"time_us\":";
   const std::size_t at = json.find(key);
   ASSERT_NE(at, std::string::npos) << json;
   const double got = std::strtod(json.c_str() + at + key.size(), nullptr);
@@ -236,15 +245,17 @@ TEST(NetServer, VersionMismatchIsRefusedNamingBothVersions) {
   framing::FrameWriter w;
   w.u32(kMagic);
   w.u8(kProtocolVersion + 9);
-  w.u8(static_cast<std::uint8_t>(MsgType::Hello));
+  w.u8(static_cast<std::uint8_t>(MsgType::StatsQuery));
   raw.send(w.framed());
   std::string payload;
   ASSERT_EQ(raw.read_frame(&payload), IoStatus::Ok);
   ErrorMsg err;
   ASSERT_TRUE(decode_error(payload, &err));
   EXPECT_EQ(err.code, ErrorCode::BadVersion);
-  EXPECT_NE(err.detail.find("v1"), std::string::npos) << err.detail;
-  EXPECT_NE(err.detail.find("v10"), std::string::npos) << err.detail;
+  const std::string ours = "MCFN v" + std::to_string(int{kProtocolVersion});
+  const std::string theirs = "sent v" + std::to_string(kProtocolVersion + 9);
+  EXPECT_NE(err.detail.find(ours), std::string::npos) << err.detail;
+  EXPECT_NE(err.detail.find(theirs), std::string::npos) << err.detail;
   EXPECT_GE(svc.server->stats().version_mismatches, 1u);
   // A same-version client is still served.
   FusionClient client(svc.endpoint(), svc.client_options());
@@ -355,7 +366,7 @@ TEST(NetServer, MidRequestDisconnectDoesNotPoisonAccounting) {
 TEST(NetServer, ByteAtATimeRequestStillServed) {
   TestService svc;
   RawConn raw(svc.endpoint());
-  const std::string frame = encode_hello();
+  const std::string frame = encode_stats_query();
   for (const char c : frame) {
     raw.send(&c, 1);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -364,10 +375,10 @@ TEST(NetServer, ByteAtATimeRequestStillServed) {
   ASSERT_EQ(raw.read_frame(&payload), IoStatus::Ok);
   MsgType type{};
   ASSERT_EQ(decode_header(payload, &type), HeaderStatus::Ok);
-  EXPECT_EQ(type, MsgType::HelloAck);
-  HelloAck ack;
-  ASSERT_TRUE(decode_hello_ack(payload, &ack));
-  EXPECT_GE(ack.max_frame_bytes, 4096u);
+  EXPECT_EQ(type, MsgType::StatsResult);
+  std::string json;
+  ASSERT_TRUE(decode_stats_result(payload, &json));
+  EXPECT_NE(json.find("\"engine\":{"), std::string::npos) << json;
 }
 
 // ---- overload ---------------------------------------------------------------
@@ -524,6 +535,49 @@ TEST(NetClient, ConnectRefusedIsRetriedThenSurfaced) {
   EXPECT_EQ(res.status, RpcStatus::ConnectFailed);
   EXPECT_EQ(res.attempts, 3);  // 1 + 2 retries
   EXPECT_FALSE(res.detail.empty());
+}
+
+TEST(NetClient, VersionRefusalIsRetriedAsVersionMismatch) {
+  // A peer of another protocol revision answers the request frame
+  // itself, under its own header version; the client needs no
+  // handshake to classify that as a retryable VersionMismatch.
+  const std::string path = fresh_socket_path();
+  const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 4), 0);
+  std::thread peer([lfd] {
+    for (int fd; (fd = ::accept(lfd, nullptr, nullptr)) >= 0; ::close(fd)) {
+      std::string request;
+      const Deadline dl = framing::deadline_after(10.0);
+      (void)framing::read_frame(fd, &request,
+                                framing::default_max_frame_bytes(), &dl);
+      framing::FrameWriter w;
+      w.u32(kMagic);
+      w.u8(kProtocolVersion + 1);
+      w.u8(static_cast<std::uint8_t>(MsgType::Error));
+      w.u8(static_cast<std::uint8_t>(ErrorCode::BadVersion));
+      w.str("server speaks a newer MCFN");
+      w.u64(0);
+      const std::string reply = w.framed();
+      (void)framing::write_all(fd, reply.data(), reply.size(), nullptr);
+    }
+  });
+  ClientOptions copt;
+  copt.max_retries = 1;
+  copt.backoff_initial_s = 0.01;
+  FusionClient client(path, copt);
+  std::string json;
+  const RpcResult res = client.query_stats(&json);
+  ::shutdown(lfd, SHUT_RDWR);  // wakes the peer's accept
+  peer.join();
+  ::close(lfd);
+  ::unlink(path.c_str());
+  EXPECT_EQ(res.status, RpcStatus::VersionMismatch) << res.detail;
+  EXPECT_EQ(res.attempts, 2);
 }
 
 TEST(NetClient, RejectsNonLoopbackHosts) {

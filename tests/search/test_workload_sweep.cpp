@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/unfused.hpp"
+#include "dag/volume.hpp"
 #include "engine/engine.hpp"
 #include "workloads/suites.hpp"
 
@@ -43,7 +44,7 @@ TEST_P(WorkloadSweep, FusesValidlyAndProfitably) {
   // The winner lowers within the hardware limits.
   ASSERT_TRUE(r.kernel.has_value());
   EXPECT_TRUE(r.kernel->ok()) << r.kernel->error();
-  EXPECT_LE(r.kernel->smem().total_bytes, gpu.smem_per_block);
+  EXPECT_LE(plan_smem(r.kernel->schedule()).total_bytes, gpu.smem_per_block);
 
   // The winning schedule is legal and consume-complete.
   const Schedule& s = r.kernel->schedule();
@@ -61,7 +62,7 @@ TEST_P(WorkloadSweep, FusesValidlyAndProfitably) {
 
   // The fused kernel reads each input at least once and writes the output
   // exactly once.
-  const VolumeReport vol = r.kernel->volume();
+  const VolumeReport vol = analyze_volume(r.kernel->schedule());
   EXPECT_GE(vol.load_bytes, static_cast<double>(chain.batch()) *
                                 (chain.m() * chain.inner()[0]) * 2.0);
   EXPECT_GE(vol.store_bytes,

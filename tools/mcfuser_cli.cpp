@@ -42,6 +42,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/ansor_like.hpp"
@@ -295,33 +296,35 @@ ChainSpec chain_from(const Args& args) {
   return ChainSpec::gemm_chain("cli", batch, m, n, k, h);
 }
 
-void print_chain_json(const ChainSpec& chain, const FusionResult& r,
-                      const std::string& backend,
-                      const jit::CompileStats& jit_delta) {
-  std::printf("{\"chain\":\"%s\",\"backend\":\"%s\",\"status\":\"%s\","
-              "\"reason\":\"%s\"",
-              json_escape(chain.name()).c_str(), json_escape(backend).c_str(),
-              fusion_status_name(r.status), json_escape(r.reason).c_str());
-  std::printf(",\"jit_compile\":{\"tus_compiled\":%lld,"
-              "\"kernels_compiled\":%lld,\"cache_hits\":%lld,"
-              "\"failures\":%lld,\"compile_wall_s\":%.6g}",
-              static_cast<long long>(jit_delta.tus_compiled),
-              static_cast<long long>(jit_delta.kernels_compiled),
-              static_cast<long long>(jit_delta.cache_hits()),
-              static_cast<long long>(jit_delta.failures),
-              jit_delta.compile_wall_s);
-  if (r.ok()) {
-    std::printf(",\"time_us\":%.6g,\"space_size\":%zu,\"measurements\":%d,"
-                "\"generations\":%d,\"best_expr\":%d,\"best_tiles\":[",
-                r.time_s() * 1e6, r.space_size, r.tuned.stats.measurements,
-                r.tuned.stats.generations, r.tuned.best.expr_id);
-    for (std::size_t i = 0; i < r.tuned.best.tiles.size(); ++i) {
-      std::printf("%s%lld", i ? "," : "",
-                  static_cast<long long>(r.tuned.best.tiles[i]));
+/// The engine's admission flags, shared by `fuse --graph` and `serve`:
+/// --jobs, --max-queue, --max-in-flight and --deadline.  Counts are
+/// range-checked on the full int64 before the casts below, so a negative
+/// or huge value is rejected instead of wrapping to "no bound".  False,
+/// after printing the range, when a flag is out of range.
+bool admission_flags(const Args& args, FusionEngineOptions* opts) {
+  constexpr std::int64_t kMaxJobs = 4096;
+  constexpr std::int64_t kMaxQueue = 1 << 20;
+  using Bound = std::pair<const char*, std::int64_t>;
+  for (const auto& [flag, max] : {Bound{"jobs", kMaxJobs},
+                                  Bound{"max-queue", kMaxQueue},
+                                  Bound{"max-in-flight", kMaxQueue}}) {
+    const std::int64_t v = args.num(flag, 0);
+    if (v < 0 || v > max) {
+      std::fprintf(stderr, "--%s must be in [0, %lld]\n", flag,
+                   static_cast<long long>(max));
+      return false;
     }
-    std::printf("]");
   }
-  std::printf("}\n");
+  if (args.dbl("deadline", 0.0) < 0.0) {
+    std::fprintf(stderr, "--deadline must be a non-negative number of seconds\n");
+    return false;
+  }
+  opts->jobs = static_cast<int>(args.num("jobs", 0));
+  opts->queue.max_queued = static_cast<std::size_t>(args.num("max-queue", 0));
+  opts->queue.max_in_flight =
+      static_cast<std::size_t>(args.num("max-in-flight", 0));
+  opts->queue.deadline_s = args.dbl("deadline", 0.0);
+  return true;
 }
 
 /// False + a diagnostic listing the registered backends when `name` is
@@ -343,14 +346,13 @@ int cmd_fuse_graph(const Args& args, const GpuSpec& gpu) {
                  static_cast<long long>(seq));
     return 2;
   }
-  // Range-checked on the full int64 before the int cast below, so huge
-  // values are rejected instead of silently wrapping.
-  constexpr std::int64_t kMaxJobs = 4096;
-  if (args.num("jobs", 0) < 0 || args.num("jobs", 0) > kMaxJobs) {
-    std::fprintf(stderr, "--jobs must be in [0, %lld]\n",
-                 static_cast<long long>(kMaxJobs));
-    return 2;
-  }
+  // Admission control: --max-queue bounds the engine queue (the batch
+  // path waits for slots, so memory is bounded without shedding chains);
+  // --deadline sheds chains whose queue wait exceeds S seconds
+  // (reported as deadline-exceeded, exit 1).
+  FusionEngineOptions opts;
+  opts.backend = args.str("backend", "");
+  if (!admission_flags(args, &opts)) return 2;
   NetGraph g("empty");
   if (model == "bert-small" || model == "bert-base" || model == "bert-large") {
     BertConfig cfg = model == "bert-small"   ? bert_small()
@@ -367,26 +369,6 @@ int cmd_fuse_graph(const Args& args, const GpuSpec& gpu) {
     return usage();
   }
 
-  // Admission control: --max-queue bounds the engine queue (the batch
-  // path waits for slots, so memory is bounded without shedding chains);
-  // --deadline sheds chains whose queue wait exceeds S seconds
-  // (reported as deadline-exceeded, exit 1).
-  constexpr std::int64_t kMaxQueueCap = 1 << 20;
-  if (args.num("max-queue", 0) < 0 || args.num("max-queue", 0) > kMaxQueueCap) {
-    std::fprintf(stderr, "--max-queue must be in [0, %lld]\n",
-                 static_cast<long long>(kMaxQueueCap));
-    return 2;
-  }
-  if (args.dbl("deadline", 0.0) < 0.0) {
-    std::fprintf(stderr, "--deadline must be a non-negative number of seconds\n");
-    return 2;
-  }
-
-  FusionEngineOptions opts;
-  opts.backend = args.str("backend", "");
-  opts.jobs = static_cast<int>(args.num("jobs", 0));
-  opts.queue.max_queued = static_cast<std::size_t>(args.num("max-queue", 0));
-  opts.queue.deadline_s = args.dbl("deadline", 0.0);
   if (!opts.backend.empty() && !backend_known(opts.backend)) return 2;
   FusionEngine engine(gpu, opts);
   const GraphFusionReport rep = engine.fuse_graph(g);
@@ -496,8 +478,13 @@ int cmd_fuse(const Args& args) {
     std::fprintf(stderr, "warning: could not write %s\n", cache_path.c_str());
   }
   if (json) {
-    print_chain_json(chain, result, opts.backend,
-                     jit::stats_snapshot().since(jit_before));
+    JsonWriter w;
+    w.object().field("backend", opts.backend);
+    result.write_report(w, chain.name());
+    w.key("jit_compile")
+        .raw(jit::stats_snapshot().since(jit_before).to_json())
+        .end();
+    std::printf("%s\n", w.str().c_str());
     return result.ok() ? 0 : 1;
   }
   if (!result.ok()) {
@@ -613,13 +600,9 @@ int cmd_serve(const Args& args) {
   FusionEngineOptions opts;
   opts.backend = args.str("backend", "sim");
   if (!backend_known(opts.backend)) return 2;
-  opts.jobs = static_cast<int>(args.num("jobs", 0));
   // A full queue sheds a request as FusionStatus::Rejected (the server
   // calls submit(), which never waits) — the service never blocks or OOMs.
-  opts.queue.max_queued = static_cast<std::size_t>(args.num("max-queue", 0));
-  opts.queue.max_in_flight =
-      static_cast<std::size_t>(args.num("max-in-flight", 0));
-  opts.queue.deadline_s = args.dbl("deadline", 0.0);
+  if (!admission_flags(args, &opts)) return 2;
   FusionEngine engine(gpu, opts);
 
   net::ServerOptions sopt;
@@ -674,9 +657,12 @@ int cmd_serve(const Args& args) {
                                                st.cancelled +
                                                st.deadline_exceeded;
   if (args.has("json")) {
-    std::printf("{\"identity_ok\":%s,\"engine\":%s,\"server\":%s}\n",
-                identity_ok ? "true" : "false", st.to_json().c_str(),
-                ss.to_json().c_str());
+    const std::string doc = JsonWriter().object()
+        .field("identity_ok", identity_ok)
+        .key("engine").raw(st.to_json())
+        .key("server").raw(ss.to_json())
+        .end().str();
+    std::printf("%s\n", doc.c_str());
   } else {
     std::fprintf(stderr,
                  "mcfuser serve: drained; %llu conns, %llu requests "
@@ -753,7 +739,9 @@ int cmd_verify(const Args& args) {
   std::size_t violations = 0;
   std::size_t mutants_total = 0;
   std::size_t mutants_flagged = 0;
-  std::string chains_json;
+  JsonWriter doc;
+  doc.object().field("gpu", gpu.name).field("family", family);
+  doc.key("chains").array();
   for (const ChainSpec& chain : chains) {
     const SearchSpace space(chain, SpaceOptions{}, prune);
     const auto& cands = space.candidates();
@@ -765,7 +753,7 @@ int cmd_verify(const Args& args) {
     std::size_t chain_violations = 0;
     std::size_t chain_mut_total = 0;
     std::size_t chain_mut_flagged = 0;
-    std::string reports_json;
+    std::vector<std::string> reports;  ///< JSON of each unsafe candidate
     for (std::size_t i = 0; i < take; ++i) {
       const std::size_t idx =
           take <= 1 ? 0 : i * (cands.size() - 1) / (take - 1);
@@ -774,8 +762,7 @@ int cmd_verify(const Args& args) {
       ++chain_checked;
       if (!report.safe()) {
         ++chain_violations;
-        if (!reports_json.empty()) reports_json += ",";
-        reports_json += report.to_json();
+        reports.push_back(report.to_json());
       }
       for (const verify::Mutant& m :
            verify::mutation_corpus(s, seed, max_mutants)) {
@@ -796,16 +783,15 @@ int cmd_verify(const Args& args) {
     mutants_total += chain_mut_total;
     mutants_flagged += chain_mut_flagged;
     if (json) {
-      if (!chains_json.empty()) chains_json += ",";
-      chains_json += "{\"name\":\"" + json_escape(chain.name()) +
-                     "\",\"shape\":\"" + json_escape(chain.to_string()) +
-                     "\",\"grid\":" + std::to_string(cands.size()) +
-                     ",\"checked\":" + std::to_string(chain_checked) +
-                     ",\"violations\":" + std::to_string(chain_violations) +
-                     ",\"mutants\":" + std::to_string(chain_mut_total) +
-                     ",\"mutants_flagged\":" +
-                     std::to_string(chain_mut_flagged) +
-                     ",\"reports\":[" + reports_json + "]}";
+      doc.object().field("name", chain.name())
+          .field("shape", chain.to_string()).field("grid", cands.size())
+          .field("checked", chain_checked)
+          .field("violations", chain_violations)
+          .field("mutants", chain_mut_total)
+          .field("mutants_flagged", chain_mut_flagged)
+          .key("reports").array();
+      for (const std::string& r : reports) doc.raw(r);
+      doc.end().end();
     } else {
       std::printf("%-14s %-28s grid %-8zu checked %-3zu violations %-2zu "
                   "mutants %zu/%zu flagged\n",
@@ -817,12 +803,11 @@ int cmd_verify(const Args& args) {
 
   const bool clean = violations == 0 && mutants_flagged == mutants_total;
   if (json) {
-    std::printf("{\"gpu\":\"%s\",\"family\":\"%s\",\"chains\":[%s],"
-                "\"candidates_checked\":%zu,\"violations\":%zu,"
-                "\"mutants\":%zu,\"mutants_flagged\":%zu,\"clean\":%s}\n",
-                gpu.name.c_str(), family.c_str(), chains_json.c_str(),
-                candidates_checked, violations, mutants_total,
-                mutants_flagged, clean ? "true" : "false");
+    doc.end().field("candidates_checked", candidates_checked)
+        .field("violations", violations).field("mutants", mutants_total)
+        .field("mutants_flagged", mutants_flagged).field("clean", clean)
+        .end();
+    std::printf("%s\n", doc.str().c_str());
   } else {
     std::printf("verify: %zu candidates across %zu chains, %zu violations; "
                 "%zu/%zu mutants flagged -> %s\n",

@@ -5,12 +5,19 @@
 # and assert (a) the drain exits 0 and (b) the EngineStats accounting
 # identity (submitted == completed + rejected + cancelled +
 # deadline_exceeded) survived — the server's --json exit report carries
-# the verdict.
+# the verdict.  Both JSON documents are parsed with python3, so a
+# malformed one fails too.
 #
 # Usage: serve_smoke.sh /path/to/mcfuser
 # Runs under ctest (tools_serve_smoke) in the Release and sanitizer CI
 # lanes; everything is sim-backend, no toolchain needed.
 set -u
+
+# Succeeds when stdin parses as JSON and the python expression $1 over
+# the parsed document `d` is true.
+json_true() {
+  python3 -c 'import json, sys; d = json.load(sys.stdin); sys.exit(0 if eval(sys.argv[1]) else 1)' "$1"
+}
 
 BIN="${1:?usage: serve_smoke.sh /path/to/mcfuser}"
 SOCK="$(mktemp -u /tmp/mcf-smoke-XXXXXX).sock"
@@ -35,8 +42,8 @@ done
 
 # One chain twice: the second request must be a store hit.
 for _ in 1 2; do "$BIN" fuse --connect "$SOCK" --m 64 --n 64 --k 32 --h 32 >/dev/null 2>&1; done
-STATS="$("$BIN" fuse --connect "$SOCK" --stats 2>&1)"
-printf '%s' "$STATS" | grep -Eq '"memo_hits":[1-9]' ||
+STATS="$("$BIN" fuse --connect "$SOCK" --stats)"
+printf '%s' "$STATS" | json_true 'd["engine"]["memo_hits"] >= 1' ||
   { echo "FAIL: a repeated chain was not answered from the store: $STATS"; exit 1; }
 
 # Concurrent flood: client failures are expected once the drain begins
@@ -66,7 +73,7 @@ if [ "$CODE" -ne 0 ]; then
   cat "$OUT"
   exit 1
 fi
-if ! grep -q '"identity_ok":true' "$OUT"; then
+if ! json_true 'd["identity_ok"] is True' <"$OUT"; then
   echo "FAIL: accounting identity broken after drain"
   cat "$OUT"
   exit 1
